@@ -27,8 +27,10 @@ def _scan_source(scan_files: List[str], labels_dir: str | None) -> Iterator[Poin
             label_path = os.path.join(labels_dir, stem + ".txt")
             if os.path.exists(label_path):
                 labels = read_labels(label_path)
-                if len(labels) == len(cloud):
-                    cloud = PointCloud(cloud.points, labels=labels)
+                if len(labels) != len(cloud):
+                    raise ValueError(f"{label_path}: {len(labels)} labels "
+                                     f"for {len(cloud)} points in {path}")
+                cloud = PointCloud(cloud.points, labels=labels)
         yield cloud
 
 

@@ -15,11 +15,18 @@ from .metrics import RemovalCounts, Trajectory
 # --- scans -------------------------------------------------------------------
 
 def read_scan_bin(path: str) -> PointCloud:
-    """Little-endian float32 records of (x, y, z, intensity); intensity ignored."""
+    """Little-endian float32 records of (x, y, z, intensity); intensity ignored.
+
+    Raises ValueError if any point has a NaN or infinite coordinate.
+    """
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 4 != 0:
         raise ValueError(f"{path}: scan file size is not a multiple of 4 floats")
-    return PointCloud(raw.reshape(-1, 4)[:, :3].astype(float))
+    points = raw.reshape(-1, 4)[:, :3].astype(float)
+    non_finite = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
+    if non_finite:
+        raise ValueError(f"{path}: {non_finite} non-finite points")
+    return PointCloud(points)
 
 
 def write_scan_bin(path: str, cloud: PointCloud,

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Rotation drift beyond this triggers re-orthonormalization on compose.
 _ORTHO_TOL = 1e-9
@@ -177,11 +180,19 @@ class PointCloud:
     """3D points with optional per-point covariances and dynamic labels.
 
     ``labels`` is a boolean array where True marks a return on a moving object.
+
+    ``tree`` and ``rank`` cache structures derived from ``points``: a k-d tree
+    over them (kept by ``estimate_point_covariances``) and each point's rank
+    in lexicographic (x, y, z) order (filled in by ``gicp_align`` on first use
+    as a source). They assume ``points`` is not modified in place, and
+    ``subset`` and ``transformed`` return clouds without them.
     """
 
     points: np.ndarray
     covariances: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
+    tree: Optional["cKDTree"] = field(default=None, repr=False, compare=False)
+    rank: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -212,10 +223,6 @@ class PointCloud:
             covs = np.einsum("ij,njk,lk->nil", R, self.covariances, R)
         labels = None if self.labels is None else self.labels.copy()
         return PointCloud(pose.apply(self.points), covs, labels)
-
-    def with_covariances(self, covariances: np.ndarray) -> "PointCloud":
-        return PointCloud(self.points.copy(), covariances,
-                          None if self.labels is None else self.labels.copy())
 
 
 @dataclass(frozen=True)

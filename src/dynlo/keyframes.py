@@ -83,6 +83,8 @@ class KeyframeDB:
         self.spaciousness = 0.0
         self._next_id = 0
         self._submap_cache: Dict[Tuple[int, ...], PointCloud] = {}
+        # hull ids change only on insert: "convex" or a concave alpha -> ids
+        self._hull_cache: Dict[object, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self.by_id)
@@ -99,9 +101,12 @@ class KeyframeDB:
             raise ValueError("keyframe cloud must be non-empty")
         kid = self._next_id
         self._next_id += 1
-        self.by_id[kid] = Keyframe(id=kid, pose=pose, cloud=cloud)
+        # keep points and covariances only, not the caches the scan carried
+        stored = PointCloud(cloud.points, cloud.covariances, cloud.labels)
+        self.by_id[kid] = Keyframe(id=kid, pose=pose, cloud=stored)
         self.spatial_index.setdefault(self._cell(pose.translation), set()).add(kid)
         self._submap_cache.clear()
+        self._hull_cache.clear()
         return kid
 
     def maybe_insert(self, pose: Pose, cloud: PointCloud) -> bool:
@@ -165,6 +170,11 @@ class KeyframeDB:
 
     def convex_hull_ids(self) -> List[int]:
         """Ids whose (x, y) translations are convex hull vertices; all ids if < 3."""
+        if "convex" not in self._hull_cache:
+            self._hull_cache["convex"] = self._convex_hull_ids()
+        return list(self._hull_cache["convex"])
+
+    def _convex_hull_ids(self) -> List[int]:
         ids = self.ids()
         if len(ids) < 3:
             return ids
@@ -175,6 +185,11 @@ class KeyframeDB:
     def concave_hull_ids(self, alpha: float) -> List[int]:
         """Concave boundary ids: convex hull edges longer than alpha are split
         recursively by the interior point minimizing the longer new edge."""
+        if alpha not in self._hull_cache:
+            self._hull_cache[alpha] = self._concave_hull_ids(alpha)
+        return list(self._hull_cache[alpha])
+
+    def _concave_hull_ids(self, alpha: float) -> List[int]:
         ids = self.ids()
         if len(ids) < 3:
             return ids

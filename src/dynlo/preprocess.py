@@ -9,6 +9,10 @@ from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
 
+# Below this cross-product size, relative to the spread of the eigenvalues,
+# the two smallest eigenvalues count as equal and the normal comes from eigh.
+_DEGENERATE_GAP = 1e-6
+
 
 @dataclass
 class PreprocessParams:
@@ -29,41 +33,106 @@ def crop_self_returns(cloud: PointCloud, half_extent: float) -> PointCloud:
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """Centroid per occupied voxel of an origin-anchored grid.
 
-    Output order is ascending lexicographic voxel index, so the result is
-    deterministic and independent of the input point order. Per-point
-    covariances and labels do not survive aggregation and are dropped.
+    Points are grouped by a stable lexicographic sort of their integer voxel
+    indices, and each group is summed in input order, so the result is
+    deterministic and independent of the input point order. Output order is
+    ascending lexicographic voxel index. Per-point covariances and labels do
+    not survive aggregation and are dropped.
     """
     if leaf <= 0.0:
         raise ValueError("leaf must be positive")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)))
     idx = np.floor(cloud.points / leaf).astype(np.int64)
-    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, cloud.points)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(float)
-    return PointCloud(sums / counts[:, None])
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    idx = idx[order]
+    new_voxel = np.empty(len(order), dtype=bool)
+    new_voxel[0] = True
+    np.any(idx[1:] != idx[:-1], axis=1, out=new_voxel[1:])
+    group = np.cumsum(new_voxel) - 1
+    n_voxels = int(group[-1]) + 1
+    counts = np.bincount(group, minlength=n_voxels).astype(float)
+    centroids = np.empty((n_voxels, 3))
+    for axis in range(3):
+        sums = np.bincount(group, weights=cloud.points[order, axis],
+                           minlength=n_voxels)
+        centroids[:, axis] = sums / counts
+    return PointCloud(centroids)
 
 
 def estimate_point_covariances(cloud: PointCloud, k: int = 10,
                                plane_epsilon: float = 1e-3) -> PointCloud:
     """Attach plane-regularized covariances from each point's k nearest neighbors.
 
-    The sample covariance of the k-neighborhood (self inclusive) is
-    eigendecomposed and its eigenvalues replaced by (plane_epsilon, 1, 1) in
-    ascending order, which keeps surface orientation while flattening scale.
+    Each point's covariance is ``I - (1 - plane_epsilon) n n^T``, where n is
+    the normal of its k-neighborhood (self inclusive): the eigenvector of the
+    smallest eigenvalue of the neighborhood's sample covariance. That is the
+    sample covariance with its eigenvalues replaced by (plane_epsilon, 1, 1),
+    which keeps surface orientation while flattening scale. The normal comes
+    from a closed-form 3x3 solve, see :func:`_normals`.
+
+    The returned cloud keeps the k-d tree built over its points in ``tree``,
+    so a registration against it does not build a second one.
     """
     n = len(cloud)
     if n < k:
         raise ValueError("insufficient points for covariance estimation")
-    tree = cKDTree(cloud.points)
-    _, nn = tree.query(cloud.points, k=k)
+    points = cloud.points.copy()
+    tree = cKDTree(points)
+    _, nn = tree.query(points, k=k)
     if k == 1:
         nn = nn[:, None]
-    neigh = cloud.points[nn]
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / float(k)
-    _, vecs = np.linalg.eigh(cov)
-    vals = np.array([plane_epsilon, 1.0, 1.0])
-    regularized = np.einsum("nij,j,nkj->nik", vecs, vals, vecs)
-    return cloud.with_covariances(regularized)
+    # the (n, k, 3) neighbor array sets this stage's memory peak: release it
+    # (and the indices) as soon as the scatter matrices are formed
+    neigh = points[nn]
+    del nn
+    neigh -= neigh.mean(axis=1, keepdims=True)
+    scatter = np.matmul(neigh.transpose(0, 2, 1), neigh)
+    del neigh
+    scatter /= float(k)
+    normals = _normals(scatter)
+    del scatter
+    covariances = normals[:, :, None] * normals[:, None, :]
+    covariances *= -(1.0 - plane_epsilon)
+    covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    labels = None if cloud.labels is None else cloud.labels.copy()
+    return PointCloud(points, covariances, labels, tree=tree)
+
+
+def _normals(cov: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the smallest eigenvalues of symmetric 3x3 matrices.
+
+    The smallest eigenvalue lam comes from the trigonometric solution of the
+    characteristic cubic. The rows of ``cov - lam I`` then span the plane
+    orthogonal to the eigenvector, so the largest cross product of two rows
+    is parallel to it. Where the two smallest eigenvalues (nearly) coincide,
+    as for collinear or coincident neighbors, every cross product (nearly)
+    vanishes and the eigenvector is taken from ``eigh`` instead.
+    """
+    a00, a11, a22 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
+    a01, a02, a12 = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    det = (b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+           + a02 * (a01 * a12 - b11 * a02))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(det / (2.0 * p * p * p), -1.0, 1.0)
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+    r0 = np.column_stack([a00 - lam, a01, a02])
+    r1 = np.column_stack([a01, a11 - lam, a12])
+    r2 = np.column_stack([a02, a12, a22 - lam])
+    best = np.cross(r0, r1)
+    best_sq = np.einsum("ni,ni->n", best, best)
+    for cand in (np.cross(r0, r2), np.cross(r1, r2)):
+        cand_sq = np.einsum("ni,ni->n", cand, cand)
+        larger = cand_sq > best_sq
+        best[larger] = cand[larger]
+        best_sq[larger] = cand_sq[larger]
+    with np.errstate(invalid="ignore"):
+        degenerate = ~(best_sq > (_DEGENERATE_GAP * p * p) ** 2)
+        normals = best / np.sqrt(best_sq)[:, None]
+    if np.any(degenerate):
+        normals[degenerate] = np.linalg.eigh(cov[degenerate])[1][:, :, 0]
+    return normals

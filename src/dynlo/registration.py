@@ -38,42 +38,40 @@ class GicpResult:
     iterations: int
 
 
-def _inv3x3(M: np.ndarray) -> np.ndarray:
-    """Closed-form batched 3x3 inverse (adjugate over determinant)."""
+def _adjugate_det(M: np.ndarray):
+    """Adjugates and determinants of a stack of 3x3 matrices."""
     a, b, c = M[:, 0, 0], M[:, 0, 1], M[:, 0, 2]
     d, e, f = M[:, 1, 0], M[:, 1, 1], M[:, 1, 2]
     g, h, i = M[:, 2, 0], M[:, 2, 1], M[:, 2, 2]
     A = e * i - f * h
     D = f * g - d * i
     G = d * h - e * g
-    det = a * A + b * D + c * G
-    inv = np.empty_like(M)
-    inv[:, 0, 0] = A
-    inv[:, 0, 1] = c * h - b * i
-    inv[:, 0, 2] = b * f - c * e
-    inv[:, 1, 0] = D
-    inv[:, 1, 1] = a * i - c * g
-    inv[:, 1, 2] = c * d - a * f
-    inv[:, 2, 0] = G
-    inv[:, 2, 1] = b * g - a * h
-    inv[:, 2, 2] = a * e - b * d
-    return inv / det[:, None, None]
+    adj = np.empty_like(M)
+    adj[:, 0, 0] = A
+    adj[:, 0, 1] = c * h - b * i
+    adj[:, 0, 2] = b * f - c * e
+    adj[:, 1, 0] = D
+    adj[:, 1, 1] = a * i - c * g
+    adj[:, 1, 2] = c * d - a * f
+    adj[:, 2, 0] = G
+    adj[:, 2, 1] = b * g - a * h
+    adj[:, 2, 2] = a * e - b * d
+    return adj, a * A + b * D + c * G
+
+
+def _singular(det: np.ndarray) -> bool:
+    return bool(np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)))
 
 
 def _batched_inverse(M: np.ndarray) -> np.ndarray:
-    a, b, c = M[:, 0, 0], M[:, 0, 1], M[:, 0, 2]
-    d, e, f = M[:, 1, 0], M[:, 1, 1], M[:, 1, 2]
-    g, h, i = M[:, 2, 0], M[:, 2, 1], M[:, 2, 2]
-    det = (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g))
-    if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
-        M = M + _JITTER * np.eye(3)
-        a, e, i = M[:, 0, 0], M[:, 1, 1], M[:, 2, 2]
-        det = (a * (e * i - M[:, 1, 2] * M[:, 2, 1])
-               + M[:, 0, 1] * (M[:, 1, 2] * M[:, 2, 0] - M[:, 1, 0] * i)
-               + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - e * M[:, 2, 0]))
-        if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
+    """Closed-form batched 3x3 inverse (adjugate over determinant); a singular
+    stack is retried once with a small diagonal jitter."""
+    adj, det = _adjugate_det(M)
+    if _singular(det):
+        adj, det = _adjugate_det(M + _JITTER * np.eye(3))
+        if _singular(det):
             raise ValueError("fused covariance singular")
-    return _inv3x3(M)
+    return adj / det[:, None, None]
 
 
 def _require_covariances(cloud: PointCloud, name: str) -> None:
@@ -202,14 +200,21 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
 
     Gauss-Newton with per-iteration correspondence re-search; Levenberg
     damping engages only when the undamped step does not decrease the error.
+    Correspondences are searched in ``target_tree`` if given, else in the
+    tree the target carries, else in a tree built here. The source's
+    coordinate rank is computed once and kept on the source cloud.
     """
     params = params if params is not None else GicpParams()
     _require_covariances(source, "source")
     _require_covariances(target, "target")
     if len(source) < _MIN_CORRESPONDENCES or len(target) < _MIN_CORRESPONDENCES:
         raise ValueError("insufficient overlap")
-    tree = target_tree if target_tree is not None else cKDTree(target.points)
-    rank = _coordinate_rank(source.points)
+    tree = target_tree if target_tree is not None else target.tree
+    if tree is None:
+        tree = cKDTree(target.points)
+    if source.rank is None:
+        source.rank = _coordinate_rank(source.points)
+    rank = source.rank
     T = init
     err = float("inf")
     iterations = 0

@@ -1,5 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dynlo.cli import _scan_source
 
 from dynlo.config import PipelineConfig, dump_config, load_config, parse_config_text
 from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
@@ -86,6 +93,40 @@ class TestScanIO:
         path.write_bytes(b"\x00" * 10)
         with pytest.raises(ValueError, match="multiple of 4"):
             read_scan_bin(str(path))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_points_rejected_with_count(self, seed, n, bad):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
+        hit = rng.random((n, 3)) < 0.3
+        pts[hit] = bad
+        n_bad = int(np.count_nonzero(hit.any(axis=1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "000000.bin")
+            write_scan_bin(path, PointCloud(pts),
+                           intensity=np.full(n, np.nan))
+            if n_bad == 0:
+                assert np.allclose(read_scan_bin(path).points, pts, atol=1e-5)
+            else:
+                with pytest.raises(ValueError,
+                                   match=f"000000.bin: {n_bad} non-finite"):
+                    read_scan_bin(path)
+
+    @given(st.integers(1, 40), st.integers(0, 45))
+    def test_label_count_must_match_scan(self, n_points, n_labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            scan = os.path.join(tmp, "000000.bin")
+            write_scan_bin(scan, PointCloud(np.ones((n_points, 3))))
+            write_labels(os.path.join(tmp, "000000.txt"),
+                         np.arange(n_labels) % 2 == 0)
+            if n_labels == n_points:
+                (cloud,) = _scan_source([scan], tmp)
+                assert np.array_equal(cloud.labels, np.arange(n_points) % 2 == 0)
+            else:
+                with pytest.raises(ValueError, match=f"000000.txt: {n_labels} "
+                                   f"labels for {n_points} points"):
+                    list(_scan_source([scan], tmp))
 
     def test_labels_round_trip(self, tmp_path, rng):
         labels = rng.random(40) > 0.5

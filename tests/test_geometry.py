@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import random_pose
 from dynlo.geometry import (DetectionBox, PointCloud, Pose, point_in_box,
@@ -86,6 +87,16 @@ class TestApply:
         out = cloud.transformed(p)
         for c in out.covariances:
             assert np.allclose(c, p.rotation @ np.diag([1.0, 2.0, 3.0]) @ p.rotation.T)
+
+
+class TestDerivedCaches:
+    def test_new_points_drop_tree_and_rank(self, rng):
+        pts = rng.normal(size=(20, 3))
+        cloud = PointCloud(pts, covariances=np.stack([np.eye(3)] * 20),
+                           tree=cKDTree(pts), rank=np.arange(20))
+        for out in (cloud.subset(np.arange(10)),
+                    cloud.transformed(random_pose(rng))):
+            assert out.tree is None and out.rank is None
 
 
 class TestPointInBox:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from dynlo.geometry import PointCloud, Pose
 from dynlo.keyframes import (KeyframeDB, compute_spaciousness,
@@ -206,6 +206,19 @@ class TestHulls:
         assert notch in db.concave_hull_ids(6.0)
 
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_cached_ids_equal_fresh_computation_after_each_insert(self, seed):
+        rng = np.random.default_rng(seed)
+        db = KeyframeDB()
+        alpha = float(rng.uniform(2.0, 20.0))
+        for p in rng.uniform(-30, 30, size=(int(rng.integers(1, 25)), 3)):
+            db.insert(Pose.from_yaw(0.0, p), tiny_cloud(rng))
+            db.select_submap(Pose.identity(), 3, 2, 2, alpha)  # fills the cache
+            assert db.convex_hull_ids() == db._convex_hull_ids()
+            assert db.concave_hull_ids(alpha) == db._concave_hull_ids(alpha)
+
+
 class TestSubmap:
     def test_single_keyframe_world_cloud(self, rng):
         db = KeyframeDB()
@@ -263,3 +276,13 @@ class TestSubmap:
     def test_empty_db_raises(self):
         with pytest.raises(ValueError, match="empty"):
             KeyframeDB().select_submap(Pose.identity(), 1, 1, 1)
+
+    def test_keyframe_keeps_no_tree(self, rng):
+        cloud = tiny_cloud(rng)
+        cloud.tree = cKDTree(cloud.points)
+        db = KeyframeDB()
+        db.insert(Pose.identity(), cloud)
+        stored = db.by_id[0].cloud
+        assert stored.tree is None
+        assert np.shares_memory(stored.points, cloud.points)
+        assert np.shares_memory(stored.covariances, cloud.covariances)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from dynlo.geometry import PointCloud
 from dynlo.preprocess import (crop_self_returns, estimate_point_covariances,
@@ -13,6 +14,30 @@ def brute_force_crop(points, half_extent):
                                       and abs(p[1]) <= half_extent
                                       and abs(p[2]) <= half_extent)]
     return np.array(keep).reshape(-1, 3)
+
+
+def unique_voxel_reference(points, leaf):
+    """Grouping by np.unique over the integer voxel rows, summed in input order."""
+    idx = np.floor(points / leaf).astype(np.int64)
+    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((uniq.shape[0], 3))
+    np.add.at(sums, inverse, points)
+    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(float)
+    return sums / counts[:, None]
+
+
+def eigh_covariance(points, plane_epsilon):
+    """Reference: eigendecompose the sample covariance, eigenvalues -> (eps, 1, 1)."""
+    centered = points - points.mean(axis=0)
+    vals, vecs = np.linalg.eigh(centered.T @ centered / len(points))
+    return vecs @ np.diag([plane_epsilon, 1.0, 1.0]) @ vecs.T, vals, vecs
+
+
+# coordinates that collide in a voxel often, plus extremes and negatives
+_coordinate = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([-1e6, -2.5, -0.25, -1e-9, 0.0, 0.1, 0.2499, 0.25, 1e6]))
 
 
 def brute_force_voxel(points, leaf):
@@ -77,6 +102,14 @@ class TestVoxel:
         d = np.linalg.norm(out.points[:, None, :] - pts[None, :, :], axis=2)
         assert np.all(d.min(axis=1) <= leaf * np.sqrt(3) / 2 + 1e-12)
 
+    @given(st.lists(st.tuples(_coordinate, _coordinate, _coordinate),
+                    min_size=1, max_size=80),
+           st.floats(0.01, 10.0))
+    def test_bit_identical_to_unique_grouping(self, rows, leaf):
+        pts = np.array(rows, dtype=float)
+        out = voxel_downsample(PointCloud(pts), leaf)
+        assert np.array_equal(out.points, unique_voxel_reference(pts, leaf))
+
     def test_translation_by_leaf_multiples_commutes(self, rng):
         # grid anchoring: shifting by whole voxels shifts the output likewise
         leaf = 0.25
@@ -109,7 +142,6 @@ class TestCovariances:
     def test_knn_matches_all_pairs_sort(self, rng):
         pts = rng.normal(size=(60, 3))
         k = 8
-        from scipy.spatial import cKDTree
         _, nn = cKDTree(pts).query(pts, k=k)
         d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         brute = np.argsort(d, axis=1, kind="stable")[:, :k]
@@ -126,6 +158,68 @@ class TestCovariances:
             assert vals[0] > 0
             assert np.isclose(vals[-1] / vals[0], 1.0 / eps, rtol=1e-6)
 
+    def test_keeps_kdtree_over_its_points(self, rng):
+        pts = rng.normal(size=(40, 3))
+        out = estimate_point_covariances(PointCloud(pts), k=6)
+        assert out.tree is not None
+        _, nn = out.tree.query(out.points, k=6)
+        assert np.array_equal(nn, cKDTree(pts).query(pts, k=6)[1])
+
     def test_insufficient_points_error(self):
         with pytest.raises(ValueError, match="insufficient points"):
             estimate_point_covariances(PointCloud(np.zeros((3, 3))), k=10)
+
+
+class TestClosedFormNormal:
+    """The closed-form normal against eigh, one neighborhood per case: with
+    k equal to the cloud size every point's neighborhood is the whole cloud."""
+
+    EPS = 1e-3
+
+    def check(self, pts):
+        out = estimate_point_covariances(PointCloud(pts), k=len(pts),
+                                         plane_epsilon=self.EPS)
+        expected, vals, vecs = eigh_covariance(pts, self.EPS)
+        for cov in out.covariances:
+            assert np.allclose(cov, cov.T, atol=1e-12)
+            assert np.allclose(np.linalg.eigvalsh(cov), [self.EPS, 1.0, 1.0],
+                               atol=1e-9)
+            if vals[1] - vals[0] > 1e-3 * (vals[2] - vals[0]):
+                # separated smallest eigenvalue: same covariance (n up to sign)
+                assert np.allclose(cov, expected, atol=1e-9)
+            else:
+                # the normal lies in the eigenspace of the two smallest
+                assert np.allclose(cov @ vecs[:, 2], vecs[:, 2], atol=1e-6)
+        return out, expected
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_neighborhoods(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.01, 10.0, size=3)
+        self.check(rng.normal(size=(int(rng.integers(4, 30)), 3)) * scale
+                   + rng.uniform(-50, 50, size=3))
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_exactly_planar(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        u, v = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2].T
+        a, b = rng.uniform(-2, 2, size=(2, n))
+        self.check(a[:, None] * u + b[:, None] * v)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-9, 1e-2))
+    def test_near_collinear(self, seed, spread):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        direction = rng.normal(size=3)
+        pts = (rng.uniform(-3, 3, size=n)[:, None] * direction
+               + rng.normal(scale=spread, size=(n, 3)))
+        self.check(pts)
+
+    def test_coincident_points(self):
+        # zero scatter: every direction is a normal, and eigh's choice is kept
+        out, expected = self.check(np.tile([1.5, -2.0, 0.3], (10, 1)))
+        assert np.allclose(out.covariances[0], expected, atol=1e-15)
+
+    def test_duplicated_points(self, rng):
+        self.check(np.repeat(rng.normal(size=(5, 3)), 3, axis=0))

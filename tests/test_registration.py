@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dynlo import registration
 from dynlo.geometry import PointCloud, Pose, se3_exp
 from dynlo.preprocess import estimate_point_covariances
 from dynlo.registration import (GicpParams, gicp_align, gicp_gradient,
@@ -145,6 +146,59 @@ class TestAlign:
         bare = PointCloud(room.points)
         with pytest.raises(ValueError, match="covariances"):
             gicp_align(bare, room, Pose.identity())
+
+
+class TestCarriedTree:
+    @pytest.fixture
+    def tree_builds(self, monkeypatch):
+        builds = []
+        original = registration.cKDTree
+
+        def counting_tree(points):
+            builds.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(registration, "cKDTree", counting_tree)
+        return builds
+
+    def test_same_result_with_carried_and_fresh_tree(self, room, tree_builds):
+        target = estimate_point_covariances(
+            room.transformed(Pose.from_yaw(0.05, (0.2, 0.1, 0.0))), 10, 1e-3)
+        assert target.tree is not None
+        bare = PointCloud(target.points, target.covariances)
+
+        def align(tgt):
+            source = PointCloud(room.points, room.covariances)
+            return gicp_align(source, tgt, Pose.identity())
+
+        carried = align(target)
+        assert tree_builds == []
+        fresh = align(bare)
+        assert tree_builds == [len(bare)]
+        assert np.array_equal(carried.pose.matrix(), fresh.pose.matrix())
+        assert (carried.converged, carried.error, carried.iterations) == \
+            (fresh.converged, fresh.error, fresh.iterations)
+
+    def test_explicit_target_tree_wins(self, room, tree_builds):
+        gicp_align(room, PointCloud(room.points, room.covariances),
+                   Pose.identity(), target_tree=room.tree)
+        assert tree_builds == []
+
+    def test_source_rank_computed_once(self, room, monkeypatch):
+        calls = []
+        rank = registration._coordinate_rank
+
+        def counting_rank(points):
+            calls.append(len(points))
+            return rank(points)
+
+        monkeypatch.setattr(registration, "_coordinate_rank", counting_rank)
+        source = PointCloud(room.points, room.covariances)
+        first = gicp_align(source, room, Pose.identity())
+        second = gicp_align(source, room, Pose.identity())
+        assert calls == [len(source)]
+        assert np.array_equal(source.rank, rank(source.points))
+        assert np.array_equal(first.pose.matrix(), second.pose.matrix())
 
 
 class TestScanToScanAndMap:
