@@ -110,15 +110,19 @@ def read_trajectory(path: str) -> Trajectory:
 
 # --- maps --------------------------------------------------------------------
 
+_MAP_CHUNK = 1024  # rows per write: a larger block raises the peak memory
+
+
 def write_map_ascii(path: str, cloud: PointCloud) -> None:
     """Plain point list ``x y z`` with an optional trailing label column."""
+    fmt = "%.6f %.6f %.6f\n" if cloud.labels is None else "%.6f %.6f %.6f %d\n"
     with open(path, "w") as fh:
-        for i in range(len(cloud)):
-            x, y, z = cloud.points[i]
+        for start in range(0, len(cloud), _MAP_CHUNK):
+            rows = cloud.points[start:start + _MAP_CHUNK]
             if cloud.labels is not None:
-                fh.write("%.6f %.6f %.6f %d\n" % (x, y, z, int(cloud.labels[i])))
-            else:
-                fh.write("%.6f %.6f %.6f\n" % (x, y, z))
+                # the labels are bool, so "%d" of their float value is 0 or 1
+                rows = np.column_stack([rows, cloud.labels[start:start + _MAP_CHUNK]])
+            fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # --- run records -------------------------------------------------------------

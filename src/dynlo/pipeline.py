@@ -4,7 +4,7 @@ Per scan: crop + voxel filter, detection filtering, tracker step, dynamic-point
 removal, covariance estimation, scan-to-scan GICP, world propagation, submap
 selection, scan-to-map GICP, posture consistency correction, and adaptive
 keyframe insertion. A registration failure on a scan falls back to the
-propagated prediction and is counted in the stats.
+propagated prediction; the stats count it and keep its reason.
 """
 
 from __future__ import annotations
@@ -41,8 +41,13 @@ class ScanStats:
     total_ms: float
     s2s_converged: bool = True
     s2m_converged: bool = True
-    fallback: bool = False
     keyframe_inserted: bool = False
+    # why the scan fell back, e.g. "s2m:solver diverged"; "" if it did not
+    fallback_reason: str = ""
+
+    @property
+    def fallback(self) -> bool:
+        return bool(self.fallback_reason)
 
 
 @dataclass
@@ -105,7 +110,7 @@ def run_pipeline(scans: Iterable[PointCloud],
             counts.add_scan(labels, removed_raw)
         t_track = time.perf_counter()
 
-        fallback = False
+        reasons: List[str] = []
         s2s_ok = True
         s2m_ok = True
         if len(static) < pre.covariance_knn:
@@ -113,7 +118,7 @@ def run_pipeline(scans: Iterable[PointCloud],
             pose = propagate_world(prev_pose, prev_rel)
             rel = prev_rel
             cov_cloud = None
-            fallback = True
+            reasons.append("degenerate:too few static points")
         else:
             cov_cloud = estimate_point_covariances(static, pre.covariance_knn,
                                                    pre.plane_epsilon)
@@ -126,10 +131,10 @@ def run_pipeline(scans: Iterable[PointCloud],
                                      cfg.gicp)
                     rel = res.pose
                     s2s_ok = res.converged
-                except ValueError:
+                except ValueError as exc:
                     rel = prev_rel
                     s2s_ok = False
-                    fallback = True
+                    reasons.append(f"s2s:{exc}")
                 world_init = propagate_world(prev_pose, rel)
                 ids, submap = db.select_submap(world_init,
                                                cfg.keyframe_k_nearest,
@@ -145,10 +150,10 @@ def run_pipeline(scans: Iterable[PointCloud],
                                      target_tree=submap_tree)
                     pose = res.pose
                     s2m_ok = res.converged
-                except ValueError:
+                except ValueError as exc:
                     pose = world_init
                     s2m_ok = False
-                    fallback = True
+                    reasons.append(f"s2m:{exc}")
 
         if cfg.enable_constraint:
             if poses:
@@ -190,8 +195,8 @@ def run_pipeline(scans: Iterable[PointCloud],
             total_ms=(t_end - t_start) * 1e3,
             s2s_converged=s2s_ok,
             s2m_converged=s2m_ok,
-            fallback=fallback,
             keyframe_inserted=inserted,
+            fallback_reason=";".join(reasons),
         ))
 
     trajectory = Trajectory(np.array(indices, dtype=int),
@@ -221,14 +226,17 @@ def write_stats_file(path: str, stats: List[ScanStats]) -> None:
     with open(path, "w") as fh:
         fh.write("# scan n_raw n_static n_tracks n_dynamic_boxes "
                  "preprocess_ms tracker_ms odometry_ms total_ms "
-                 "s2s_converged s2m_converged fallback keyframe_inserted\n")
+                 "s2s_converged s2m_converged fallback keyframe_inserted "
+                 "fallback_reason\n")
         for s in stats:
-            fh.write("%d %d %d %d %d %.3f %.3f %.3f %.3f %d %d %d %d\n" % (
+            # spaces in the reason become "_", so every column is one token
+            fh.write("%d %d %d %d %d %.3f %.3f %.3f %.3f %d %d %d %d %s\n" % (
                 s.scan_index, s.n_raw, s.n_static, s.n_tracks,
                 s.n_dynamic_boxes, s.preprocess_ms, s.tracker_ms,
                 s.odometry_ms, s.total_ms, int(s.s2s_converged),
                 int(s.s2m_converged), int(s.fallback),
-                int(s.keyframe_inserted)))
+                int(s.keyframe_inserted),
+                "_".join(s.fallback_reason.split()) or "-"))
         fh.write("# mean preprocess_ms=%.3f tracker_ms=%.3f odometry_ms=%.3f "
                  "total_ms=%.3f fallbacks=%d\n" % (
                      summary["preprocess_ms"], summary["tracker_ms"],

@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynlo.cli import _scan_source
@@ -174,6 +174,33 @@ class TestMapAndProvenance:
         lines = [l.split() for l in open(path).read().splitlines()]
         assert all(len(l) == 4 for l in lines)
         assert [int(l[3]) for l in lines] == [1, 0, 1, 0, 1]
+
+    @given(st.integers(0, 9000), st.integers(0, 2**32 - 1), st.booleans(),
+           st.lists(st.floats(-1e9, 1e9, allow_nan=False), max_size=20))
+    @example(0, 0, True, [])
+    @example(0, 0, False, [])
+    @example(9000, 1, True, [-2e6, 1e6, -1e-300, 5e-7, -0.0])
+    @example(9000, 2, False, [-2e6, 1e6, -1e-300, 5e-7, -0.0])
+    def test_map_matches_row_by_row_reference(self, n, seed, labelled, special):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3)) * rng.choice([1e-7, 1.0, 1e3, 2e6], (n, 1))
+        if n:
+            # negative, huge and tiny values at random places
+            pts.flat[rng.integers(0, pts.size, len(special))] = special
+        labels = rng.random(n) < 0.3 if labelled else None
+        cloud = PointCloud(pts, labels=labels)
+        reference = []
+        for i in range(n):
+            x, y, z = cloud.points[i]
+            if labels is not None:
+                reference.append("%.6f %.6f %.6f %d\n" % (x, y, z, int(labels[i])))
+            else:
+                reference.append("%.6f %.6f %.6f\n" % (x, y, z))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "map.txt")
+            write_map_ascii(path, cloud)
+            with open(path, "rb") as fh:
+                assert fh.read() == "".join(reference).encode()
 
     def test_provenance_round_trip(self, tmp_path):
         rows = [(0, 100, 20, 99, 18), (1, 120, 15, 118, 15)]

@@ -7,7 +7,7 @@ from dynlo.cli import main as cli_main
 from dynlo.config import dump_config
 from dynlo.geometry import Pose
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
-from dynlo.pipeline import run_pipeline, stats_summary
+from dynlo.pipeline import run_pipeline, stats_summary, write_stats_file
 from dynlo.simulate import (SimScene, reference_config,
                             reference_dynamic_scene, scene_to_json, simulate,
                             write_sim_dir)
@@ -70,7 +70,7 @@ class TestRunPipeline:
         from dynlo.preprocess import (crop_self_returns,
                                       estimate_point_covariances,
                                       voxel_downsample)
-        from dynlo.registration import propagate_world, scan_to_scan
+        from dynlo.registration import gicp_align, propagate_world
 
         scene = small_scene(60, movers=False)
         res = simulate(scene, 2)
@@ -83,7 +83,8 @@ class TestRunPipeline:
             clouds.append(estimate_point_covariances(c, 10, 1e-3))
         poses = [Pose.identity()]
         for k in range(1, len(clouds)):
-            rel = scan_to_scan(clouds[k], clouds[k - 1], params=cfg.gicp).pose
+            rel = gicp_align(clouds[k], clouds[k - 1], Pose.identity(),
+                             cfg.gicp).pose
             poses.append(propagate_world(poses[-1], rel))
         dead_reckoned = Trajectory.from_poses(poses)
         full = run_pipeline(res.scans, res.detections, cfg)
@@ -120,7 +121,7 @@ class TestRunPipeline:
         out = run_pipeline(res.scans, res.detections[:5], reference_config())
         assert len(out.trajectory) == 5
 
-    def test_degenerate_scan_falls_back(self):
+    def test_degenerate_scan_falls_back(self, tmp_path):
         res = simulate(small_scene(6), 0)
         scans = list(res.scans)
         scans[3] = scans[3].subset(np.arange(4))  # too few points to register
@@ -130,6 +131,18 @@ class TestRunPipeline:
         # coasting: scan 3 reuses the previous relative motion
         assert np.all(np.isfinite(out.trajectory.poses[3].matrix()))
         assert stats_summary(out.stats)["fallbacks"] == 1
+        reasons = [s.fallback_reason for s in out.stats]
+        assert reasons == ["", "", "", "degenerate:too few static points",
+                           "", ""]
+        path = tmp_path / "stats.txt"
+        write_stats_file(str(path), out.stats)
+        lines = path.read_text().splitlines()
+        header = lines[0].split()
+        rows = [line.split() for line in lines[1:-1]]
+        assert header[-1] == "fallback_reason"
+        assert all(len(row) == len(header) - 1 for row in rows)
+        assert [row[-1] for row in rows] == [
+            "-", "-", "-", "degenerate:too_few_static_points", "-", "-"]
 
 
 class TestCli:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from dynlo import registration
-from dynlo.geometry import PointCloud, Pose, se3_exp
+from dynlo.geometry import PointCloud, Pose, se3_exp, skew, so3_exp
 from dynlo.preprocess import estimate_point_covariances
 from dynlo.registration import (GicpParams, gicp_align, gicp_gradient,
-                                gicp_residual, propagate_world, scan_to_map,
-                                scan_to_scan)
+                                gicp_residual, propagate_world)
 
 
 def structured_cloud(rng, n_per_surface=700, extent=3.0):
@@ -98,6 +97,81 @@ class TestGradient:
         corr = np.column_stack([np.arange(len(room)), np.arange(len(room))])
         g = gicp_gradient(Pose.identity(), room, room, corr)
         assert np.allclose(g, 0.0, atol=1e-12)
+
+
+def random_spd(rng, n, scale=1.0):
+    """Symmetric positive definite stack with eigenvalues in [scale/2, 2 scale]."""
+    Q = np.array([so3_exp(w) for w in rng.normal(size=(n, 3))])
+    lam = scale * rng.uniform(0.5, 2.0, (n, 3))
+    return np.einsum("nij,nj,nkj->nik", Q, lam, Q)
+
+
+class TestPackedKernels:
+    def test_conjugation_matches_dense(self, rng):
+        C = random_spd(rng, 50)
+        for _ in range(5):
+            R = so3_exp(rng.normal(size=3))
+            got = registration._pack(C) @ registration._conjugation_map(R)
+            want = registration._pack(R @ C @ R.T)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_fused_information_matches_inverse(self, rng):
+        cs, ct = random_spd(rng, 200), random_spd(rng, 200, 0.1)
+        R = so3_exp(rng.normal(size=3))
+        got = registration._fused_information(R, registration._pack(cs),
+                                              registration._pack(ct))
+        want = np.linalg.inv(ct + R @ cs @ R.T)
+        np.testing.assert_allclose(registration._unpack(got), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_singular_fused_stack_is_jittered(self):
+        # a planar source covariance and no target covariance: singular
+        # until the jitter is added to the diagonal
+        eps = registration._JITTER
+        cs = registration._pack(np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
+        W = registration._fused_information(np.eye(3), cs, np.zeros((2, 6)))
+        want = np.array([np.diag([1.0 / (1.0 + eps)] * 3),
+                         np.diag([1.0 / (1.0 + eps), 1.0 / (1.0 + eps), 1.0 / eps])])
+        np.testing.assert_allclose(registration._unpack(W), want, rtol=1e-12)
+
+    def test_singular_after_jitter_raises(self):
+        # the first matrix triggers the retry, which the second one (an
+        # eigenvalue of exactly -jitter) fails
+        eps = registration._JITTER
+        cs = registration._pack(np.array([np.diag([1.0, 1.0, 0.0]),
+                                          np.diag([1.0, 1.0, -eps])]))
+        with pytest.raises(ValueError, match="fused covariance singular"):
+            registration._fused_information(np.eye(3), cs, np.zeros((2, 6)))
+
+    def test_normal_equations_match_dense_reference(self, rng):
+        n = 300
+        for _ in range(5):
+            T = se3_exp(rng.normal(scale=0.3, size=6))
+            ps = rng.normal(0.0, 3.0, (n, 3))
+            pt = T.apply(ps) + rng.normal(0.0, 0.1, (n, 3))
+            cs, ct = random_spd(rng, n, 0.01), random_spd(rng, n, 0.01)
+            A, c, err, W = registration._normal_equations(
+                T, registration._moment_basis(ps), registration._pack(cs), pt,
+                registration._pack(ct))
+            # dense reference: sum_i G_i^T B_i G_i with G_i = [-I | skew(p_i)]
+            R = T.rotation
+            minv = np.linalg.inv(ct + R @ cs @ R.T)
+            d = pt - T.apply(ps)
+            G = np.zeros((n, 3, 6))
+            G[:, :, :3] = -np.eye(3)
+            G[:, :, 3:] = [skew(p) for p in ps]
+            B = R.T @ minv @ R
+            u = np.einsum("nij,nj->ni", minv, d) @ R
+            A_ref = np.einsum("nki,nkl,nlj->ij", G, B, G)
+            c_ref = np.einsum("nki,nk->i", G, u)
+            err_ref = np.einsum("ni,nij,nj->", d, minv, d)
+            # entries that cancel to near zero are held to the scale of
+            # their matrix
+            for got, want in ((A, A_ref), (c, c_ref),
+                              (registration._unpack(W), minv)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+            assert err == pytest.approx(err_ref, rel=1e-12)
 
 
 class TestAlign:
@@ -214,7 +288,7 @@ class TestScanToScanAndMap:
             PointCloud(pts + rng.normal(0, 0.01, pts.shape)), 10, 1e-3)
         b = estimate_point_covariances(
             PointCloud(pts + rng.normal(0, 0.01, pts.shape)), 10, 1e-3)
-        res = scan_to_scan(a, b)
+        res = gicp_align(a, b, Pose.identity())
         assert np.linalg.norm(res.pose.translation) < 0.02
         assert rotation_error_deg(res.pose, Pose.identity()) < 0.2
 
@@ -239,7 +313,7 @@ class TestScanToScanAndMap:
         # and registering scan k to scan k-1 recovers the +x ego motion.
         # Per-scan motion must stay below the correspondence gate.
         params = GicpParams(max_correspondence_distance=2.5)
-        rel = scan_to_scan(clouds[1], clouds[0], params=params).pose
+        rel = gicp_align(clouds[1], clouds[0], Pose.identity(), params).pose
         assert np.allclose(rel.translation, [1.0, 0.0, 0.0], atol=1e-2)
 
     def test_scan_to_map_degenerate_submap_matches_scan_to_scan(self, rng, room):
@@ -247,12 +321,12 @@ class TestScanToScanAndMap:
         current = room.transformed(T_rel.inverse())
         world_prev = Pose.from_yaw(0.8, (4.0, -2.0, 0.3))
         submap = room.transformed(world_prev)
-        rel = scan_to_scan(current, room).pose
+        rel = gicp_align(current, room, Pose.identity()).pose
         init = propagate_world(world_prev, rel)
-        refined = scan_to_map(current, submap, init).pose
+        refined = gicp_align(current, submap, init).pose
         expected = world_prev.compose(rel)
         assert np.allclose(refined.matrix(), expected.matrix(), atol=1e-6)
 
     def test_empty_submap_raises(self, room):
-        with pytest.raises(ValueError, match="empty submap"):
-            scan_to_map(room, PointCloud(np.empty((0, 3))), Pose.identity())
+        with pytest.raises(ValueError, match="insufficient overlap"):
+            gicp_align(room, PointCloud(np.empty((0, 3))), Pose.identity())
