@@ -17,6 +17,7 @@ from .keyframes import dump_keyframes
 from .metrics import ape_rmse, map_pr_rr_f1, rpe_rmse
 from .pipeline import run_pipeline, stats_summary, write_stats_file
 from .simulate import load_scene, simulate, write_sim_dir
+from .tracking import format_track_rows
 
 
 def _scan_source(scan_files: List[str], labels_dir: str | None) -> Iterator[PointCloud]:
@@ -63,7 +64,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_stats_file(args.stats, result.stats)
     if args.out_tracks:
         os.makedirs(args.out_tracks, exist_ok=True)
-        for k, rows in enumerate(result.track_rows):
+        for k, table in enumerate(result.track_tables):
+            rows = format_track_rows(table)
             with open(os.path.join(args.out_tracks, "%06d.txt" % k), "w") as fh:
                 fh.write("\n".join(rows))
                 if rows:

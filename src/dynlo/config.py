@@ -36,7 +36,6 @@ class PipelineConfig:
     keyframe_j_concave: int = 10
     keyframe_concave_alpha: float = 25.0
     keyframe_cell_size: float = 5.0
-    rpe_delta: int = 1
 
 
 def _fmt(value) -> str:
@@ -119,7 +118,6 @@ def _entries(cfg: PipelineConfig):
         ("keyframes.j_concave", *attr(cfg, "keyframe_j_concave", int)),
         ("keyframes.concave_alpha", *attr(cfg, "keyframe_concave_alpha", float)),
         ("keyframes.cell_size", *attr(cfg, "keyframe_cell_size", float)),
-        ("eval.rpe_delta", *attr(cfg, "rpe_delta", int)),
     ]
     return items
 

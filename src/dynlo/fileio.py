@@ -47,9 +47,14 @@ def list_scan_files(directory: str) -> List[str]:
 # --- labels ------------------------------------------------------------------
 
 def read_labels(path: str) -> np.ndarray:
+    """One int64 per non-blank line, nonzero meaning dynamic; ValueError else."""
     with open(path, "r") as fh:
-        vals = [int(line.strip()) for line in fh if line.strip()]
-    return np.array(vals, dtype=bool)
+        if not fh.read().strip():  # loadtxt warns on a file without data
+            return np.zeros(0, dtype=bool)
+    table = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+    if table.shape[1] != 1:
+        raise ValueError(f"{path}: {table.shape[1]} values on a label line")
+    return table[:, 0].astype(bool)
 
 
 def write_labels(path: str, labels: Optional[np.ndarray]) -> None:
@@ -139,15 +144,8 @@ def write_removal_provenance(path: str,
 
 
 def read_removal_provenance(path: str) -> RemovalCounts:
-    counts = RemovalCounts()
     with open(path, "r") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            _, st, dt_, sp, dr = (int(v) for v in text.split())
-            counts.static_total += st
-            counts.dynamic_total += dt_
-            counts.static_preserved += sp
-            counts.dynamic_removed += dr
-    return counts
+        lines = [line.split() for line in fh]
+    return RemovalCounts.from_rows([
+        [int(v) for v in fields] for fields in lines
+        if fields and not fields[0].startswith("#")])

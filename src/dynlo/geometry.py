@@ -182,10 +182,11 @@ class PointCloud:
     ``labels`` is a boolean array where True marks a return on a moving object.
 
     ``tree`` and ``rank`` cache structures derived from ``points``: a k-d tree
-    over them (kept by ``estimate_point_covariances``) and each point's rank
-    in lexicographic (x, y, z) order (filled in by ``gicp_align`` on first use
-    as a source). They assume ``points`` is not modified in place, and
-    ``subset`` and ``transformed`` return clouds without them.
+    over them (kept by ``estimate_point_covariances``, and by the pipeline on
+    a cached submap) and each point's rank in lexicographic (x, y, z) order
+    (filled in by ``gicp_align`` on first use as a source). They assume
+    ``points`` is not modified in place, and ``subset`` and ``transformed``
+    return clouds without them.
     """
 
     points: np.ndarray

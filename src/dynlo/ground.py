@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
-                       rotation_aligning, transform_box, wrap_angle)
+                       rotation_aligning, wrap_angle)
 
 
 @dataclass
@@ -34,17 +34,6 @@ class GroundFit:
     inlier_count: int
 
 
-def ground_points_from_boxes(boxes: Sequence[DetectionBox]) -> np.ndarray:
-    """Box centers dropped by h/2 along -z: the objects' footprints."""
-    if not boxes:
-        return np.empty((0, 3))
-    centers = np.stack([b.center for b in boxes])
-    heights = np.array([b.dims[2] for b in boxes])
-    pts = centers.copy()
-    pts[:, 2] -= heights / 2.0
-    return pts
-
-
 def _fit_plane(points: np.ndarray):
     centroid = points.mean(axis=0)
     centered = points - centroid
@@ -56,16 +45,17 @@ def _fit_plane(points: np.ndarray):
     return normal, centroid
 
 
-def fit_ground_from_boxes(boxes: Sequence[DetectionBox],
+def fit_ground_from_boxes(footprints: np.ndarray,
                           params: ConstraintParams | None = None
                           ) -> Optional[GroundFit]:
     """Least-squares ground plane from box footprints; None when under-supported.
 
+    ``footprints`` is (n, 3), one row per box (``SlidingBoxWindow.footprints``).
     Fits once, keeps points within the inlier distance, refits once on the
     inliers; returns None if the final inlier count is below ``min_inliers``.
     """
     params = params if params is not None else ConstraintParams()
-    pts = ground_points_from_boxes(boxes)
+    pts = np.asarray(footprints, dtype=float).reshape(-1, 3)
     if pts.shape[0] < 3 or pts.shape[0] < params.min_inliers:
         return None
     normal, centroid = _fit_plane(pts)
@@ -116,23 +106,27 @@ def apply_consistency_constraint(pose: Pose, prev_pose: Pose,
 
 
 class SlidingBoxWindow:
-    """Detection boxes of the last N scans, re-expressed in the current body frame."""
+    """Box centers and heights of the last N scans, in the current body frame:
+    one (n, 4) array of rows ``x y z h`` per scan, all the ground fit reads."""
 
     def __init__(self, window_scans: int):
         self._frames: deque = deque(maxlen=window_scans)
 
     def advance(self, prev_to_current: Pose) -> None:
-        """Carry stored boxes from the previous body frame into the current one."""
-        self._frames = deque(
-            ([transform_box(prev_to_current, b) for b in frame]
-             for frame in self._frames),
-            maxlen=self._frames.maxlen)
+        """Carry stored box centers from the previous body frame into the current one."""
+        for frame in self._frames:
+            frame[:, :3] = prev_to_current.apply(frame[:, :3])
 
     def push(self, boxes: Sequence[DetectionBox]) -> None:
-        self._frames.append(list(boxes))
+        self._frames.append(np.array(
+            [(*b.center, b.dims[2]) for b in boxes], dtype=float).reshape(-1, 4))
 
-    def boxes(self) -> List[DetectionBox]:
-        out: List[DetectionBox] = []
-        for frame in self._frames:
-            out.extend(frame)
-        return out
+    def footprints(self) -> np.ndarray:
+        """Box centers dropped by h/2 along the current -z: (n, 3), oldest scan
+        first and detection order within a scan."""
+        if not self._frames:
+            return np.empty((0, 3))
+        rows = np.concatenate(self._frames)
+        pts = rows[:, :3].copy()
+        pts[:, 2] -= rows[:, 3] / 2.0
+        return pts

@@ -229,7 +229,8 @@ class KeyframeDB:
                       j_concave: int, concave_alpha: float = float("inf")
                       ) -> Tuple[List[int], PointCloud]:
         """Deduplicated union of nearest / convex-hull / concave-hull keyframes,
-        stitched into one world-frame cloud with rotated covariances."""
+        stitched into one world-frame cloud with rotated covariances; the same
+        ids return the same cloud object until the next insert."""
         if not self.by_id:
             raise ValueError("empty keyframe database")
         position = pose.translation

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -105,19 +105,12 @@ class RemovalCounts:
     static_preserved: int = 0
     dynamic_removed: int = 0
 
-    def add_scan(self, labels: np.ndarray, removed: np.ndarray) -> None:
-        labels = np.asarray(labels, dtype=bool)
-        removed = np.asarray(removed, dtype=bool)
-        self.static_total += int(np.sum(~labels))
-        self.dynamic_total += int(np.sum(labels))
-        self.static_preserved += int(np.sum(~labels & ~removed))
-        self.dynamic_removed += int(np.sum(labels & removed))
-
-    def merge(self, other: "RemovalCounts") -> None:
-        self.static_total += other.static_total
-        self.dynamic_total += other.dynamic_total
-        self.static_preserved += other.static_preserved
-        self.dynamic_removed += other.dynamic_removed
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "RemovalCounts":
+        """Sum of per-scan removal provenance rows ``(scan, static_total,
+        dynamic_total, static_preserved, dynamic_removed)``."""
+        table = np.asarray(rows, dtype=np.int64).reshape(len(rows), 5)
+        return cls(*(int(v) for v in table[:, 1:].sum(axis=0)))
 
 
 @dataclass

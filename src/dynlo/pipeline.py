@@ -25,7 +25,7 @@ from .metrics import RemovalCounts, Trajectory
 from .preprocess import crop_self_returns, estimate_point_covariances, voxel_downsample
 from .removal import dynamic_point_mask, remove_dynamic_points
 from .registration import gicp_align, propagate_world
-from .tracking import Tracker, format_track_rows
+from .tracking import Tracker, track_table
 
 
 @dataclass
@@ -55,10 +55,18 @@ class PipelineResult:
     trajectory: Trajectory
     map_cloud: PointCloud
     stats: List[ScanStats]
-    counts: Optional[RemovalCounts]
+    # per labelled scan: (scan, static_total, dynamic_total, static_preserved,
+    # dynamic_removed)
     provenance_rows: List[Tuple[int, int, int, int, int]]
     db: KeyframeDB
-    track_rows: List[List[str]] = field(default_factory=list)
+    # per scan, the (n, 10) ``track_table`` that ``format_track_rows`` prints
+    track_tables: List[np.ndarray] = field(default_factory=list)
+
+    @property
+    def counts(self) -> Optional[RemovalCounts]:
+        """Removal counts summed over the labelled scans; None without any."""
+        return (RemovalCounts.from_rows(self.provenance_rows)
+                if self.provenance_rows else None)
 
 
 def run_pipeline(scans: Iterable[PointCloud],
@@ -73,16 +81,13 @@ def run_pipeline(scans: Iterable[PointCloud],
     poses: List[Pose] = []
     indices: List[int] = []
     stats: List[ScanStats] = []
-    track_rows: List[List[str]] = []
+    track_tables: List[np.ndarray] = []
     provenance_rows: List[Tuple[int, int, int, int, int]] = []
-    counts: Optional[RemovalCounts] = None
 
     prev_cloud: Optional[PointCloud] = None
     prev_pose = Pose.identity()
     prev_rel = Pose.identity()
     track_world_z: dict = {}
-    submap_tree_key: Optional[tuple] = None
-    submap_tree: Optional[cKDTree] = None
 
     for k, (raw, frame) in enumerate(zip(scans, detections)):
         t_start = time.perf_counter()
@@ -97,17 +102,13 @@ def run_pipeline(scans: Iterable[PointCloud],
         static, _removed = remove_dynamic_points(downsampled, dyn_boxes,
                                                  cfg.removal_margin)
         if raw.labels is not None:
-            if counts is None:
-                counts = RemovalCounts()
             removed_raw = dynamic_point_mask(raw.points, dyn_boxes,
                                              cfg.removal_margin)
             labels = raw.labels
-            row = (k,
-                   int(np.sum(~labels)), int(np.sum(labels)),
-                   int(np.sum(~labels & ~removed_raw)),
-                   int(np.sum(labels & removed_raw)))
-            provenance_rows.append(row)
-            counts.add_scan(labels, removed_raw)
+            provenance_rows.append((k,
+                                    int(np.sum(~labels)), int(np.sum(labels)),
+                                    int(np.sum(~labels & ~removed_raw)),
+                                    int(np.sum(labels & removed_raw))))
         t_track = time.perf_counter()
 
         reasons: List[str] = []
@@ -141,13 +142,12 @@ def run_pipeline(scans: Iterable[PointCloud],
                                                cfg.keyframe_l_hull,
                                                cfg.keyframe_j_concave,
                                                cfg.keyframe_concave_alpha)
-                key = tuple(ids)
-                if key != submap_tree_key:
-                    submap_tree = cKDTree(submap.points)
-                    submap_tree_key = key
+                # the same ids give the same cloud until the next insert
+                if submap.tree is None:
+                    submap.tree = cKDTree(submap.points)
                 try:
                     res = gicp_align(cov_cloud, submap, world_init, cfg.gicp,
-                                     target_tree=submap_tree)
+                                     target_tree=submap.tree)
                     pose = res.pose
                     s2m_ok = res.converged
                 except ValueError as exc:
@@ -159,7 +159,7 @@ def run_pipeline(scans: Iterable[PointCloud],
             if poses:
                 window.advance(pose.inverse().compose(prev_pose))
             window.push(frame_f.boxes)
-            ground = fit_ground_from_boxes(window.boxes(), cfg.constraint)
+            ground = fit_ground_from_boxes(window.footprints(), cfg.constraint)
             dzs = []
             for track in tracker.tracks:
                 if track.id in step.matched_ids and track.id in track_world_z:
@@ -181,7 +181,7 @@ def run_pipeline(scans: Iterable[PointCloud],
         prev_pose = pose
         poses.append(pose)
         indices.append(k)
-        track_rows.append(format_track_rows(tracker))
+        track_tables.append(track_table(tracker))
         t_end = time.perf_counter()
         stats.append(ScanStats(
             scan_index=k,
@@ -202,9 +202,8 @@ def run_pipeline(scans: Iterable[PointCloud],
     trajectory = Trajectory(np.array(indices, dtype=int),
                             np.array(indices, dtype=float) * cfg.dt, poses)
     return PipelineResult(trajectory=trajectory, map_cloud=db.world_map(),
-                          stats=stats, counts=counts,
-                          provenance_rows=provenance_rows, db=db,
-                          track_rows=track_rows)
+                          stats=stats, provenance_rows=provenance_rows, db=db,
+                          track_tables=track_tables)
 
 
 def stats_summary(stats: List[ScanStats]) -> dict:

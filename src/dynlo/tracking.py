@@ -157,6 +157,14 @@ def ukf_update(track: Track, detection: DetectionBox, params: UkfParams) -> Trac
     dx = pts - mean
     pyy = np.einsum("i,ij,ik->jk", wc, dy, dy) + params.measurement_noise
     pxy = np.einsum("i,ij,ik->jk", wc, dx, dy)
+    return _correct(track, detection, yhat, pxy, pyy, params)
+
+
+def _correct(track: Track, detection: DetectionBox, yhat: np.ndarray,
+             pxy: np.ndarray, pyy: np.ndarray, params: UkfParams) -> Track:
+    """Kalman correction of both filters from the predicted observation, the
+    state-observation and innovation covariances; reclassifies by speed."""
+    mean, cov = track.state.mean, track.state.covariance
     innov = _detection_observation(detection) - yhat
     innov[3] = _wrap_yaw_residual(innov[3])
     gain = _kalman_gain(pxy, pyy)
@@ -212,17 +220,8 @@ def ekf_update(track: Track, detection: DetectionBox, params: UkfParams) -> Trac
     H = _OBS_JACOBIAN
     pyy = H @ cov @ H.T + params.measurement_noise
     pxy = cov @ H.T
-    innov = _detection_observation(detection) - observation_model(mean)
-    innov[3] = _wrap_yaw_residual(innov[3])
-    gain = _kalman_gain(pxy, pyy)
-    new_mean = mean + gain @ innov
-    new_mean[3] = wrap_angle(new_mean[3])
-    new_mean[5:8] = np.maximum(new_mean[5:8], 1e-6)
-    new_cov = _symmetrize(cov - gain @ pyy @ gain.T)
-    dynamic = abs(new_mean[4]) > params.dynamic_speed_threshold
-    return replace(track, state=TrackState(new_mean, new_cov),
-                   age_since_update=0, hits=track.hits + 1,
-                   dynamic=dynamic, cls=detection.cls)
+    return _correct(track, detection, observation_model(mean), pxy, pyy,
+                    params)
 
 
 def associate_nn(tracks: Sequence[Track], detections: Sequence[DetectionBox],
@@ -312,11 +311,13 @@ class Tracker:
                            matched_ids=sorted(matched_ids))
 
 
-def format_track_rows(tracker: Tracker) -> List[str]:
-    """Per-scan dump rows: ``track_id dynamic x y z yaw v l w h``."""
-    rows = []
-    for t in tracker.tracks:
-        m = t.state.mean
-        rows.append("%d %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f" % (
-            t.id, int(t.dynamic), m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]))
-    return rows
+def track_table(tracker: Tracker) -> np.ndarray:
+    """Rows ``track_id dynamic x y z yaw v l w h``, one per track: (n, 10)."""
+    return np.array([(t.id, t.dynamic, *t.state.mean) for t in tracker.tracks],
+                    dtype=float).reshape(-1, 2 + STATE_DIM)
+
+
+def format_track_rows(table: np.ndarray) -> List[str]:
+    """Dump rows ``track_id dynamic x y z yaw v l w h`` of a ``track_table``."""
+    return ["%d %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f" % tuple(row)
+            for row in table]

@@ -1,0 +1,92 @@
+"""The calls ``run_pipeline`` makes, in the shapes ``perfbench/tracing.py`` reads.
+
+The tracer wraps functions and methods by name and attributes spans by their
+arguments: the window's box count is ``len()`` of the ground fit's first
+argument, and scan-to-map GICP is the call that passes ``target_tree=``. A
+pipeline that stopped making one of these calls, or changed its shape, would
+still pass the benchmark's smoke test with silently wrong per-layer metrics.
+"""
+
+import numpy as np
+
+from dynlo import pipeline
+from dynlo.geometry import PointCloud
+from dynlo.ground import SlidingBoxWindow
+from dynlo.keyframes import KeyframeDB
+from dynlo.simulate import reference_config, reference_dynamic_scene, simulate
+
+
+def _record(monkeypatch, owner, name, log):
+    """Replace ``owner.name`` by a shim appending (args, kwargs, result) to log."""
+    original = vars(owner)[name]
+
+    def shim(*args, **kwargs):
+        result = original(*args, **kwargs)
+        log.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(owner, name, shim)
+
+
+def test_pipeline_call_shapes(monkeypatch):
+    n_scans = 14
+    res = simulate(reference_dynamic_scene(n_scans=n_scans, rays_per_scan=1200),
+                   0)
+    cfg = reference_config()
+    calls = {name: [] for name in ("advance", "fit", "filter", "gicp", "tree",
+                                   "submap", "remove", "mask")}
+    _record(monkeypatch, SlidingBoxWindow, "advance", calls["advance"])
+    _record(monkeypatch, pipeline, "fit_ground_from_boxes", calls["fit"])
+    _record(monkeypatch, pipeline, "filter_detections", calls["filter"])
+    _record(monkeypatch, pipeline, "gicp_align", calls["gicp"])
+    _record(monkeypatch, pipeline, "cKDTree", calls["tree"])
+    _record(monkeypatch, KeyframeDB, "select_submap", calls["submap"])
+    _record(monkeypatch, pipeline, "remove_dynamic_points", calls["remove"])
+    _record(monkeypatch, pipeline, "dynamic_point_mask", calls["mask"])
+
+    out = pipeline.run_pipeline(res.scans, res.detections, cfg)
+    assert len(out.trajectory) == n_scans
+    assert not any(s.fallback for s in out.stats)
+
+    # the window moves once per scan after the first
+    assert len(calls["advance"]) == n_scans - 1
+
+    # the ground fit gets the window's boxes: the last window_scans frames
+    kept = [len(result.boxes) for _, _, result in calls["filter"]]
+    window = cfg.constraint.window_scans
+    expected = [sum(kept[max(0, k + 1 - window):k + 1]) for k in range(n_scans)]
+    assert [len(args[0]) for args, _, _ in calls["fit"]] == expected
+    assert max(expected) > 0
+
+    # scan-to-map GICP targets the selected submap and passes its tree;
+    # scan-to-scan never passes target_tree
+    submaps = [result[1] for _, _, result in calls["submap"]]
+    assert len(submaps) == n_scans - 1
+    s2m = [(args, kwargs) for args, kwargs, _ in calls["gicp"]
+           if any(args[1] is sub for sub in submaps)]
+    s2s = [(args, kwargs) for args, kwargs, _ in calls["gicp"]
+           if not any(args[1] is sub for sub in submaps)]
+    assert len(s2m) == len(s2s) == n_scans - 1
+    for args, kwargs in s2m:
+        assert kwargs["target_tree"] is not None
+        assert kwargs["target_tree"] is args[1].tree
+    assert all("target_tree" not in kwargs for _, kwargs in s2s)
+
+    # the submap tree is built at most once per distinct submap, on its points
+    distinct = {id(sub): sub for sub in submaps}
+    built_on = [args[0] for args, _, _ in calls["tree"]]
+    assert 1 <= len(built_on) <= len(distinct)
+    assert len({id(points) for points in built_on}) == len(built_on)
+    assert all(any(points is sub.points for sub in distinct.values())
+               for points in built_on)
+
+    # removal returns (cloud, removed indices); the label mask runs per
+    # labelled scan
+    for args, _, result in calls["remove"]:
+        cloud, removed = result
+        assert isinstance(cloud, PointCloud)
+        assert len(cloud) + len(removed) == len(args[0])
+    assert len(calls["remove"]) == n_scans
+    assert len(calls["mask"]) == n_scans
+    assert len(out.provenance_rows) == n_scans
+    assert all(np.asarray(result).dtype == bool for _, _, result in calls["mask"])

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class TestConfig:
                     "removal.enabled", "removal.margin",
                     "gicp.max_correspondence_distance", "constraint.enabled",
                     "constraint.blend_weight", "keyframes.k_nearest",
-                    "keyframes.concave_alpha", "eval.rpe_delta"]:
+                    "keyframes.concave_alpha"]:
             assert any(line.startswith(key + " =") for line in text.splitlines())
 
     def test_overrides_applied(self):
@@ -133,6 +134,41 @@ class TestScanIO:
         path = str(tmp_path / "000000.txt")
         write_labels(path, labels)
         assert np.array_equal(read_labels(path), labels)
+
+    @staticmethod
+    def _line_loop_labels(path):
+        # the line-by-line reader that read_labels replaced
+        with open(path, "r") as fh:
+            vals = [int(line.strip()) for line in fh if line.strip()]
+        return np.array(vals, dtype=bool)
+
+    @given(st.lists(st.one_of(
+        st.sampled_from(["0", "1", "-1", "+1", "007", "2", " 1", "0 ", "\t1\t",
+                         "", " ", "\t", "1.0", "1e3", "0x1", "nan", "abc", "#",
+                         "# 1", "1 #", "1 2", "1,2", "1\t0", "--1", "1-"]),
+        st.integers(-2**63, 2**63 - 1).map(str)), max_size=30),
+        st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @example(lines=[], newline="\n", trailing=False)
+    @example(lines=["", " "], newline="\n", trailing=True)
+    @example(lines=["1 2"], newline="\n", trailing=True)
+    @example(lines=["1\t0", "", "0 1"], newline="\r\n", trailing=False)
+    def test_labels_match_line_loop(self, lines, newline, trailing):
+        text = newline.join(lines) + (newline if trailing else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "000000.txt")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            try:
+                expected = self._line_loop_labels(path)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    read_labels(path)
+                return
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = read_labels(path)
+            assert got.dtype == bool
+            assert np.array_equal(got, expected)
 
 
 class TestTrajectoryIO:

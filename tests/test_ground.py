@@ -6,10 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_pose
-from dynlo.geometry import DetectionBox, Pose
+from dynlo.geometry import DetectionBox, Pose, transform_box
 from dynlo.ground import (ConstraintParams, SlidingBoxWindow,
-                          apply_consistency_constraint, fit_ground_from_boxes,
-                          ground_points_from_boxes)
+                          apply_consistency_constraint, fit_ground_from_boxes)
+
+
+def footprints(boxes):
+    """Footprints of one scan of boxes, as the window forms them."""
+    window = SlidingBoxWindow(1)
+    window.push(boxes)
+    return window.footprints()
 
 
 def boxes_on_plane(rng, n, normal=(0.0, 0.0, 1.0), offset=0.0, spread=8.0):
@@ -36,7 +42,7 @@ def boxes_on_plane(rng, n, normal=(0.0, 0.0, 1.0), offset=0.0, spread=8.0):
 class TestGroundFit:
     def test_flat_ground_exact(self, rng):
         boxes = boxes_on_plane(rng, 10)
-        fit = fit_ground_from_boxes(boxes, ConstraintParams())
+        fit = fit_ground_from_boxes(footprints(boxes), ConstraintParams())
         assert fit is not None
         assert np.allclose(fit.normal, [0, 0, 1], atol=1e-9)
         assert fit.offset == pytest.approx(0.0, abs=1e-9)
@@ -44,19 +50,21 @@ class TestGroundFit:
 
     def test_ground_points_drop_half_height(self):
         box = DetectionBox((1.0, 2.0, 0.75), 0.0, (4.0, 1.8, 1.5))
-        pts = ground_points_from_boxes([box])
+        pts = footprints([box])
         assert np.allclose(pts[0], [1.0, 2.0, 0.0])
 
     def test_too_few_boxes_insufficient(self, rng):
         boxes = boxes_on_plane(rng, 2)
-        assert fit_ground_from_boxes(boxes, ConstraintParams(min_inliers=8)) is None
+        assert fit_ground_from_boxes(footprints(boxes),
+                                     ConstraintParams(min_inliers=8)) is None
 
     def test_inclined_plane_with_outlier(self, rng):
         angle = math.radians(5.0)
         normal = np.array([math.sin(angle), 0.0, math.cos(angle)])
         boxes = boxes_on_plane(rng, 12, normal=normal, offset=0.3)
         outlier = DetectionBox((0.0, 0.0, 5.0), 0.0, (2.0, 2.0, 2.0))
-        fit = fit_ground_from_boxes(boxes + [outlier], ConstraintParams())
+        fit = fit_ground_from_boxes(footprints(boxes + [outlier]),
+                                    ConstraintParams())
         assert fit is not None
         err = math.degrees(math.acos(min(1.0, abs(float(fit.normal @ normal)))))
         assert err < 0.5
@@ -129,13 +137,40 @@ class TestSlidingWindow:
         for k in range(5):
             w.push([box] * (k + 1))
         # only the last 3 frames remain: 3 + 4 + 5 boxes
-        assert len(w.boxes()) == 12
+        assert len(w.footprints()) == 12
 
     def test_advance_moves_boxes_into_new_frame(self):
         w = SlidingBoxWindow(4)
         w.push([DetectionBox((1.0, 0.0, 0.0), 0.2, (1, 1, 1))])
         rel = Pose.from_yaw(math.pi / 2, (0.0, 0.0, 0.0))
         w.advance(rel)
-        box = w.boxes()[0]
-        assert np.allclose(box.center, [0.0, 1.0, 0.0], atol=1e-12)
-        assert box.yaw == pytest.approx(0.2 + math.pi / 2)
+        # the footprint of a unit-height box is its center dropped by 0.5
+        center = w.footprints()[0] + [0.0, 0.0, 0.5]
+        assert np.allclose(center, [0.0, 1.0, 0.0], atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_footprints_match_transformed_boxes(self, seed, window_scans):
+        """Footprints equal the boxes' own path: each stored box carried by
+        ``transform_box`` through every later relative pose, then dropped
+        by h/2 along the current z."""
+        rng = np.random.default_rng(seed)
+        w = SlidingBoxWindow(window_scans)
+        frames = []
+        for k in range(int(rng.integers(1, 9))):
+            if k:
+                # tilted relative poses: the drop stays along the current z
+                rel = Pose.from_euler(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3),
+                                      rng.uniform(-0.3, 0.3), rng.normal(size=3))
+                w.advance(rel)
+                frames = [[transform_box(rel, b) for b in f] for f in frames]
+            boxes = [DetectionBox(rng.normal(scale=20.0, size=3),
+                                  rng.uniform(-3, 3), rng.uniform(0.5, 4.0, 3))
+                     for _ in range(int(rng.integers(0, 6)))]  # empty frames too
+            w.push(boxes)
+            frames = (frames + [boxes])[-window_scans:]
+        expected = [b.center - [0.0, 0.0, b.dims[2] / 2.0]
+                    for f in frames for b in f]
+        got = w.footprints()
+        assert got.shape == (len(expected), 3)
+        if expected:
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-12)

@@ -273,6 +273,19 @@ class TestSubmap:
         assert ids2 == [0, 1, 2]
         assert len(sub2) == len(sub1) + len(db.by_id[2].cloud)
 
+    def test_same_ids_return_the_same_cloud(self, rng):
+        # the pipeline hangs the submap's k-d tree on this cloud
+        db = db_with_positions(rng, [(0, 0, 0), (8, 0, 0), (30, 0, 0)])
+        ids1, sub1 = db.select_submap(Pose.identity(), 1, 1, 1)
+        ids2, _ = db.select_submap(Pose.from_yaw(0, (30, 0, 0)), 1, 1, 1)
+        ids3, sub3 = db.select_submap(Pose.identity(), 1, 1, 1)
+        assert ids1 == ids3 != ids2
+        assert sub3 is sub1
+        db.insert(Pose.from_yaw(0, (60, 0, 0)), tiny_cloud(rng))
+        ids4, sub4 = db.select_submap(Pose.identity(), 1, 1, 1)
+        assert ids4 == ids1
+        assert sub4 is not sub1 and sub4.tree is None
+
     def test_empty_db_raises(self):
         with pytest.raises(ValueError, match="empty"):
             KeyframeDB().select_submap(Pose.identity(), 1, 1, 1)

@@ -191,18 +191,21 @@ class TestMapQuality:
         assert q.rr is None and q.f1 is None
 
     def test_accumulation(self, rng):
-        counts = RemovalCounts()
+        rows = []
         total = RemovalCounts()
-        for _ in range(5):
+        for k in range(5):
             labels = rng.random(100) > 0.7
             removed = rng.random(100) > 0.5
-            counts.add_scan(labels, removed)
-            total.merge(RemovalCounts(
-                static_total=int((~labels).sum()),
-                dynamic_total=int(labels.sum()),
-                static_preserved=int((~labels & ~removed).sum()),
-                dynamic_removed=int((labels & removed).sum())))
+            rows.append((k, int((~labels).sum()), int(labels.sum()),
+                         int((~labels & ~removed).sum()),
+                         int((labels & removed).sum())))
+            total.static_total += int((~labels).sum())
+            total.dynamic_total += int(labels.sum())
+            total.static_preserved += int((~labels & ~removed).sum())
+            total.dynamic_removed += int((labels & removed).sum())
+        counts = RemovalCounts.from_rows(rows)
         assert counts == total
+        assert RemovalCounts.from_rows([]) == RemovalCounts()
 
 
 class TestTrajectoryValidation:

@@ -5,12 +5,13 @@ import pytest
 
 from dynlo.cli import main as cli_main
 from dynlo.config import dump_config
-from dynlo.geometry import Pose
+from dynlo.geometry import PointCloud, Pose
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
 from dynlo.pipeline import run_pipeline, stats_summary, write_stats_file
 from dynlo.simulate import (SimScene, reference_config,
                             reference_dynamic_scene, scene_to_json, simulate,
                             write_sim_dir)
+from dynlo.tracking import Tracker
 
 
 def small_scene(n_scans, movers=True, seed_geom=None, rays=2400, sigma=0.02):
@@ -114,7 +115,14 @@ class TestRunPipeline:
         assert all(s.n_tracks >= 1 for s in out.stats)
         assert any(s.n_dynamic_boxes > 0 for s in out.stats[2:])
         assert all(s.total_ms > 0 for s in out.stats)
-        assert len(out.track_rows) == 10
+        assert len(out.track_tables) == 10
+
+    def test_unlabelled_run_has_no_removal_record(self):
+        res = simulate(small_scene(3), 0)
+        scans = [PointCloud(s.points) for s in res.scans]
+        out = run_pipeline(scans, res.detections, reference_config())
+        assert out.provenance_rows == []
+        assert out.counts is None
 
     def test_source_exhaustion_ends_run(self):
         res = simulate(small_scene(8), 0)
@@ -207,6 +215,36 @@ class TestCli:
                        "--out-map", str(tmp_path / "m.txt")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_out_tracks_match_the_row_formatter(self, tmp_path, dataset,
+                                                monkeypatch):
+        # reference: the rows a track dump held when they were formatted from
+        # the live tracker at the end of every scan
+        expected = []
+        step = Tracker.step
+
+        def recording_step(tracker, frame, dt):
+            result = step(tracker, frame, dt)
+            expected.append([
+                "%d %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f" % (
+                    t.id, int(t.dynamic), *t.state.mean)
+                for t in tracker.tracks])
+            return result
+
+        monkeypatch.setattr(Tracker, "step", recording_step)
+        out_dir, _ = dataset
+        tracks = tmp_path / "tracks"
+        rc = cli_main(["run", "--scans", os.path.join(out_dir, "scans"),
+                       "--detections", os.path.join(out_dir, "detections"),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt"),
+                       "--out-tracks", str(tracks)])
+        assert rc == 0
+        assert len(expected) == 14
+        assert sorted(os.listdir(tracks)) == ["%06d.txt" % k for k in range(14)]
+        for k, rows in enumerate(expected):
+            want = "".join(row + "\n" for row in rows).encode()
+            assert (tracks / ("%06d.txt" % k)).read_bytes() == want
 
     def test_byte_identical_reruns(self, tmp_path, dataset):
         out_dir, _ = dataset

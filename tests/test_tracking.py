@@ -251,6 +251,16 @@ class TestUkfUpdate:
             track = ekf_update(track, detection_from_obs(z), params)
             assert np.allclose(track.state.mean, kf.m, atol=1e-6)
 
+    @pytest.mark.parametrize("update", [ukf_update, ekf_update])
+    def test_dims_clamped_positive(self, update):
+        # a near-certain detection of a vanishing box pulls the estimated
+        # dims below the floor both filters clamp them to
+        mean = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 1.8, 1.5])
+        cov = np.diag([0.1] * 5 + [1e9] * 3)
+        det = detection_from_obs(np.array([0, 0, 0, 0, 1e-9, 1e-9, 1e-9]))
+        out = update(make_track(mean, cov), det, UkfParams())
+        assert np.array_equal(out.state.mean[5:8], [1e-6] * 3)
+
     def test_yaw_innovation_folded_for_flipped_boxes(self):
         params = UkfParams()
         mean = np.array([0.0, 0.0, 0.0, 0.1, 0.0, 4.0, 1.8, 1.5])
