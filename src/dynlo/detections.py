@@ -8,6 +8,7 @@ on load.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -48,6 +49,8 @@ def load_detection_frame(path: str, scan_index: int | None = None) -> DetectionF
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed detection line "
                                  f"(non-numeric field)") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite detection field")
             score, cx, cy, cz, l, w, h, yaw = vals
             boxes.append(DetectionBox(center=(cx, cy, cz), yaw=yaw,
                                       dims=(l, w, h), cls=cls, score=score))

@@ -17,10 +17,10 @@ _ORTHO_TOL = 1e-9
 
 def wrap_angle(theta):
     """Wrap angle(s) into (-pi, pi]."""
-    wrapped = np.pi - (np.pi - np.asarray(theta, dtype=float)) % (2.0 * np.pi)
     if np.ndim(theta) == 0:
-        return float(wrapped)
-    return wrapped
+        # float % rounds as numpy's remainder does, without its call overhead
+        return math.pi - (math.pi - float(theta)) % (2.0 * math.pi)
+    return np.pi - (np.pi - np.asarray(theta, dtype=float)) % (2.0 * np.pi)
 
 
 def skew(v) -> np.ndarray:
@@ -240,7 +240,10 @@ class DetectionBox:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "dims", np.asarray(self.dims, dtype=float).reshape(3))
         object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
-        if np.any(self.dims <= 0.0):
+        values = [*self.center.tolist(), self.yaw, *self.dims.tolist()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("box center, yaw and dims must be finite")
+        if min(values[4:]) <= 0.0:
             raise ValueError("box dims must be strictly positive")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError("box score must lie in [0, 1]")

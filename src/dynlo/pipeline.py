@@ -87,7 +87,8 @@ def run_pipeline(scans: Iterable[PointCloud],
     prev_cloud: Optional[PointCloud] = None
     prev_pose = Pose.identity()
     prev_rel = Pose.identity()
-    track_world_z: dict = {}
+    # world z of each track after the previous scan, by ascending track id
+    prev_ids, prev_z = np.empty(0, dtype=np.int64), np.empty(0)
 
     for k, (raw, frame) in enumerate(zip(scans, detections)):
         t_start = time.perf_counter()
@@ -160,17 +161,15 @@ def run_pipeline(scans: Iterable[PointCloud],
                 window.advance(pose.inverse().compose(prev_pose))
             window.push(frame_f.boxes)
             ground = fit_ground_from_boxes(window.footprints(), cfg.constraint)
-            dzs = []
-            for track in tracker.tracks:
-                if track.id in step.matched_ids and track.id in track_world_z:
-                    z_now = float(pose.apply(track.state.mean[:3])[2])
-                    dzs.append(z_now - track_world_z[track.id])
-            mean_dz = float(np.mean(dzs)) if dzs else None
+            # matched tracks already seen last scan, in tracker order
+            ids = tracker.ids
+            seen = np.isin(ids, step.matched_ids) & np.isin(ids, prev_ids)
+            dzs = (pose.apply(tracker.means[seen, :3])[:, 2]
+                   - prev_z[np.searchsorted(prev_ids, ids[seen])])
+            mean_dz = float(np.mean(dzs)) if dzs.size else None
             pose = apply_consistency_constraint(pose, prev_pose, ground,
                                                 mean_dz, cfg.constraint)
-
-        track_world_z = {
-            t.id: float(pose.apply(t.state.mean[:3])[2]) for t in tracker.tracks}
+            prev_ids, prev_z = ids, pose.apply(tracker.means[:, :3])[:, 2]
 
         inserted = False
         if cov_cloud is not None and len(cov_cloud) > 0:

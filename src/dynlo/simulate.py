@@ -19,8 +19,8 @@ from typing import List
 import numpy as np
 
 from .detections import DetectionFrame
-from .geometry import (DetectionBox, PointCloud, Pose, point_in_box, rot_z,
-                       transform_box)
+from .geometry import DetectionBox, PointCloud, Pose, rot_z, transform_box
+from .removal import dynamic_point_mask
 
 
 @dataclass
@@ -132,9 +132,7 @@ def simulate(scene: SimScene, seed: int) -> SimResult:
         in_range = np.linalg.norm(world - ego.translation, axis=1) <= sensor.max_range
         world = world[in_range]
         # ground-truth labels come from the noise-free geometry
-        labels = np.zeros(world.shape[0], dtype=bool)
-        for b in mover_boxes:
-            labels |= point_in_box(world, b, margin=0.0)
+        labels = dynamic_point_mask(world, mover_boxes, margin=0.0)
         body = ego.inverse().apply(world)
         if sensor.noise_sigma > 0.0 and body.shape[0] > 0:
             body = body + rng.normal(0.0, sensor.noise_sigma, body.shape)

@@ -5,13 +5,15 @@ a constant-velocity model along the heading, with speed v the only
 unobserved component. Objects whose estimated |v| exceeds the dynamic speed
 threshold are flagged dynamic; everything else is treated as semi-static.
 An EKF variant of the same models is available behind the same interface.
+The tracker keeps its tracks as stacked arrays and filters them all at once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .detections import DetectionFrame
 from .geometry import DetectionBox, wrap_angle
 
 STATE_DIM = 8
-OBS_DIM = 7
 # observation keeps [x, y, z, yaw, l, w, h] and drops v
 _OBS_IDX = np.array([0, 1, 2, 3, 5, 6, 7])
 
@@ -46,44 +47,45 @@ class UkfParams:
     age_max: int = 3
 
 
-@dataclass
-class TrackState:
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.covariance = np.asarray(self.covariance, dtype=float)
+# one row of a Tracker, as ``Tracker.tracks`` hands it out
+TrackState = namedtuple("TrackState", "mean covariance")
+Track = namedtuple("Track", "id state age_since_update hits dynamic cls",
+                   defaults=(0, 1, False, "car"))
 
 
-@dataclass
-class Track:
-    id: int
-    state: TrackState
-    age_since_update: int = 0
-    hits: int = 1
-    dynamic: bool = False
-    cls: str = "car"
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _per_row_retry(fn: Callable, a: np.ndarray, b: np.ndarray, message: str):
+    """``fn(a, b)`` on stacks (T, n, n) and (T, ...). If LAPACK rejects the
+    stack, its rows are redone one by one, and a rejected row once more on
+    ``a + 1e-9 I`` before ValueError(message)."""
+    try:
+        return fn(a, b)
+    except np.linalg.LinAlgError:
+        if a.ndim == 3:
+            return np.stack([_per_row_retry(fn, ai, bi, message)
+                             for ai, bi in zip(a, b)])
+    try:
+        return fn(a + 1e-9 * np.eye(len(a)), b)
+    except np.linalg.LinAlgError:
+        raise ValueError(message) from None
 
 
 def sigma_points(mean, cov, params: UkfParams):
-    """Scaled symmetric sigma set: 2n+1 points plus mean/covariance weights."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    n = mean.shape[0]
+    """Scaled symmetric sigma sets (..., 2n+1, n) of means (..., n) and
+    covariances (..., n, n), by one batched Cholesky, plus the weights."""
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    n = mean.shape[-1]
     lam = params.alpha ** 2 * (n + params.kappa) - n
     scale = n + lam
-    try:
-        L = np.linalg.cholesky(scale * cov)
-    except np.linalg.LinAlgError:
-        try:
-            L = np.linalg.cholesky(scale * (cov + 1e-9 * np.eye(n)))
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance not decomposable") from None
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = mean
-    pts[1:n + 1] = mean + L.T
-    pts[n + 1:] = mean - L.T
+    L = _per_row_retry(lambda c, _: np.linalg.cholesky(scale * c), cov, cov,
+                       "covariance not decomposable")
+    pts = np.empty(mean.shape[:-1] + (2 * n + 1, n))
+    pts[..., 0, :] = mean
+    pts[..., 1:n + 1, :] = mean[..., None, :] + _swap(L)
+    pts[..., n + 1:, :] = mean[..., None, :] - _swap(L)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wm[0] = lam / scale
     wc = wm.copy()
@@ -118,160 +120,84 @@ def observation_model(state):
     return np.asarray(state, dtype=float)[..., _OBS_IDX]
 
 
-def _wrap_yaw_residual(r: float) -> float:
-    """Wrap a yaw innovation into (-pi/2, pi/2]: boxes are front/back symmetric."""
-    r = wrap_angle(r)
-    if r > math.pi / 2.0:
-        r -= math.pi
-    elif r <= -math.pi / 2.0:
-        r += math.pi
-    return r
-
-
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return (P + P.T) / 2.0
+    return (P + _swap(P)) / 2.0
 
 
-def _detection_observation(det: DetectionBox) -> np.ndarray:
-    return np.array([det.center[0], det.center[1], det.center[2],
-                     det.yaw, det.dims[0], det.dims[1], det.dims[2]])
+def _weighted_outer(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i w_i a_i b_i^T over stacks (T, 2n+1, .). The small-alpha weights
+    (~1e6, both signs) cancel: einsum keeps a one-set einsum's sum order."""
+    return np.einsum("i,tij,tik->tjk", w, a, b)
 
 
-def ukf_predict(track: Track, dt: float, params: UkfParams) -> Track:
-    pts, wm, wc = sigma_points(track.state.mean, track.state.covariance, params)
-    prop = _motion_model_raw(pts, dt)
-    mean = wm @ prop
-    diff = prop - mean
-    cov = np.einsum("i,ij,ik->jk", wc, diff, diff) + params.process_noise * dt
-    mean[3] = wrap_angle(mean[3])
-    return replace(track, state=TrackState(mean, _symmetrize(cov)),
-                   age_since_update=track.age_since_update + 1)
+def _predict(kind: str, means, covs, dt: float, params: UkfParams):
+    """Propagate stacked means (T, 8) and covariances (T, 8, 8) by ``dt``."""
+    if kind == "ukf":
+        pts, wm, wc = sigma_points(means, covs, params)
+        prop = _motion_model_raw(pts, dt)
+        mean = wm @ prop
+        diff = prop - mean[:, None, :]
+        cov = _weighted_outer(wc, diff, diff)
+        mean[:, 3] = wrap_angle(mean[:, 3])
+    else:
+        th, v = means[:, 3], means[:, 4]
+        F = np.tile(np.eye(STATE_DIM), (len(means), 1, 1))
+        F[:, 0, 3], F[:, 0, 4] = -v * np.sin(th) * dt, np.cos(th) * dt
+        F[:, 1, 3], F[:, 1, 4] = v * np.cos(th) * dt, np.sin(th) * dt
+        mean, cov = motion_model(means, dt), F @ covs @ _swap(F)
+    return mean, _symmetrize(cov + params.process_noise * dt)
 
 
-def ukf_update(track: Track, detection: DetectionBox, params: UkfParams) -> Track:
-    mean, cov = track.state.mean, track.state.covariance
-    pts, wm, wc = sigma_points(mean, cov, params)
-    ys = observation_model(pts)
-    yhat = wm @ ys
-    dy = ys - yhat
-    dx = pts - mean
-    pyy = np.einsum("i,ij,ik->jk", wc, dy, dy) + params.measurement_noise
-    pxy = np.einsum("i,ij,ik->jk", wc, dx, dy)
-    return _correct(track, detection, yhat, pxy, pyy, params)
-
-
-def _correct(track: Track, detection: DetectionBox, yhat: np.ndarray,
-             pxy: np.ndarray, pyy: np.ndarray, params: UkfParams) -> Track:
-    """Kalman correction of both filters from the predicted observation, the
-    state-observation and innovation covariances; reclassifies by speed."""
-    mean, cov = track.state.mean, track.state.covariance
-    innov = _detection_observation(detection) - yhat
-    innov[3] = _wrap_yaw_residual(innov[3])
-    gain = _kalman_gain(pxy, pyy)
-    new_mean = mean + gain @ innov
-    new_mean[3] = wrap_angle(new_mean[3])
-    new_mean[5:8] = np.maximum(new_mean[5:8], 1e-6)
-    new_cov = _symmetrize(cov - gain @ pyy @ gain.T)
-    dynamic = abs(new_mean[4]) > params.dynamic_speed_threshold
-    return replace(track, state=TrackState(new_mean, new_cov),
-                   age_since_update=0, hits=track.hits + 1,
-                   dynamic=dynamic, cls=detection.cls)
-
-
-def _kalman_gain(pxy: np.ndarray, pyy: np.ndarray) -> np.ndarray:
-    try:
-        gain = np.linalg.solve(pyy.T, pxy.T).T
-    except np.linalg.LinAlgError:
-        try:
-            jittered = pyy + 1e-9 * np.eye(pyy.shape[0])
-            gain = np.linalg.solve(jittered.T, pxy.T).T
-        except np.linalg.LinAlgError:
-            raise ValueError("innovation covariance singular") from None
+def _correct(kind: str, means, covs, obs, params: UkfParams):
+    """Kalman correction of stacked tracks by one observation (T, 7) each."""
+    if kind == "ukf":
+        pts, wm, wc = sigma_points(means, covs, params)
+        ys = observation_model(pts)
+        yhat = wm @ ys
+        dy = ys - yhat[:, None, :]
+        pxy = _weighted_outer(wc, pts - means[:, None, :], dy)
+        pyy = _weighted_outer(wc, dy, dy) + params.measurement_noise
+    else:  # the observation Jacobian selects rows and columns _OBS_IDX
+        yhat, pxy = observation_model(means), covs[:, :, _OBS_IDX]
+        pyy = pxy[:, _OBS_IDX, :] + params.measurement_noise
+    innov = obs - yhat
+    # yaw innovations fold into (-pi/2, pi/2]: boxes are front/back symmetric
+    r = wrap_angle(innov[:, 3])
+    innov[:, 3] = np.where(r > np.pi / 2.0, r - np.pi,
+                           np.where(r <= -np.pi / 2.0, r + np.pi, r))
+    gain = _swap(_per_row_retry(
+        lambda p, x: np.linalg.solve(_swap(p), _swap(x)), pyy, pxy,
+        "innovation covariance singular"))
     if not np.all(np.isfinite(gain)):
         raise ValueError("innovation covariance singular")
-    return gain
+    new_mean = means + (gain @ innov[:, :, None])[:, :, 0]
+    new_mean[:, 3] = wrap_angle(new_mean[:, 3])
+    new_mean[:, 5:8] = np.maximum(new_mean[:, 5:8], 1e-6)
+    return new_mean, _symmetrize(covs - gain @ pyy @ _swap(gain))
 
 
-def _motion_jacobian(state: np.ndarray, dt: float) -> np.ndarray:
-    x, y, z, th, v = state[:5]
-    F = np.eye(STATE_DIM)
-    F[0, 3] = -v * math.sin(th) * dt
-    F[0, 4] = math.cos(th) * dt
-    F[1, 3] = v * math.cos(th) * dt
-    F[1, 4] = math.sin(th) * dt
-    return F
-
-
-_OBS_JACOBIAN = np.zeros((OBS_DIM, STATE_DIM))
-_OBS_JACOBIAN[np.arange(OBS_DIM), _OBS_IDX] = 1.0
-
-
-def ekf_predict(track: Track, dt: float, params: UkfParams) -> Track:
-    mean, cov = track.state.mean, track.state.covariance
-    F = _motion_jacobian(mean, dt)
-    new_mean = motion_model(mean, dt)
-    new_cov = _symmetrize(F @ cov @ F.T + params.process_noise * dt)
-    return replace(track, state=TrackState(new_mean, new_cov),
-                   age_since_update=track.age_since_update + 1)
-
-
-def ekf_update(track: Track, detection: DetectionBox, params: UkfParams) -> Track:
-    mean, cov = track.state.mean, track.state.covariance
-    H = _OBS_JACOBIAN
-    pyy = H @ cov @ H.T + params.measurement_noise
-    pxy = cov @ H.T
-    return _correct(track, detection, observation_model(mean), pxy, pyy,
-                    params)
-
-
-def associate_nn(tracks: Sequence[Track], detections: Sequence[DetectionBox],
-                 gate: float) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+def associate_nn(track_pos: np.ndarray, track_ids: np.ndarray,
+                 det_pos: np.ndarray, gate: float
+                 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
     """Greedy globally-nearest assignment on 3D center distance.
 
-    All (track, detection) pairs are sorted by (distance, track id, detection
-    index); a pair is accepted iff both sides are still free and the distance
-    is within the gate. Returns (matches, unmatched_tracks, unmatched_dets)
-    as indices into the input sequences.
+    Centres ``track_pos`` (T, 3) and ``det_pos`` (D, 3); the pairs within the
+    gate are taken in order of (distance, ``track_ids``, detection index), and
+    a pair is accepted iff both sides are still free. Returns (matches,
+    unmatched_tracks, unmatched_dets) as indices into the inputs.
     """
-    if not tracks or not detections:
-        return [], list(range(len(tracks))), list(range(len(detections)))
-    track_pos = np.stack([t.state.mean[:3] for t in tracks])
-    det_pos = np.stack([np.asarray(d.center) for d in detections])
-    dists = np.linalg.norm(track_pos[:, None, :] - det_pos[None, :, :], axis=2)
-    pairs = sorted(
-        (float(dists[ti, di]), tracks[ti].id, di, ti)
-        for ti in range(len(tracks)) for di in range(len(detections)))
+    dists = np.linalg.norm(np.reshape(track_pos, (-1, 1, 3))
+                           - np.reshape(det_pos, (1, -1, 3)), axis=2)
+    ti, di = np.nonzero(dists <= gate)
+    order = np.lexsort((di, np.asarray(track_ids)[ti], dists[ti, di]))
     matches: List[Tuple[int, int]] = []
-    used_t = set()
-    used_d = set()
-    for dist, _tid, di, ti in pairs:
-        if dist > gate:
-            break
-        if ti in used_t or di in used_d:
-            continue
-        matches.append((ti, di))
-        used_t.add(ti)
-        used_d.add(di)
-    unmatched_t = [i for i in range(len(tracks)) if i not in used_t]
-    unmatched_d = [i for i in range(len(detections)) if i not in used_d]
-    return matches, unmatched_t, unmatched_d
-
-
-def track_box(track: Track) -> DetectionBox:
-    """Oriented box from the current state geometry."""
-    m = track.state.mean
-    return DetectionBox(center=m[:3].copy(), yaw=m[3], dims=m[5:8].copy(),
-                        cls=track.cls, score=1.0)
-
-
-def _spawn_track(det: DetectionBox, tid: int, params: UkfParams) -> Track:
-    mean = np.array([det.center[0], det.center[1], det.center[2], det.yaw,
-                     0.0, det.dims[0], det.dims[1], det.dims[2]])
-    cov = np.zeros((STATE_DIM, STATE_DIM))
-    cov[np.ix_(_OBS_IDX, _OBS_IDX)] = params.measurement_noise
-    cov[4, 4] = params.initial_velocity_variance
-    return Track(id=tid, state=TrackState(mean, cov), age_since_update=0,
-                 hits=1, dynamic=False, cls=det.cls)
+    free_t, free_d = np.ones(dists.shape[0], bool), np.ones(dists.shape[1], bool)
+    for t, d in zip(ti[order].tolist(), di[order].tolist()):
+        if free_t[t] and free_d[d]:
+            matches.append((t, d))
+            free_t[t] = free_d[d] = False
+    return (matches, np.flatnonzero(free_t).tolist(),
+            np.flatnonzero(free_d).tolist())
 
 
 @dataclass
@@ -280,41 +206,103 @@ class TrackerStep:
     matched_ids: List[int]
 
 
+_ROW_FIELDS = ("means", "covariances", "ids", "ages", "hits", "dynamic",
+               "classes")
+
+
 class Tracker:
-    """Single-threaded track lifecycle: predict, associate, update, spawn, prune."""
+    """Track lifecycle on stacked state: predict, associate, update, spawn, prune.
+
+    Row i of each array in ``_ROW_FIELDS`` is one track; ``ages`` counts scans
+    since its last update. Rows are appended with growing ids, so ``ids``
+    ascends. ``tracks`` reads the rows as ``Track`` records.
+    """
 
     def __init__(self, params: UkfParams | None = None, kind: str = "ukf"):
         if kind not in ("ukf", "ekf"):
             raise ValueError(f"unknown tracker kind '{kind}'")
         self.params = params if params is not None else UkfParams()
         self.kind = kind
-        self.tracks: List[Track] = []
         self.next_id = 0
+        for name, rows in zip(_ROW_FIELDS, self._new_rows([])):
+            setattr(self, name, rows)
+
+    @property
+    def tracks(self) -> "TrackList":
+        return TrackList(self)
+
+    def predict(self, dt: float) -> None:
+        self.means, self.covariances = _predict(
+            self.kind, self.means, self.covariances, dt, self.params)
+        self.ages += 1
+
+    def update(self, rows, boxes: List[DetectionBox]) -> None:
+        """Correct the tracks in ``rows`` with one detection each."""
+        obs = np.array([[*b.center, b.yaw, *b.dims] for b in boxes])
+        self.means[rows], self.covariances[rows] = _correct(
+            self.kind, self.means[rows], self.covariances[rows],
+            obs.reshape(-1, 7), self.params)
+        self.ages[rows] = 0
+        self.hits[rows] += 1
+        self.dynamic[rows] = (np.abs(self.means[rows, 4])
+                              > self.params.dynamic_speed_threshold)
+        self.classes[rows] = [b.cls for b in boxes]
+
+    def _new_rows(self, boxes: List[DetectionBox]) -> tuple:
+        """The ``_ROW_FIELDS`` arrays of new tracks, one per box."""
+        n, p = len(boxes), self.params
+        cov = np.zeros((STATE_DIM, STATE_DIM))
+        cov[np.ix_(_OBS_IDX, _OBS_IDX)] = p.measurement_noise
+        cov[4, 4] = p.initial_velocity_variance
+        means = [[*b.center, b.yaw, 0.0, *b.dims] for b in boxes]
+        return (np.reshape(means, (n, STATE_DIM)), np.tile(cov, (n, 1, 1)),
+                np.arange(self.next_id, self.next_id + n),
+                np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                np.zeros(n, dtype=bool),
+                np.array([b.cls for b in boxes], dtype=object))
 
     def step(self, frame: DetectionFrame, dt: float) -> TrackerStep:
-        predict = ukf_predict if self.kind == "ukf" else ekf_predict
-        update = ukf_update if self.kind == "ukf" else ekf_update
-        p = self.params
-        self.tracks = [predict(t, dt, p) for t in self.tracks]
-        matches, _, unmatched_d = associate_nn(self.tracks, frame.boxes,
-                                               p.gate_distance)
-        matched_ids = []
-        for ti, di in matches:
-            self.tracks[ti] = update(self.tracks[ti], frame.boxes[di], p)
-            matched_ids.append(self.tracks[ti].id)
-        for di in unmatched_d:
-            self.tracks.append(_spawn_track(frame.boxes[di], self.next_id, p))
-            self.next_id += 1
-        self.tracks = [t for t in self.tracks if t.age_since_update <= p.age_max]
-        dynamic_boxes = [track_box(t) for t in self.tracks if t.dynamic]
-        return TrackerStep(dynamic_boxes=dynamic_boxes,
-                           matched_ids=sorted(matched_ids))
+        self.predict(dt)
+        matches, _, unmatched_d = associate_nn(
+            self.means[:, :3], self.ids, [b.center for b in frame.boxes],
+            self.params.gate_distance)
+        rows = np.array([ti for ti, _ in matches], dtype=np.int64)
+        self.update(rows, [frame.boxes[di] for _, di in matches])
+        matched_ids = sorted(self.ids[rows].tolist())
+        # prune stale tracks, then append one per unmatched detection
+        keep = self.ages <= self.params.age_max
+        new = self._new_rows([frame.boxes[di] for di in unmatched_d])
+        for name, added in zip(_ROW_FIELDS, new):
+            setattr(self, name, np.concatenate([getattr(self, name)[keep], added]))
+        self.next_id += len(unmatched_d)
+        boxes = [DetectionBox(center=m[:3], yaw=m[3], dims=m[5:8], cls=c)
+                 for m, c in zip(self.means[self.dynamic],
+                                 self.classes[self.dynamic])]
+        return TrackerStep(dynamic_boxes=boxes, matched_ids=matched_ids)
+
+
+@dataclass(eq=False)
+class TrackList(SequenceABC):
+    """A tracker's rows as ``Track`` records, built on access (``len`` is O(1))."""
+
+    tracker: Tracker
+
+    def __len__(self) -> int:
+        return len(self.tracker.ids)
+
+    def __getitem__(self, i: int) -> Track:
+        t, i = self.tracker, range(len(self))[i]
+        state = TrackState(t.means[i].copy(), t.covariances[i].copy())
+        return Track(int(t.ids[i]), state, int(t.ages[i]), int(t.hits[i]),
+                     bool(t.dynamic[i]), t.classes[i])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 def track_table(tracker: Tracker) -> np.ndarray:
     """Rows ``track_id dynamic x y z yaw v l w h``, one per track: (n, 10)."""
-    return np.array([(t.id, t.dynamic, *t.state.mean) for t in tracker.tracks],
-                    dtype=float).reshape(-1, 2 + STATE_DIM)
+    return np.column_stack([tracker.ids, tracker.dynamic, tracker.means])
 
 
 def format_track_rows(table: np.ndarray) -> List[str]:

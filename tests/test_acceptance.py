@@ -38,11 +38,12 @@ from dynlo.simulate import (SensorModel, SimScene, classification_scene,
                             reference_config, reference_dynamic_scene,
                             simulate, write_sim_dir)
 from dynlo.tracking import (Track, TrackState, Tracker, UkfParams,
-                            associate_nn, sigma_points, ukf_predict,
-                            ukf_update)
+                            associate_nn, sigma_points)
 
 from test_registration import structured_cloud
-from test_tracking import LinearKalman, detection_from_obs, linear_regime_params
+from test_tracking import (LinearKalman, detection_from_obs,
+                           linear_regime_params, nn_inputs, ukf_predict,
+                           ukf_update)
 
 
 def report(name, ok, detail=""):
@@ -197,7 +198,7 @@ class TestCriterion5OracleEquivalence:
             dets = [DetectionBox(rng.uniform(-8, 8, 3), 0.0, (4, 1.8, 1.5))
                     for _ in range(nd)]
             gate = float(rng.uniform(1.0, 6.0))
-            got, ut, ud = associate_nn(tracks, dets, gate)
+            got, ut, ud = associate_nn(*nn_inputs(tracks, dets), gate)
             pairs = sorted(
                 (float(np.linalg.norm(t.state.mean[:3] - d.center)), t.id, di, ti)
                 for ti, t in enumerate(tracks) for di, d in enumerate(dets))

@@ -14,6 +14,7 @@ from dynlo.geometry import PointCloud
 from dynlo.ground import SlidingBoxWindow
 from dynlo.keyframes import KeyframeDB
 from dynlo.simulate import reference_config, reference_dynamic_scene, simulate
+from dynlo.tracking import Tracker
 
 
 def _record(monkeypatch, owner, name, log):
@@ -43,6 +44,18 @@ def test_pipeline_call_shapes(monkeypatch):
     _record(monkeypatch, KeyframeDB, "select_submap", calls["submap"])
     _record(monkeypatch, pipeline, "remove_dynamic_points", calls["remove"])
     _record(monkeypatch, pipeline, "dynamic_point_mask", calls["mask"])
+    # what the tracer reads at each tracker step, taken when the step returns
+    steps = []
+    original_step = vars(Tracker)["step"]
+
+    def step_shim(tracker, *args):
+        result = original_step(tracker, *args)
+        steps.append((len(tracker.tracks), len(list(tracker.tracks)),
+                      sum(t.dynamic for t in tracker.tracks),
+                      len(result.dynamic_boxes)))
+        return result
+
+    monkeypatch.setattr(Tracker, "step", step_shim)
 
     out = pipeline.run_pipeline(res.scans, res.detections, cfg)
     assert len(out.trajectory) == n_scans
@@ -90,3 +103,11 @@ def test_pipeline_call_shapes(monkeypatch):
     assert len(calls["mask"]) == n_scans
     assert len(out.provenance_rows) == n_scans
     assert all(np.asarray(result).dtype == bool for _, _, result in calls["mask"])
+
+    # the tracker steps once per scan; len(tracker.tracks) is the live track
+    # count and len(step.dynamic_boxes) the number of dynamic tracks
+    assert len(steps) == n_scans
+    assert [live for live, _, _, _ in steps] == [len(t) for t in out.track_tables]
+    assert all(live == listed for live, listed, _, _ in steps)
+    assert all(dynamic == boxes for _, _, dynamic, boxes in steps)
+    assert sum(boxes for _, _, _, boxes in steps) > 0

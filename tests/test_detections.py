@@ -1,7 +1,12 @@
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynlo.detections import (DetectionFrame, filter_detections,
                               load_detection_frame, save_detection_frame)
@@ -111,3 +116,38 @@ class TestFilter:
         once = filter_detections(frame)
         twice = filter_detections(once)
         assert once.boxes == twice.boxes
+
+
+class TestNonFinite:
+    @given(st.integers(0, 7),
+           st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]),
+           st.integers(0, 3))
+    def test_loader_names_line_of_non_finite_field(self, field, text, before):
+        values = ["0.9", "1.0", "2.0", "0.5", "4.0", "1.8", "1.5", "0.1"]
+        values[field] = text
+        lines = ["car 0.9 1 2 3 4 5 6 0.1"] * before + ["car " + " ".join(values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "000001.txt")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            message = f"{path}:{before + 1}: non-finite detection field"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_detection_frame(path)
+
+    @given(st.sampled_from(["center", "yaw", "dims"]), st.integers(0, 2),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_box_rejects_non_finite_geometry(self, name, index, value):
+        center, yaw, dims = [1.0, 2.0, 0.5], 0.1, [4.0, 1.8, 1.5]
+        if name == "yaw":
+            yaw = value
+        else:
+            (center if name == "center" else dims)[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            DetectionBox(center=center, yaw=yaw, dims=dims)
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+           st.lists(st.floats(1e-6, 1e3), min_size=3, max_size=3))
+    def test_finite_boxes_still_accepted(self, center_yaw, dims):
+        box = DetectionBox(center=center_yaw[:3], yaw=center_yaw[3], dims=dims)
+        assert np.array_equal(box.center, center_yaw[:3])
+        assert -math.pi < box.yaw <= math.pi

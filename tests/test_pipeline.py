@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynlo.cli import main as cli_main
+from dynlo import pipeline
 from dynlo.config import dump_config
 from dynlo.geometry import PointCloud, Pose
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
@@ -116,6 +117,47 @@ class TestRunPipeline:
         assert any(s.n_dynamic_boxes > 0 for s in out.stats[2:])
         assert all(s.total_ms > 0 for s in out.stats)
         assert len(out.track_tables) == 10
+
+    def test_constraint_gets_mean_z_change_of_matched_tracks(self,
+                                                            monkeypatch):
+        # the posture constraint's mean_dz, recomputed track by track: over
+        # the tracks matched this scan that existed last scan, in tracker
+        # order, world z now (pose before the constraint) minus world z after
+        # the previous scan
+        res = simulate(small_scene(12), 0)
+        constraint, matched = [], []
+        original = pipeline.apply_consistency_constraint
+        step = vars(Tracker)["step"]
+
+        def record(*args):
+            constraint.append(args)
+            return original(*args)
+
+        def record_step(tracker, *args):
+            out = step(tracker, *args)
+            matched.append(out.matched_ids)
+            return out
+
+        monkeypatch.setattr(pipeline, "apply_consistency_constraint", record)
+        monkeypatch.setattr(Tracker, "step", record_step)
+        out = run_pipeline(res.scans, res.detections, reference_config())
+        previous = {}
+        used = 0
+        for k, table in enumerate(out.track_tables):
+            pose = constraint[k][0]
+            dzs = [float(pose.apply(row[2:5])[2]) - previous[int(row[0])]
+                   for row in table
+                   if int(row[0]) in matched[k] and int(row[0]) in previous]
+            if dzs:
+                assert constraint[k][3] == pytest.approx(np.mean(dzs),
+                                                         rel=0, abs=1e-12)
+            else:
+                assert constraint[k][3] is None
+            used += len(dzs)
+            final = out.trajectory.poses[k]
+            previous = {int(row[0]): float(final.apply(row[2:5])[2])
+                        for row in table}
+        assert used > 0
 
     def test_unlabelled_run_has_no_removal_record(self):
         res = simulate(small_scene(3), 0)

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynlo.geometry import DetectionBox, PointCloud, Pose, point_in_box, transform_box
+from dynlo import removal
+from dynlo.geometry import (DetectionBox, PointCloud, Pose, point_in_box,
+                            rot_z, transform_box)
 from dynlo.removal import dynamic_point_mask, remove_dynamic_points
 from dynlo.simulate import classification_scene, simulate
 
@@ -94,3 +98,49 @@ class TestRemoval:
         recall = removed / total
         print(f"removal recall vs ground-truth labels: {recall:.3f}")
         assert recall > 0.9
+
+
+def boundary_points(box, margin):
+    """Points on the dilated box's corners, edges and face centres, and the
+    neighbouring floats just inside and outside each of them."""
+    half = box.dims / 2.0 + margin
+    local = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3))) * half
+    on = box.center + local @ rot_z(box.yaw).T
+    return np.concatenate([on, np.nextafter(on, np.inf),
+                           np.nextafter(on, -np.inf)])
+
+
+class TestOnePassMask:
+    def test_exact_faces_and_corners(self):
+        # yaw 0 and dyadic sizes: the dilated faces lie exactly on floats
+        boxes = [DetectionBox((1.0, -2.0, 0.5), 0.0, (4.0, 1.5, 2.0)),
+                 DetectionBox((-3.0, 4.0, 0.0), 0.0, (2.0, 2.0, 1.0))]
+        pts = np.concatenate([boundary_points(b, 0.25) for b in boxes])
+        got = dynamic_point_mask(pts, boxes, 0.25)
+        assert np.array_equal(got, brute_force_mask(pts, boxes, 0.25))
+        # every corner, edge and face point of both boxes is in
+        assert got[:27].all() and got[81:108].all()
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_faces_and_corners_of_rotated_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        offset = rng.choice([0.0, 1e3, 1e6])
+        boxes = [DetectionBox(offset + rng.uniform(-5, 5, 3),
+                              rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi,
+                                          rng.uniform(-np.pi, np.pi)]),
+                              rng.uniform(0.2, 5.0, 3))
+                 for _ in range(int(rng.integers(1, 5)))]
+        margin = float(rng.choice([0.0, 0.1, rng.uniform(0.0, 0.5)]))
+        pts = np.concatenate([boundary_points(b, margin) for b in boxes]
+                             + [offset + rng.uniform(-8, 8, size=(50, 3))])
+        assert np.array_equal(dynamic_point_mask(pts, boxes, margin),
+                              brute_force_mask(pts, boxes, margin))
+
+    def test_chunked_prefilter_matches_one_chunk(self, rng, monkeypatch):
+        pts = rng.uniform(-6, 6, size=(500, 3))
+        boxes = random_boxes(rng, 7)
+        whole = dynamic_point_mask(pts, boxes, 0.1)
+        assert np.array_equal(whole, brute_force_mask(pts, boxes, 0.1))
+        for pairs in (1, 20, 7 * 13):
+            monkeypatch.setattr(removal, "_CHUNK_PAIRS", pairs)
+            assert np.array_equal(dynamic_point_mask(pts, boxes, 0.1), whole)

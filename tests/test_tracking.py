@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dynlo import tracking
 from dynlo.detections import DetectionFrame
-from dynlo.geometry import DetectionBox
+from dynlo.geometry import DetectionBox, wrap_angle
+from dynlo.simulate import reference_config
 from dynlo.tracking import (Track, TrackState, Tracker, UkfParams,
-                            associate_nn, ekf_predict, ekf_update,
-                            motion_model, observation_model, sigma_points,
-                            ukf_predict, ukf_update)
+                            associate_nn, motion_model, observation_model,
+                            sigma_points)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -21,6 +22,44 @@ def random_psd(rng, n, scale=1.0):
 def make_track(mean, cov, tid=0):
     return Track(id=tid, state=TrackState(np.asarray(mean, dtype=float),
                                           np.asarray(cov, dtype=float)))
+
+
+def filter_one(track, params, kind, operate):
+    """Run a stacked ``Tracker`` operation on a tracker holding only ``track``."""
+    tracker = Tracker(params, kind)
+    tracker.means = np.array([track.state.mean])
+    tracker.covariances = np.array([track.state.covariance])
+    tracker.ids = np.array([track.id])
+    tracker.ages = np.array([track.age_since_update])
+    tracker.hits = np.array([track.hits])
+    tracker.dynamic = np.array([track.dynamic])
+    tracker.classes = np.array([track.cls], dtype=object)
+    operate(tracker)
+    return tracker.tracks[0]
+
+
+def ukf_predict(track, dt, params):
+    return filter_one(track, params, "ukf", lambda t: t.predict(dt))
+
+
+def ukf_update(track, detection, params):
+    return filter_one(track, params, "ukf",
+                      lambda t: t.update([0], [detection]))
+
+
+def ekf_predict(track, dt, params):
+    return filter_one(track, params, "ekf", lambda t: t.predict(dt))
+
+
+def ekf_update(track, detection, params):
+    return filter_one(track, params, "ekf",
+                      lambda t: t.update([0], [detection]))
+
+
+def nn_inputs(tracks, dets):
+    """``associate_nn``'s positions and ids for Track records and boxes."""
+    return ([t.state.mean[:3] for t in tracks], [t.id for t in tracks],
+            [d.center for d in dets])
 
 
 def detection_from_obs(obs, cls="car"):
@@ -282,13 +321,13 @@ class TestAssociation:
 
     def test_empty_detections(self):
         tracks = [self.track_at((0, 0, 0), 0)]
-        matches, ut, ud = associate_nn(tracks, [], 2.0)
+        matches, ut, ud = associate_nn(*nn_inputs(tracks, []), 2.0)
         assert matches == [] and ut == [0] and ud == []
 
     def test_gate_blocks_far_detection(self):
         tracks = [self.track_at((0, 0, 0), 0)]
         dets = [self.det_at((1.0, 0, 0)), self.det_at((3.0, 0, 0))]
-        matches, ut, ud = associate_nn(tracks, dets, 2.0)
+        matches, ut, ud = associate_nn(*nn_inputs(tracks, dets), 2.0)
         assert matches == [(0, 0)]
         assert ud == [1]
 
@@ -314,7 +353,7 @@ class TestAssociation:
             tracks = [self.track_at(rng.uniform(-5, 5, 3), tid)
                       for tid, _ in enumerate(range(nt))]
             dets = [self.det_at(rng.uniform(-5, 5, 3)) for _ in range(nd)]
-            got, _, _ = associate_nn(tracks, dets, 4.0)
+            got, _, _ = associate_nn(*nn_inputs(tracks, dets), 4.0)
             assert sorted(got) == sorted(brute(tracks, dets, 4.0))
 
 
@@ -402,3 +441,294 @@ class TestTrackerLifecycle:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Tracker(kind="pf")
+
+
+# --- the stacked tracker against the per-track one it replaced ----------------
+
+_OBS = [0, 1, 2, 3, 5, 6, 7]
+
+
+def ref_sigma_points(mean, cov, params):
+    n = mean.shape[0]
+    lam = params.alpha ** 2 * (n + params.kappa) - n
+    scale = n + lam
+    try:
+        L = np.linalg.cholesky(scale * cov)
+    except np.linalg.LinAlgError:
+        L = np.linalg.cholesky(scale * (cov + 1e-9 * np.eye(n)))
+    pts = np.empty((2 * n + 1, n))
+    pts[0] = mean
+    pts[1:n + 1] = mean + L.T
+    pts[n + 1:] = mean - L.T
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
+    wm[0] = lam / scale
+    wc = wm.copy()
+    wc[0] += 1.0 - params.alpha ** 2 + params.beta
+    return pts, wm, wc
+
+
+def ref_motion_raw(state, dt):
+    s = np.array(state, dtype=float, copy=True)
+    s[..., 0] = s[..., 0] + s[..., 4] * np.cos(s[..., 3]) * dt
+    s[..., 1] = s[..., 1] + s[..., 4] * np.sin(s[..., 3]) * dt
+    return s
+
+
+def ref_predict(kind, mean, cov, dt, params):
+    if kind == "ukf":
+        pts, wm, wc = ref_sigma_points(mean, cov, params)
+        prop = ref_motion_raw(pts, dt)
+        new = wm @ prop
+        diff = prop - new
+        P = np.einsum("i,ij,ik->jk", wc, diff, diff) + params.process_noise * dt
+    else:
+        th, v = mean[3], mean[4]
+        F = np.eye(8)
+        F[0, 3] = -v * math.sin(th) * dt
+        F[0, 4] = math.cos(th) * dt
+        F[1, 3] = v * math.cos(th) * dt
+        F[1, 4] = math.sin(th) * dt
+        new = ref_motion_raw(mean, dt)
+        P = F @ cov @ F.T + params.process_noise * dt
+    new[3] = wrap_angle(new[3])
+    return new, (P + P.T) / 2.0
+
+
+def ref_update(kind, mean, cov, det, params):
+    if kind == "ukf":
+        pts, wm, wc = ref_sigma_points(mean, cov, params)
+        ys = pts[:, _OBS]
+        yhat = wm @ ys
+        dy = ys - yhat
+        pyy = np.einsum("i,ij,ik->jk", wc, dy, dy) + params.measurement_noise
+        pxy = np.einsum("i,ij,ik->jk", wc, pts - mean, dy)
+    else:
+        H = np.zeros((7, 8))
+        H[np.arange(7), _OBS] = 1.0
+        pyy = H @ cov @ H.T + params.measurement_noise
+        pxy = cov @ H.T
+        yhat = mean[_OBS]
+    innov = np.array([*det.center, det.yaw, *det.dims]) - yhat
+    r = wrap_angle(innov[3])
+    if r > math.pi / 2.0:
+        r -= math.pi
+    elif r <= -math.pi / 2.0:
+        r += math.pi
+    innov[3] = r
+    gain = np.linalg.solve(pyy.T, pxy.T).T
+    new = mean + gain @ innov
+    new[3] = wrap_angle(new[3])
+    new[5:8] = np.maximum(new[5:8], 1e-6)
+    P = cov - gain @ pyy @ gain.T
+    return new, (P + P.T) / 2.0
+
+
+class ReferenceTracker:
+    """The per-track tracker: one Cholesky, einsum and solve per track, and
+    association by sorting every (distance, track id, detection) tuple."""
+
+    def __init__(self, params, kind):
+        self.params, self.kind = params, kind
+        self.tracks = []
+        self.next_id = 0
+
+    def step(self, frame, dt):
+        p, boxes = self.params, frame.boxes
+        self.tracks = [
+            t._replace(state=TrackState(*ref_predict(
+                self.kind, t.state.mean, t.state.covariance, dt, p)),
+                age_since_update=t.age_since_update + 1)
+            for t in self.tracks]
+        pos = np.array([t.state.mean[:3] for t in self.tracks]).reshape(-1, 3)
+        det = np.array([b.center for b in boxes]).reshape(-1, 3)
+        dists = np.linalg.norm(pos[:, None, :] - det[None, :, :], axis=2)
+        pairs = sorted((float(dists[ti, di]), t.id, di, ti)
+                       for ti, t in enumerate(self.tracks)
+                       for di in range(len(boxes)))
+        used_t, used_d, matched = set(), set(), []
+        for dist, _, di, ti in pairs:
+            if dist > p.gate_distance or ti in used_t or di in used_d:
+                continue
+            used_t.add(ti)
+            used_d.add(di)
+            t, b = self.tracks[ti], boxes[di]
+            mean, cov = ref_update(self.kind, t.state.mean,
+                                   t.state.covariance, b, p)
+            self.tracks[ti] = t._replace(
+                state=TrackState(mean, cov), age_since_update=0,
+                hits=t.hits + 1, cls=b.cls,
+                dynamic=bool(abs(mean[4]) > p.dynamic_speed_threshold))
+            matched.append(t.id)
+        for di, b in enumerate(boxes):
+            if di in used_d:
+                continue
+            mean = np.array([*b.center, b.yaw, 0.0, *b.dims])
+            cov = np.zeros((8, 8))
+            cov[np.ix_(_OBS, _OBS)] = p.measurement_noise
+            cov[4, 4] = p.initial_velocity_variance
+            self.tracks.append(Track(self.next_id, TrackState(mean, cov),
+                                     cls=b.cls))
+            self.next_id += 1
+        self.tracks = [t for t in self.tracks
+                       if t.age_since_update <= p.age_max]
+        return sorted(matched)
+
+
+def lane_frames(rng, n_scans=30, dt=0.1):
+    """Detections of 60 cars in six lanes seen from a slow ego, plus parked
+    cars: noisy boxes, some missed, an occasional spurious one, and headings
+    near +-pi in the oncoming lanes."""
+    cars = []
+    for y, direction in ((-10.5, 1), (-7.0, 1), (-3.5, 1),
+                         (3.5, -1), (7.0, -1), (10.5, -1)):
+        speed = direction * rng.uniform(6.0, 9.0)
+        for j in range(10):
+            cars.append((-150.0 + 30.0 * j + rng.uniform(-1.5, 1.5), y, speed,
+                         0.0 if direction > 0 else math.pi))
+    for x in np.arange(-35.0, 60.0, 7.0):
+        cars.append((x + rng.uniform(-2, 2), 12.5, 0.0, rng.uniform(-0.2, 0.2)))
+    frames = []
+    for k in range(n_scans):
+        boxes = []
+        for x0, y, speed, yaw in cars:
+            if rng.random() < 0.1:
+                continue
+            center = np.array([x0 + (speed - 1.0) * k * dt, y, 0.75])
+            boxes.append(DetectionBox(center + rng.normal(0.0, 0.05, 3),
+                                      yaw + rng.normal(0.0, 0.03),
+                                      (4.3, 1.8, 1.5) + rng.normal(0.0, 0.02, 3)))
+        if rng.random() < 0.3:
+            boxes.append(DetectionBox(rng.uniform(-40, 40, 3), 0.0,
+                                      (1.8, 0.8, 1.7), cls="cyclist"))
+        frames.append(DetectionFrame(k, boxes))
+    return frames
+
+
+class TestStackedTrackerEquivalence:
+    @pytest.mark.parametrize("kind", ["ukf", "ekf"])
+    def test_matches_per_track_tracker(self, kind):
+        params = reference_config().tracker
+        stacked, ref = Tracker(params, kind), ReferenceTracker(params, kind)
+        flagged = 0
+        for frame in lane_frames(np.random.default_rng(5)):
+            step = stacked.step(frame, 0.1)
+            assert step.matched_ids == ref.step(frame, 0.1)
+            rows = list(stacked.tracks)
+            assert [t.id for t in rows] == [t.id for t in ref.tracks]
+            assert [t.dynamic for t in rows] == [t.dynamic for t in ref.tracks]
+            assert ([t.age_since_update for t in rows]
+                    == [t.age_since_update for t in ref.tracks])
+            assert [t.hits for t in rows] == [t.hits for t in ref.tracks]
+            for got, want in zip(rows, ref.tracks):
+                assert np.allclose(got.state.mean, want.state.mean,
+                                   rtol=0.0, atol=1e-9)
+                assert np.allclose(got.state.covariance, want.state.covariance,
+                                   rtol=0.0, atol=1e-9)
+            dynamic = [t for t in ref.tracks if t.dynamic]
+            assert len(step.dynamic_boxes) == len(dynamic)
+            for box, t in zip(step.dynamic_boxes, dynamic):
+                assert np.allclose(box.center, t.state.mean[:3], atol=1e-9)
+            flagged += len(dynamic)
+        assert flagged > 0
+
+    def test_len_of_tracks_builds_no_records(self, monkeypatch):
+        tracker = Tracker()
+        tracker.step(DetectionFrame(0, [DetectionBox((0, 0, 0), 0.0, (4, 2, 1.5)),
+                                        DetectionBox((9, 0, 0), 0.0, (4, 2, 1.5))]),
+                     0.1)
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("len() built a Track record")
+
+        monkeypatch.setattr(tracking, "Track", no_records)
+        assert len(tracker.tracks) == 2
+
+
+class TestBatchedFactorization:
+    def test_only_the_non_pd_row_is_jittered(self, rng):
+        params = UkfParams()
+        n = 8
+        scale = n + (params.alpha ** 2 * (n + params.kappa) - n)
+        good = random_psd(rng, n)
+        # PSD with a zero eigenvalue: Cholesky fails until jittered
+        singular = np.diag([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        covs = np.stack([good, singular, 2.0 * good])
+        means = rng.normal(size=(3, n))
+        pts, _, _ = sigma_points(means, covs, params)
+        for i in (0, 2):
+            L = np.linalg.cholesky(scale * covs[i])
+            assert np.array_equal(pts[i, 1:n + 1], means[i] + L.T)
+            assert np.array_equal(pts[i], sigma_points(means[i], covs[i],
+                                                       params)[0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(scale * singular)
+        L = np.linalg.cholesky(scale * (singular + 1e-9 * np.eye(n)))
+        assert np.array_equal(pts[1, 1:n + 1], means[1] + L.T)
+        assert np.array_equal(pts[1, n + 1:], means[1] - L.T)
+
+    def test_a_row_that_stays_singular_raises(self, rng):
+        covs = np.stack([random_psd(rng, 8), -np.eye(8)])
+        with pytest.raises(ValueError, match="not decomposable"):
+            sigma_points(np.zeros((2, 8)), covs, UkfParams())
+
+    def ekf_tracker(self, obs_blocks, xs):
+        """EKF tracker with noiseless measurements, one track at each x, whose
+        innovation covariances are the given 7x7 blocks; and a detection of
+        each track."""
+        params = UkfParams(measurement_noise=np.zeros((7, 7)))
+        tracker = Tracker(params, "ekf")
+        tracker.step(DetectionFrame(0, [DetectionBox((x, 0, 0), 0.0, (4, 2, 1.5))
+                                        for x in xs]), 0.1)
+        for i, block in enumerate(obs_blocks):
+            tracker.covariances[i][np.ix_(_OBS, _OBS)] = block
+        return tracker, [DetectionBox((x + 0.1, 0.2, 0), 0.05, (4, 2, 1.5))
+                         for x in xs]
+
+    def test_singular_innovation_row_retried_alone(self, rng):
+        blocks = [random_psd(rng, 7), np.zeros((7, 7)), random_psd(rng, 7)]
+        xs = [0.0, 5.0, 10.0]
+        tracker, dets = self.ekf_tracker(blocks, xs)
+        tracker.update(np.arange(3), dets)
+        for i in range(3):
+            alone, det = self.ekf_tracker([blocks[i]], [xs[i]])
+            alone.update([0], det)
+            assert np.array_equal(tracker.means[i], alone.means[0])
+            assert np.array_equal(tracker.covariances[i], alone.covariances[0])
+        # the zero block reaches the gain only through the jittered solve
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(blocks[1], np.eye(7))
+        assert np.all(np.isfinite(tracker.means))
+
+    def test_innovation_row_that_stays_singular_raises(self, rng):
+        # singular, and singular again once 1e-9 I is added
+        blocks = [random_psd(rng, 7), np.diag([0.0, -1e-9, 1, 1, 1, 1, 1])]
+        tracker, dets = self.ekf_tracker(blocks, [0.0, 5.0])
+        with pytest.raises(ValueError, match="innovation covariance singular"):
+            tracker.update(np.arange(2), dets)
+
+
+class TestAssociationTies:
+    @given(st.integers(0, 2**32 - 1))
+    def test_tied_distances_match_brute_force_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        nt, nd = (int(v) for v in rng.integers(0, 9, size=2))
+        # integer grid positions: many equal distances, some exactly at the gate
+        track_pos = rng.integers(-2, 3, size=(nt, 3)).astype(float)
+        det_pos = rng.integers(-2, 3, size=(nd, 3)).astype(float)
+        ids = rng.permutation(50)[:nt]
+        gate = float(rng.integers(1, 4))
+        dists = np.linalg.norm(track_pos[:, None, :] - det_pos[None, :, :],
+                               axis=2)
+        pairs = sorted((float(dists[ti, di]), int(ids[ti]), di, ti)
+                       for ti in range(nt) for di in range(nd))
+        used_t, used_d, expected = set(), set(), []
+        for dist, _, di, ti in pairs:
+            if dist > gate or ti in used_t or di in used_d:
+                continue
+            expected.append((ti, di))
+            used_t.add(ti)
+            used_d.add(di)
+        got = associate_nn(track_pos, ids, det_pos, gate)
+        assert got == (expected,
+                       [i for i in range(nt) if i not in used_t],
+                       [i for i in range(nd) if i not in used_d])
