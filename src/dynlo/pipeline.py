@@ -42,6 +42,9 @@ class ScanStats:
     s2s_converged: bool = True
     s2m_converged: bool = True
     keyframe_inserted: bool = False
+    # GICP iterations of each stage; 0 where the stage did not run or raised
+    s2s_iterations: int = 0
+    s2m_iterations: int = 0
     # why the scan fell back, e.g. "s2m:solver diverged"; "" if it did not
     fallback_reason: str = ""
 
@@ -85,8 +88,9 @@ def run_pipeline(scans: Iterable[PointCloud],
     provenance_rows: List[Tuple[int, int, int, int, int]] = []
 
     prev_cloud: Optional[PointCloud] = None
+    cloud_pose = Pose.identity()  # pose of the scan prev_cloud came from
     prev_pose = Pose.identity()
-    prev_rel = Pose.identity()
+    prev_rel = Pose.identity()  # motion over the last scan
     # world z of each track after the previous scan, by ascending track id
     prev_ids, prev_z = np.empty(0, dtype=np.int64), np.empty(0)
 
@@ -115,6 +119,8 @@ def run_pipeline(scans: Iterable[PointCloud],
         reasons: List[str] = []
         s2s_ok = True
         s2m_ok = True
+        s2s_iterations = 0
+        s2m_iterations = 0
         if len(static) < pre.covariance_knn:
             # degenerate scan: coast on the previous relative motion
             pose = propagate_world(prev_pose, prev_rel)
@@ -128,16 +134,22 @@ def run_pipeline(scans: Iterable[PointCloud],
                 pose = Pose.identity()
                 rel = Pose.identity()
             else:
+                # constant velocity: s2s starts from one more scan of the last
+                # motion, expressed in the frame of prev_cloud's scan (earlier
+                # than the last one if that fell back as degenerate)
+                world_init = propagate_world(prev_pose, prev_rel)
+                rel = prev_rel
                 try:
-                    res = gicp_align(cov_cloud, prev_cloud, Pose.identity(),
+                    res = gicp_align(cov_cloud, prev_cloud,
+                                     cloud_pose.inverse().compose(world_init),
                                      cfg.gicp)
-                    rel = res.pose
+                    world_init = propagate_world(cloud_pose, res.pose)
+                    rel = prev_pose.inverse().compose(world_init)
                     s2s_ok = res.converged
+                    s2s_iterations = res.iterations
                 except ValueError as exc:
-                    rel = prev_rel
                     s2s_ok = False
                     reasons.append(f"s2s:{exc}")
-                world_init = propagate_world(prev_pose, rel)
                 ids, submap = db.select_submap(world_init,
                                                cfg.keyframe_k_nearest,
                                                cfg.keyframe_l_hull,
@@ -151,6 +163,7 @@ def run_pipeline(scans: Iterable[PointCloud],
                                      target_tree=submap.tree)
                     pose = res.pose
                     s2m_ok = res.converged
+                    s2m_iterations = res.iterations
                 except ValueError as exc:
                     pose = world_init
                     s2m_ok = False
@@ -176,6 +189,7 @@ def run_pipeline(scans: Iterable[PointCloud],
             db.spaciousness = compute_spaciousness(static, db.spaciousness)
             inserted = db.maybe_insert(pose, cov_cloud)
             prev_cloud = cov_cloud
+            cloud_pose = pose
         prev_rel = rel
         prev_pose = pose
         poses.append(pose)
@@ -195,6 +209,8 @@ def run_pipeline(scans: Iterable[PointCloud],
             s2s_converged=s2s_ok,
             s2m_converged=s2m_ok,
             keyframe_inserted=inserted,
+            s2s_iterations=s2s_iterations,
+            s2m_iterations=s2m_iterations,
             fallback_reason=";".join(reasons),
         ))
 
@@ -225,16 +241,17 @@ def write_stats_file(path: str, stats: List[ScanStats]) -> None:
         fh.write("# scan n_raw n_static n_tracks n_dynamic_boxes "
                  "preprocess_ms tracker_ms odometry_ms total_ms "
                  "s2s_converged s2m_converged fallback keyframe_inserted "
-                 "fallback_reason\n")
+                 "s2s_iterations s2m_iterations fallback_reason\n")
         for s in stats:
             # spaces in the reason become "_", so every column is one token
-            fh.write("%d %d %d %d %d %.3f %.3f %.3f %.3f %d %d %d %d %s\n" % (
-                s.scan_index, s.n_raw, s.n_static, s.n_tracks,
-                s.n_dynamic_boxes, s.preprocess_ms, s.tracker_ms,
-                s.odometry_ms, s.total_ms, int(s.s2s_converged),
-                int(s.s2m_converged), int(s.fallback),
-                int(s.keyframe_inserted),
-                "_".join(s.fallback_reason.split()) or "-"))
+            fh.write("%d %d %d %d %d %.3f %.3f %.3f %.3f %d %d %d %d %d %d %s\n"
+                     % (s.scan_index, s.n_raw, s.n_static, s.n_tracks,
+                        s.n_dynamic_boxes, s.preprocess_ms, s.tracker_ms,
+                        s.odometry_ms, s.total_ms, int(s.s2s_converged),
+                        int(s.s2m_converged), int(s.fallback),
+                        int(s.keyframe_inserted), s.s2s_iterations,
+                        s.s2m_iterations,
+                        "_".join(s.fallback_reason.split()) or "-"))
         fh.write("# mean preprocess_ms=%.3f tracker_ms=%.3f odometry_ms=%.3f "
                  "total_ms=%.3f fallbacks=%d\n" % (
                      summary["preprocess_ms"], summary["tracker_ms"],

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud
+from .geometry import PointCloud, query_neighbors
 
 # Below this cross-product size, relative to the spread of the eigenvalues,
 # the two smallest eigenvalues count as equal and the normal comes from eigh.
@@ -79,7 +79,7 @@ def estimate_point_covariances(cloud: PointCloud, k: int = 10,
         raise ValueError("insufficient points for covariance estimation")
     points = cloud.points.copy()
     tree = cKDTree(points)
-    _, nn = tree.query(points, k=k)
+    _, nn = query_neighbors(tree, points, k)
     if k == 1:
         nn = nn[:, None]
     # the (n, k, 3) neighbor array sets this stage's memory peak: release it

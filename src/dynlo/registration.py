@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, Pose, se3_exp, skew
+from .geometry import PointCloud, Pose, query_neighbors, se3_exp, skew
 
 _MIN_CORRESPONDENCES = 10
 _JITTER = 1e-9
@@ -166,8 +166,8 @@ def find_correspondences(T: Pose, points: np.ndarray, target_tree: cKDTree,
                          max_distance: float):
     """Indices (source, target) of the nearest target point per transformed
     source point, within max_distance; source indices ascend."""
-    dist, idx = target_tree.query(T.apply(points), k=1,
-                                  distance_upper_bound=max_distance)
+    dist, idx = query_neighbors(target_tree, T.apply(points), 1,
+                                max_distance)
     valid = np.isfinite(dist)
     return np.flatnonzero(valid), idx[valid]
 

@@ -5,12 +5,14 @@ arguments: the window's box count is ``len()`` of the ground fit's first
 argument, and scan-to-map GICP is the call that passes ``target_tree=``. A
 pipeline that stopped making one of these calls, or changed its shape, would
 still pass the benchmark's smoke test with silently wrong per-layer metrics.
+Scan-to-scan GICP starts from the constant-velocity prediction, which these
+tests also pin, fallbacks included.
 """
 
 import numpy as np
 
 from dynlo import pipeline
-from dynlo.geometry import PointCloud
+from dynlo.geometry import PointCloud, Pose
 from dynlo.ground import SlidingBoxWindow
 from dynlo.keyframes import KeyframeDB
 from dynlo.simulate import reference_config, reference_dynamic_scene, simulate
@@ -29,13 +31,41 @@ def _record(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, shim)
 
 
+def _check_s2s_seeds(out, covariance_calls, s2s):
+    """Each s2s call starts from one more scan of the last scan's motion,
+    expressed in the frame of the scan its target cloud came from; the first
+    starts from the identity. ``s2s`` holds (args, kwargs, result) per call."""
+    registered = [s.scan_index for s in out.stats
+                  if not s.fallback_reason.startswith("degenerate")]
+    clouds = [result for _, _, result in covariance_calls]
+    assert len(clouds) == len(registered)
+    scan_of = {id(cloud): k for k, cloud in zip(registered, clouds)}
+    assert [scan_of[id(args[0])] for args, _, _ in s2s] == registered[1:]
+    assert np.array_equal(s2s[0][0][2].matrix(), np.eye(4))
+    poses = out.trajectory.poses
+    calls = {scan_of[id(args[0])]: (args, result) for args, _, result in s2s}
+    rel = Pose.identity()  # the motion over the previous scan
+    for k in range(registered[0] + 1, len(poses)):
+        if k not in calls:
+            continue  # a degenerate scan coasts on rel
+        (_, target, seed, _), result = calls[k]
+        c = scan_of[id(target)]
+        assert c == max(j for j in registered if j < k)
+        expected = poses[c].inverse().compose(poses[k - 1].compose(rel))
+        np.testing.assert_allclose(seed.matrix(), expected.matrix(),
+                                   rtol=0, atol=1e-12)
+        rel = poses[k - 1].inverse().compose(poses[c].compose(result.pose))
+    assert [out.stats[k].s2s_iterations for k in sorted(calls)] == [
+        calls[k][1].iterations for k in sorted(calls)]
+
+
 def test_pipeline_call_shapes(monkeypatch):
     n_scans = 14
     res = simulate(reference_dynamic_scene(n_scans=n_scans, rays_per_scan=1200),
                    0)
     cfg = reference_config()
     calls = {name: [] for name in ("advance", "fit", "filter", "gicp", "tree",
-                                   "submap", "remove", "mask")}
+                                   "submap", "remove", "mask", "covariance")}
     _record(monkeypatch, SlidingBoxWindow, "advance", calls["advance"])
     _record(monkeypatch, pipeline, "fit_ground_from_boxes", calls["fit"])
     _record(monkeypatch, pipeline, "filter_detections", calls["filter"])
@@ -44,6 +74,8 @@ def test_pipeline_call_shapes(monkeypatch):
     _record(monkeypatch, KeyframeDB, "select_submap", calls["submap"])
     _record(monkeypatch, pipeline, "remove_dynamic_points", calls["remove"])
     _record(monkeypatch, pipeline, "dynamic_point_mask", calls["mask"])
+    _record(monkeypatch, pipeline, "estimate_point_covariances",
+            calls["covariance"])
     # what the tracer reads at each tracker step, taken when the step returns
     steps = []
     original_step = vars(Tracker)["step"]
@@ -84,6 +116,9 @@ def test_pipeline_call_shapes(monkeypatch):
         assert kwargs["target_tree"] is not None
         assert kwargs["target_tree"] is args[1].tree
     assert all("target_tree" not in kwargs for _, kwargs in s2s)
+    _check_s2s_seeds(out, calls["covariance"],
+                     [call for call in calls["gicp"]
+                      if not any(call[0][1] is sub for sub in submaps)])
 
     # the submap tree is built at most once per distinct submap, on its points
     distinct = {id(sub): sub for sub in submaps}
@@ -111,3 +146,23 @@ def test_pipeline_call_shapes(monkeypatch):
     assert all(live == listed for live, listed, _, _ in steps)
     assert all(dynamic == boxes for _, _, dynamic, boxes in steps)
     assert sum(boxes for _, _, _, boxes in steps) > 0
+
+
+def test_s2s_seed_after_a_fallback(monkeypatch):
+    """A degenerate scan leaves the s2s target at the scan before it: the next
+    s2s starts from two scans of motion in that scan's frame, and the motion
+    carried on is one scan's."""
+    n_scans = 8
+    res = simulate(reference_dynamic_scene(n_scans=n_scans, rays_per_scan=1200),
+                   0)
+    scans = list(res.scans)
+    scans[3] = scans[3].subset(np.arange(4))
+    gicp, covariance = [], []
+    _record(monkeypatch, pipeline, "gicp_align", gicp)
+    _record(monkeypatch, pipeline, "estimate_point_covariances", covariance)
+    out = pipeline.run_pipeline(scans, res.detections, reference_config())
+    assert [s.fallback_reason for s in out.stats].count(
+        "degenerate:too few static points") == 1
+    s2s = [call for call in gicp if "target_tree" not in call[1]]
+    assert len(s2s) == n_scans - 2
+    _check_s2s_seeds(out, covariance, s2s)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import random_pose
+from dynlo import geometry
 from dynlo.geometry import (DetectionBox, PointCloud, Pose, point_in_box,
                             se3_exp, transform_box, wrap_angle)
 
@@ -187,3 +189,51 @@ class TestDetectionBoxValidation:
     def test_yaw_normalized_on_construction(self):
         box = DetectionBox((0, 0, 0), 7.0, (1, 1, 1))
         assert -math.pi < box.yaw <= math.pi
+
+
+class _RecordingTree:
+    """A cKDTree that records the ``workers`` of each query."""
+
+    def __init__(self, points):
+        self.tree = cKDTree(points)
+        self.workers = []
+
+    def query(self, points, **kwargs):
+        self.workers.append(kwargs["workers"])
+        return self.tree.query(points, **kwargs)
+
+
+def _cloud(rng, n, grid):
+    """n points in a 20 m cube; on a 0.5 m grid, with many tied distances."""
+    pts = rng.uniform(-10.0, 10.0, size=(n, 3))
+    return np.round(pts * 2.0) / 2.0 if grid else pts
+
+
+class TestQueryNeighbors:
+    """Above the size gate the query runs on every available CPU, and its
+    results equal a one-thread query's bit for bit."""
+
+    GATE = geometry._PARALLEL_QUERY_POINTS
+
+    def _check(self, rng, n_query, grid, k, bound):
+        target = _RecordingTree(_cloud(rng, 3000, grid))
+        query = _cloud(rng, n_query, grid)
+        dist, idx = geometry.query_neighbors(target, query, k, bound)
+        ref_dist, ref_idx = target.tree.query(query, k=k,
+                                              distance_upper_bound=bound,
+                                              workers=1)
+        np.testing.assert_array_equal(dist, ref_dist)
+        np.testing.assert_array_equal(idx, ref_idx)
+        cpus = len(os.sched_getaffinity(0))
+        assert target.workers == [cpus if n_query >= self.GATE else 1]
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([1, GATE // 2, GATE - 1, GATE, GATE + 1, 2 * GATE]),
+           st.floats(0.05, 2.0))
+    def test_nearest_within_bound(self, seed, grid, n_query, bound):
+        self._check(np.random.default_rng(seed), n_query, grid, 1, bound)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([10, GATE // 2, GATE - 1, GATE, GATE + 1, 2 * GATE]))
+    def test_ten_nearest(self, seed, grid, n_query):
+        self._check(np.random.default_rng(seed), n_query, grid, 10, np.inf)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynlo.cli import main as cli_main
-from dynlo import pipeline
+from dynlo import geometry, pipeline
 from dynlo.config import dump_config
 from dynlo.geometry import PointCloud, Pose
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
@@ -189,10 +189,63 @@ class TestRunPipeline:
         lines = path.read_text().splitlines()
         header = lines[0].split()
         rows = [line.split() for line in lines[1:-1]]
-        assert header[-1] == "fallback_reason"
+        assert header[-3:] == ["s2s_iterations", "s2m_iterations",
+                               "fallback_reason"]
         assert all(len(row) == len(header) - 1 for row in rows)
+        # no GICP runs on the first and the degenerate scan
+        assert [(int(row[-3]), int(row[-2])) for row in rows] == [
+            (s.s2s_iterations, s.s2m_iterations) for s in out.stats]
+        assert [k for k, s in enumerate(out.stats)
+                if s.s2s_iterations == 0 or s.s2m_iterations == 0] == [0, 3]
         assert [row[-1] for row in rows] == [
             "-", "-", "-", "degenerate:too_few_static_points", "-", "-"]
+
+
+    def test_parallel_queries_give_the_same_run(self, monkeypatch):
+        res = simulate(small_scene(6), 0)
+        runs = []
+        for gate in (0, np.inf):  # every neighbour query parallel, then none
+            monkeypatch.setattr(geometry, "_PARALLEL_QUERY_POINTS", gate)
+            runs.append(run_pipeline(res.scans, res.detections,
+                                     reference_config()))
+        parallel, serial = runs
+        np.testing.assert_array_equal(
+            [p.matrix() for p in parallel.trajectory.poses],
+            [p.matrix() for p in serial.trajectory.poses])
+        np.testing.assert_array_equal(parallel.map_cloud.points,
+                                      serial.map_cloud.points)
+        assert parallel.provenance_rows == serial.provenance_rows
+        assert ([(s.s2s_iterations, s.s2m_iterations) for s in parallel.stats]
+                == [(s.s2s_iterations, s.s2m_iterations) for s in serial.stats])
+
+    def test_motion_after_a_degenerate_scan_counted_once(self, monkeypatch):
+        # scan 3 falls back, so scan 4's s2s spans scans 2 -> 4: its result
+        # belongs on scan 2's pose, not on scan 3's coasted one
+        res = simulate(small_scene(8), 0)
+        scans = list(res.scans)
+        scans[3] = scans[3].subset(np.arange(4))
+        calls = []
+        original = pipeline.gicp_align
+
+        def shim(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(pipeline, "gicp_align", shim)
+        out = run_pipeline(scans, res.detections, reference_config())
+        assert out.stats[3].fallback and not out.stats[4].fallback
+        # per registered scan after the first: s2s, then s2m; scan 4 is the
+        # third registered scan after scan 0
+        (_, _, s2s), (s2m_args, _, s2m) = calls[4:6]
+        world_init = s2m_args[2]
+        expected = out.trajectory.poses[2].compose(s2s.pose)
+        np.testing.assert_allclose(world_init.matrix(), expected.matrix(),
+                                   rtol=0, atol=1e-12)
+        # composed onto scan 3's pose, the prediction was 0.13 m off
+        assert np.linalg.norm(world_init.translation
+                              - s2m.pose.translation) < 0.05
+        assert out.stats[4].s2m_iterations == s2m.iterations
 
 
 class TestCli:
