@@ -10,18 +10,25 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .geometry import DetectionBox
+import numpy as np
+
+from .geometry import wrap_angle
 
 VALID_CLASSES = ("car", "cyclist")
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionFrame:
+    """One scan's box rows ``cx cy cz yaw l w h`` (D, 7), the tracker's
+    observation order, beside their class labels (object) and scores (D,)."""
+
     scan_index: int
-    boxes: List[DetectionBox] = field(default_factory=list)
+    boxes: np.ndarray
+    classes: np.ndarray
+    scores: np.ndarray
 
 
 def _scan_index_from_path(path: str) -> int:
@@ -30,47 +37,57 @@ def _scan_index_from_path(path: str) -> int:
 
 
 def load_detection_frame(path: str, scan_index: int | None = None) -> DetectionFrame:
-    boxes: List[DetectionBox] = []
+    rows, classes = [], []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             parts = text.split()
+            where = f"{path}:{lineno}"
             if len(parts) != 9:
                 raise ValueError(
-                    f"{path}:{lineno}: malformed detection line "
+                    f"{where}: malformed detection line "
                     f"(expected 9 fields, got {len(parts)})")
             cls = parts[0]
             if cls not in VALID_CLASSES:
-                raise ValueError(f"{path}:{lineno}: unknown class label '{cls}'")
+                raise ValueError(f"{where}: unknown class label '{cls}'")
             try:
                 vals = [float(v) for v in parts[1:]]
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed detection line "
+                raise ValueError(f"{where}: malformed detection line "
                                  f"(non-numeric field)") from None
             if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}:{lineno}: non-finite detection field")
-            score, cx, cy, cz, l, w, h, yaw = vals
-            boxes.append(DetectionBox(center=(cx, cy, cz), yaw=yaw,
-                                      dims=(l, w, h), cls=cls, score=score))
+                raise ValueError(f"{where}: non-finite detection field")
+            if min(vals[4:7]) <= 0.0:
+                raise ValueError(f"{where}: box dims must be strictly positive")
+            if not 0.0 <= vals[0] <= 1.0:
+                raise ValueError(f"{where}: box score must lie in [0, 1]")
+            # only out-of-range yaws: wrap_angle moves in-range ones by 2^-52
+            if not -math.pi < vals[7] <= math.pi:
+                vals[7] = wrap_angle(vals[7])
+            rows.append(vals)
+            classes.append(cls)
+    fields = np.array(rows, dtype=float).reshape(-1, 8)  # score cx cy cz l w h yaw
+    boxes = fields[:, [1, 2, 3, 7, 4, 5, 6]]
     if scan_index is None:
         scan_index = _scan_index_from_path(path)
-    return DetectionFrame(scan_index=scan_index, boxes=boxes)
+    return DetectionFrame(scan_index, boxes, np.array(classes, dtype=object),
+                          fields[:, 0])
 
 
 def save_detection_frame(frame: DetectionFrame, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("# class score cx cy cz l w h yaw\n")
-        for b in frame.boxes:
+        for cls, score, (cx, cy, cz, yaw, l, w, h) in zip(
+                frame.classes, frame.scores.tolist(), frame.boxes.tolist()):
             fh.write("%s %.9g %.9g %.9g %.9g %.9g %.9g %.9g %.9g\n" % (
-                b.cls, b.score, b.center[0], b.center[1], b.center[2],
-                b.dims[0], b.dims[1], b.dims[2], b.yaw))
+                cls, score, cx, cy, cz, l, w, h, yaw))
 
 
 def filter_detections(frame: DetectionFrame, min_score: float = 0.75,
                       classes: Sequence[str] = VALID_CLASSES) -> DetectionFrame:
     """Keep boxes with score >= min_score and class in ``classes``; order preserved."""
-    allowed = set(classes)
-    kept = [b for b in frame.boxes if b.score >= min_score and b.cls in allowed]
-    return DetectionFrame(scan_index=frame.scan_index, boxes=kept)
+    keep = (frame.scores >= min_score) & np.isin(frame.classes, list(classes))
+    return DetectionFrame(frame.scan_index, frame.boxes[keep],
+                          frame.classes[keep], frame.scores[keep])

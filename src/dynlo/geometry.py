@@ -254,7 +254,6 @@ class DetectionBox:
     yaw: float
     dims: np.ndarray
     cls: str = "car"
-    score: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
@@ -265,8 +264,10 @@ class DetectionBox:
             raise ValueError("box center, yaw and dims must be finite")
         if min(values[4:]) <= 0.0:
             raise ValueError("box dims must be strictly positive")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError("box score must lie in [0, 1]")
+
+    def __array__(self, dtype=None, copy=None):
+        """Row ``cx cy cz yaw l w h``: ``np.array(boxes)`` is the (n, 7) rows."""
+        return np.array([*self.center, self.yaw, *self.dims], dtype=dtype)
 
 
 def point_in_box(points, box: DetectionBox, margin: float = 0.1):

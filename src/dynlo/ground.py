@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
-                       rotation_aligning, wrap_angle)
+from .geometry import Pose, euler_zyx, from_euler_zyx, rotation_aligning, wrap_angle
 
 
 @dataclass
@@ -117,9 +116,9 @@ class SlidingBoxWindow:
         for frame in self._frames:
             frame[:, :3] = prev_to_current.apply(frame[:, :3])
 
-    def push(self, boxes: Sequence[DetectionBox]) -> None:
-        self._frames.append(np.array(
-            [(*b.center, b.dims[2]) for b in boxes], dtype=float).reshape(-1, 4))
+    def push(self, boxes: np.ndarray) -> None:
+        """Store one scan's box rows ``cx cy cz yaw l w h`` (n, 7) as ``x y z h``."""
+        self._frames.append(np.asarray(boxes, dtype=float).reshape(-1, 7)[:, [0, 1, 2, 6]])
 
     def footprints(self) -> np.ndarray:
         """Box centers dropped by h/2 along the current -z: (n, 3), oldest scan

@@ -103,7 +103,7 @@ def run_pipeline(scans: Iterable[PointCloud],
         frame_f = filter_detections(frame, cfg.detection_min_score,
                                     cfg.detection_classes)
         step = tracker.step(frame_f, cfg.dt)
-        dyn_boxes = step.dynamic_boxes if cfg.enable_removal else []
+        dyn_boxes = step.dynamic_boxes if cfg.enable_removal else np.empty((0, 7))
         static, _removed = remove_dynamic_points(downsampled, dyn_boxes,
                                                  cfg.removal_margin)
         if raw.labels is not None:

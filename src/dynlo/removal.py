@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .geometry import DetectionBox, PointCloud, rot_z
+from .geometry import PointCloud, rot_z
 
 _CHUNK_PAIRS = 1 << 16  # (point, box) pairs per prefilter chunk
 
 
-def dynamic_point_mask(points: np.ndarray, boxes: Sequence[DetectionBox],
+def dynamic_point_mask(points: np.ndarray, boxes: np.ndarray,
                        margin: float = 0.1) -> np.ndarray:
-    """True where a point lies inside any of the given boxes (dilated by margin):
-    a conservative circumscribed-sphere prefilter of all (point, box) pairs at
-    once, then ``point_in_box``'s exact test, same arithmetic, on candidates."""
+    """True where a point lies inside any box row ``cx cy cz yaw l w h`` (dilated
+    by margin): a conservative circumscribed-sphere prefilter of all (point,
+    box) pairs at once, then ``point_in_box``'s exact test, same arithmetic."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 7)
     removed = np.zeros(pts.shape[0], dtype=bool)
     if not len(boxes) or not len(pts):
         return removed
-    centers = np.array([b.center for b in boxes])
-    half = np.array([b.dims for b in boxes]) / 2.0 + margin
-    rots = np.array([rot_z(b.yaw) for b in boxes])
+    centers = boxes[:, :3]
+    half = boxes[:, 4:] / 2.0 + margin
+    rots = np.array([rot_z(yaw) for yaw in boxes[:, 3].tolist()])
     # |p - c|^2 <= r^2 as |p|^2 - 2 p.c <= r^2 - |c|^2, one GEMM per chunk; the
     # slack exceeds the expansion's rounding, so no accepted pair is dropped
     p2 = np.einsum("ij,ij->i", pts, pts)
@@ -40,7 +41,7 @@ def dynamic_point_mask(points: np.ndarray, boxes: Sequence[DetectionBox],
     return removed
 
 
-def remove_dynamic_points(cloud: PointCloud, dynamic_boxes: Sequence[DetectionBox],
+def remove_dynamic_points(cloud: PointCloud, dynamic_boxes: np.ndarray,
                           margin: float = 0.1) -> Tuple[PointCloud, np.ndarray]:
     """Split a cloud into survivors and the ascending indices of removed points."""
     removed = dynamic_point_mask(cloud.points, dynamic_boxes, margin)

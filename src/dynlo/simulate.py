@@ -138,7 +138,10 @@ def simulate(scene: SimScene, seed: int) -> SimResult:
             body = body + rng.normal(0.0, sensor.noise_sigma, body.shape)
         body_boxes = [transform_box(ego.inverse(), b) for b in mover_boxes]
         scans.append(PointCloud(body, labels=labels))
-        detections.append(DetectionFrame(scan_index=k, boxes=body_boxes))
+        detections.append(DetectionFrame(
+            k, np.array(body_boxes).reshape(-1, 7),
+            np.array([b.cls for b in body_boxes], dtype=object),
+            np.ones(len(body_boxes))))
     return SimResult(scans=scans, gt_poses=list(scene.ego_poses),
                      detections=detections)
 

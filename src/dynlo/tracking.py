@@ -18,7 +18,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .detections import DetectionFrame
-from .geometry import DetectionBox, wrap_angle
+from .geometry import wrap_angle
 
 STATE_DIM = 8
 # observation keeps [x, y, z, yaw, l, w, h] and drops v
@@ -202,7 +202,7 @@ def associate_nn(track_pos: np.ndarray, track_ids: np.ndarray,
 
 @dataclass
 class TrackerStep:
-    dynamic_boxes: List[DetectionBox]
+    dynamic_boxes: np.ndarray  # rows ``cx cy cz yaw l w h`` of dynamic tracks
     matched_ids: List[int]
 
 
@@ -224,7 +224,7 @@ class Tracker:
         self.params = params if params is not None else UkfParams()
         self.kind = kind
         self.next_id = 0
-        for name, rows in zip(_ROW_FIELDS, self._new_rows([])):
+        for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)), [])):
             setattr(self, name, rows)
 
     @property
@@ -236,49 +236,46 @@ class Tracker:
             self.kind, self.means, self.covariances, dt, self.params)
         self.ages += 1
 
-    def update(self, rows, boxes: List[DetectionBox]) -> None:
-        """Correct the tracks in ``rows`` with one detection each."""
-        obs = np.array([[*b.center, b.yaw, *b.dims] for b in boxes])
+    def update(self, rows, boxes: np.ndarray, classes) -> None:
+        """Correct the tracks in ``rows`` with one box row (observation) each."""
         self.means[rows], self.covariances[rows] = _correct(
-            self.kind, self.means[rows], self.covariances[rows],
-            obs.reshape(-1, 7), self.params)
+            self.kind, self.means[rows], self.covariances[rows], boxes,
+            self.params)
         self.ages[rows] = 0
         self.hits[rows] += 1
         self.dynamic[rows] = (np.abs(self.means[rows, 4])
                               > self.params.dynamic_speed_threshold)
-        self.classes[rows] = [b.cls for b in boxes]
+        self.classes[rows] = classes
 
-    def _new_rows(self, boxes: List[DetectionBox]) -> tuple:
-        """The ``_ROW_FIELDS`` arrays of new tracks, one per box."""
+    def _new_rows(self, boxes: np.ndarray, classes) -> tuple:
+        """The ``_ROW_FIELDS`` arrays of new tracks, one per box row."""
         n, p = len(boxes), self.params
         cov = np.zeros((STATE_DIM, STATE_DIM))
         cov[np.ix_(_OBS_IDX, _OBS_IDX)] = p.measurement_noise
         cov[4, 4] = p.initial_velocity_variance
-        means = [[*b.center, b.yaw, 0.0, *b.dims] for b in boxes]
-        return (np.reshape(means, (n, STATE_DIM)), np.tile(cov, (n, 1, 1)),
+        means = np.zeros((n, STATE_DIM))
+        means[:, _OBS_IDX] = boxes
+        return (means, np.tile(cov, (n, 1, 1)),
                 np.arange(self.next_id, self.next_id + n),
                 np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
-                np.zeros(n, dtype=bool),
-                np.array([b.cls for b in boxes], dtype=object))
+                np.zeros(n, dtype=bool), np.array(classes, dtype=object))
 
     def step(self, frame: DetectionFrame, dt: float) -> TrackerStep:
         self.predict(dt)
         matches, _, unmatched_d = associate_nn(
-            self.means[:, :3], self.ids, [b.center for b in frame.boxes],
+            self.means[:, :3], self.ids, frame.boxes[:, :3],
             self.params.gate_distance)
-        rows = np.array([ti for ti, _ in matches], dtype=np.int64)
-        self.update(rows, [frame.boxes[di] for _, di in matches])
+        rows, dets = np.array(matches, dtype=np.int64).reshape(-1, 2).T
+        self.update(rows, frame.boxes[dets], frame.classes[dets])
         matched_ids = sorted(self.ids[rows].tolist())
         # prune stale tracks, then append one per unmatched detection
         keep = self.ages <= self.params.age_max
-        new = self._new_rows([frame.boxes[di] for di in unmatched_d])
+        new = self._new_rows(frame.boxes[unmatched_d], frame.classes[unmatched_d])
         for name, added in zip(_ROW_FIELDS, new):
             setattr(self, name, np.concatenate([getattr(self, name)[keep], added]))
         self.next_id += len(unmatched_d)
-        boxes = [DetectionBox(center=m[:3], yaw=m[3], dims=m[5:8], cls=c)
-                 for m, c in zip(self.means[self.dynamic],
-                                 self.classes[self.dynamic])]
-        return TrackerStep(dynamic_boxes=boxes, matched_ids=matched_ids)
+        return TrackerStep(dynamic_boxes=self.means[self.dynamic][:, _OBS_IDX],
+                           matched_ids=matched_ids)
 
 
 @dataclass(eq=False)

@@ -2,7 +2,9 @@
 
 The tracer wraps functions and methods by name and attributes spans by their
 arguments: the window's box count is ``len()`` of the ground fit's first
-argument, and scan-to-map GICP is the call that passes ``target_tree=``. A
+argument, and scan-to-map GICP is the call that passes ``target_tree=``. Box
+counts are ``len()`` of (n, 7) box-row arrays, so those arrays must hold one
+row per box. A
 pipeline that stopped making one of these calls, or changed its shape, would
 still pass the benchmark's smoke test with silently wrong per-layer metrics.
 Scan-to-scan GICP starts from the constant-velocity prediction, which these
@@ -64,9 +66,11 @@ def test_pipeline_call_shapes(monkeypatch):
     res = simulate(reference_dynamic_scene(n_scans=n_scans, rays_per_scan=1200),
                    0)
     cfg = reference_config()
-    calls = {name: [] for name in ("advance", "fit", "filter", "gicp", "tree",
-                                   "submap", "remove", "mask", "covariance")}
+    calls = {name: [] for name in ("advance", "push", "fit", "filter", "gicp",
+                                   "tree", "submap", "remove", "mask",
+                                   "covariance")}
     _record(monkeypatch, SlidingBoxWindow, "advance", calls["advance"])
+    _record(monkeypatch, SlidingBoxWindow, "push", calls["push"])
     _record(monkeypatch, pipeline, "fit_ground_from_boxes", calls["fit"])
     _record(monkeypatch, pipeline, "filter_detections", calls["filter"])
     _record(monkeypatch, pipeline, "gicp_align", calls["gicp"])
@@ -77,7 +81,7 @@ def test_pipeline_call_shapes(monkeypatch):
     _record(monkeypatch, pipeline, "estimate_point_covariances",
             calls["covariance"])
     # what the tracer reads at each tracker step, taken when the step returns
-    steps = []
+    steps, dynamic_rows = [], []
     original_step = vars(Tracker)["step"]
 
     def step_shim(tracker, *args):
@@ -85,6 +89,10 @@ def test_pipeline_call_shapes(monkeypatch):
         steps.append((len(tracker.tracks), len(list(tracker.tracks)),
                       sum(t.dynamic for t in tracker.tracks),
                       len(result.dynamic_boxes)))
+        # the dynamic tracks' rows cx cy cz yaw l w h, in tracker order
+        dynamic_rows.append(np.array_equal(
+            result.dynamic_boxes,
+            tracker.means[tracker.dynamic][:, [0, 1, 2, 3, 5, 6, 7]]))
         return result
 
     monkeypatch.setattr(Tracker, "step", step_shim)
@@ -96,12 +104,37 @@ def test_pipeline_call_shapes(monkeypatch):
     # the window moves once per scan after the first
     assert len(calls["advance"]) == n_scans - 1
 
+    # the filter keeps one row per box that passes the score and class test
+    for (frame, min_score, classes), _, result in calls["filter"]:
+        keep = [i for i, (cls, score) in enumerate(zip(frame.classes,
+                                                       frame.scores))
+                if score >= min_score and cls in classes]
+        assert len(result.boxes) == len(keep)
+        assert np.array_equal(result.boxes, frame.boxes[keep])
+
     # the ground fit gets the window's boxes: the last window_scans frames
     kept = [len(result.boxes) for _, _, result in calls["filter"]]
     window = cfg.constraint.window_scans
     expected = [sum(kept[max(0, k + 1 - window):k + 1]) for k in range(n_scans)]
     assert [len(args[0]) for args, _, _ in calls["fit"]] == expected
     assert max(expected) > 0
+
+    # ... as the footprints of the kept rows pushed each scan, carried into
+    # the current frame by every later advance
+    pushed = [args[1] for args, _, _ in calls["push"]]
+    assert len(pushed) == n_scans
+    assert all(rows is result.boxes
+               for rows, (_, _, result) in zip(pushed, calls["filter"]))
+    centers = []
+    for k, (args, _, _) in enumerate(calls["fit"]):
+        if k:
+            rel = calls["advance"][k - 1][0][1]
+            centers = [rel.apply(c) for c in centers]
+        centers = (centers + [pushed[k][:, :3]])[-window:]
+        heights = np.concatenate([rows[:, 6] for rows
+                                  in pushed[max(0, k + 1 - window):k + 1]])
+        footprints = np.concatenate(centers) - np.outer(heights / 2.0, [0, 0, 1])
+        np.testing.assert_allclose(args[0], footprints, rtol=0, atol=1e-9)
 
     # scan-to-map GICP targets the selected submap and passes its tree;
     # scan-to-scan never passes target_tree
@@ -146,6 +179,7 @@ def test_pipeline_call_shapes(monkeypatch):
     assert all(live == listed for live, listed, _, _ in steps)
     assert all(dynamic == boxes for _, _, dynamic, boxes in steps)
     assert sum(boxes for _, _, _, boxes in steps) > 0
+    assert all(dynamic_rows)
 
 
 def test_s2s_seed_after_a_fallback(monkeypatch):

@@ -182,13 +182,17 @@ class TestDetectionBoxValidation:
         with pytest.raises(ValueError):
             DetectionBox((0, 0, 0), 0.0, (0.0, 1.0, 1.0))
 
-    def test_rejects_bad_score(self):
-        with pytest.raises(ValueError):
-            DetectionBox((0, 0, 0), 0.0, (1, 1, 1), score=1.5)
-
     def test_yaw_normalized_on_construction(self):
         box = DetectionBox((0, 0, 0), 7.0, (1, 1, 1))
         assert -math.pi < box.yaw <= math.pi
+
+    def test_array_of_boxes_is_their_rows(self):
+        boxes = [DetectionBox((1, 2, 3), 7.0, (4, 5, 6)),
+                 DetectionBox((-1, 0, 0.5), -0.25, (1, 2, 0.5), cls="cyclist")]
+        rows = np.array(boxes)
+        assert rows.shape == (2, 7) and rows.dtype == float
+        for row, box in zip(rows, boxes):
+            assert np.array_equal(row, [*box.center, box.yaw, *box.dims])
 
 
 class _RecordingTree:

@@ -14,7 +14,7 @@ from dynlo.ground import (ConstraintParams, SlidingBoxWindow,
 def footprints(boxes):
     """Footprints of one scan of boxes, as the window forms them."""
     window = SlidingBoxWindow(1)
-    window.push(boxes)
+    window.push(np.array(boxes))
     return window.footprints()
 
 
@@ -135,13 +135,13 @@ class TestSlidingWindow:
         w = SlidingBoxWindow(3)
         box = DetectionBox((0, 0, 0), 0.0, (1, 1, 1))
         for k in range(5):
-            w.push([box] * (k + 1))
+            w.push(np.array([box] * (k + 1)))
         # only the last 3 frames remain: 3 + 4 + 5 boxes
         assert len(w.footprints()) == 12
 
     def test_advance_moves_boxes_into_new_frame(self):
         w = SlidingBoxWindow(4)
-        w.push([DetectionBox((1.0, 0.0, 0.0), 0.2, (1, 1, 1))])
+        w.push(np.array([DetectionBox((1.0, 0.0, 0.0), 0.2, (1, 1, 1))]))
         rel = Pose.from_yaw(math.pi / 2, (0.0, 0.0, 0.0))
         w.advance(rel)
         # the footprint of a unit-height box is its center dropped by 0.5
@@ -166,7 +166,7 @@ class TestSlidingWindow:
             boxes = [DetectionBox(rng.normal(scale=20.0, size=3),
                                   rng.uniform(-3, 3), rng.uniform(0.5, 4.0, 3))
                      for _ in range(int(rng.integers(0, 6)))]  # empty frames too
-            w.push(boxes)
+            w.push(np.array(boxes))
             frames = (frames + [boxes])[-window_scans:]
         expected = [b.center - [0.0, 0.0, b.dims[2] / 2.0]
                     for f in frames for b in f]

@@ -24,7 +24,7 @@ class TestSimulate:
         res = simulate(wall_scene(), seed=0)
         for cloud, frame in zip(res.scans, res.detections):
             assert not cloud.labels.any()
-            assert frame.boxes == []
+            assert frame.boxes.shape == (0, 7)
 
     def test_noiseless_wall_points_on_plane(self):
         res = simulate(wall_scene(n_scans=2), seed=0)
@@ -40,7 +40,7 @@ class TestSimulate:
         centers = []
         for k, frame in enumerate(res.detections):
             assert len(frame.boxes) == 1
-            centers.append(res.gt_poses[k].apply(frame.boxes[0].center))
+            centers.append(res.gt_poses[k].apply(frame.boxes[0, :3]))
         diffs = np.diff(np.array(centers), axis=0)
         assert np.allclose(diffs, v * scene.dt, atol=1e-9)
 
@@ -49,9 +49,10 @@ class TestSimulate:
                       (0.0, 3.0, 0.0))
         res = simulate(wall_scene(n_scans=2, movers=[mover]), seed=2)
         cloud = res.scans[0]
-        frame = res.detections[0]
+        row = res.detections[0].boxes[0]  # cx cy cz yaw l w h
         # noiseless: labels match box membership exactly
-        member = point_in_box(cloud.points, frame.boxes[0], margin=0.0)
+        member = point_in_box(cloud.points, DetectionBox(row[:3], row[3], row[4:]),
+                              margin=0.0)
         assert np.array_equal(cloud.labels, member)
         assert cloud.labels.any()
 
@@ -81,10 +82,10 @@ class TestSimulate:
         scene = SimScene(dt=0.1, ego_poses=ego, sensor=SensorModel(),
                          rects=[], boxes=[], movers=[mover])
         res = simulate(scene, seed=0)
-        box = res.detections[0].boxes[0]
+        box = res.detections[0].boxes[0]  # cx cy cz yaw l w h
         # mover 4 m ahead of the ego along its +y heading appears at body +x
-        assert np.allclose(box.center, [4.0, 0.0, -0.5], atol=1e-9)
-        assert box.yaw == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(box[:3], [4.0, 0.0, -0.5], atol=1e-9)
+        assert box[3] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestReferenceScene:

@@ -44,7 +44,8 @@ def ukf_predict(track, dt, params):
 
 def ukf_update(track, detection, params):
     return filter_one(track, params, "ukf",
-                      lambda t: t.update([0], [detection]))
+                      lambda t: t.update([0], np.array([detection]),
+                                         [detection.cls]))
 
 
 def ekf_predict(track, dt, params):
@@ -53,7 +54,15 @@ def ekf_predict(track, dt, params):
 
 def ekf_update(track, detection, params):
     return filter_one(track, params, "ekf",
-                      lambda t: t.update([0], [detection]))
+                      lambda t: t.update([0], np.array([detection]),
+                                         [detection.cls]))
+
+
+def frame_of(k, boxes):
+    """Scan k's ``DetectionFrame`` of these ``DetectionBox``es, scores 1."""
+    return DetectionFrame(k, np.array(boxes).reshape(-1, 7),
+                          np.array([b.cls for b in boxes], dtype=object),
+                          np.ones(len(boxes)))
 
 
 def nn_inputs(tracks, dets):
@@ -359,14 +368,14 @@ class TestAssociation:
 
 class TestTrackerLifecycle:
     def frame(self, k, centers):
-        return DetectionFrame(k, [DetectionBox(c, 0.0, (4.0, 1.8, 1.5))
-                                  for c in centers])
+        return frame_of(k, [DetectionBox(c, 0.0, (4.0, 1.8, 1.5))
+                            for c in centers])
 
     def test_first_frame_spawns_without_dynamic(self):
         tracker = Tracker()
         step = tracker.step(self.frame(0, [(0, 0, 0), (5, 5, 0)]), 0.1)
         assert len(tracker.tracks) == 2
-        assert step.dynamic_boxes == []
+        assert step.dynamic_boxes.shape == (0, 7)
         assert all(t.state.mean[4] == 0.0 for t in tracker.tracks)
         assert all(np.isclose(t.state.covariance[4, 4],
                               tracker.params.initial_velocity_variance)
@@ -424,7 +433,7 @@ class TestTrackerLifecycle:
             for k in range(20):
                 centers = rng.uniform(-10, 10, size=(3, 3))
                 step = tracker.step(self.frame(k, centers), 0.1)
-                out.append([(b.center.tolist(), b.yaw) for b in step.dynamic_boxes])
+                out.append(step.dynamic_boxes.tolist())
             return out, [(t.id, t.state.mean.tolist()) for t in tracker.tracks]
 
         assert run() == run()
@@ -433,10 +442,10 @@ class TestTrackerLifecycle:
         tracker = Tracker()
         for k in range(4):
             step = tracker.step(self.frame(k, [(2.0 * k, 0, 0)]), 0.1)
-        box = step.dynamic_boxes[0]
+        box = step.dynamic_boxes[0]  # cx cy cz yaw l w h
         t = tracker.tracks[0]
-        assert np.allclose(box.center, t.state.mean[:3])
-        assert np.allclose(box.dims, t.state.mean[5:8])
+        assert np.allclose(box[:3], t.state.mean[:3])
+        assert np.allclose(box[4:], t.state.mean[5:8])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -494,7 +503,7 @@ def ref_predict(kind, mean, cov, dt, params):
     return new, (P + P.T) / 2.0
 
 
-def ref_update(kind, mean, cov, det, params):
+def ref_update(kind, mean, cov, obs, params):
     if kind == "ukf":
         pts, wm, wc = ref_sigma_points(mean, cov, params)
         ys = pts[:, _OBS]
@@ -508,7 +517,7 @@ def ref_update(kind, mean, cov, det, params):
         pyy = H @ cov @ H.T + params.measurement_noise
         pxy = cov @ H.T
         yhat = mean[_OBS]
-    innov = np.array([*det.center, det.yaw, *det.dims]) - yhat
+    innov = obs - yhat
     r = wrap_angle(innov[3])
     if r > math.pi / 2.0:
         r -= math.pi
@@ -533,14 +542,14 @@ class ReferenceTracker:
         self.next_id = 0
 
     def step(self, frame, dt):
-        p, boxes = self.params, frame.boxes
+        p, boxes, classes = self.params, frame.boxes, frame.classes
         self.tracks = [
             t._replace(state=TrackState(*ref_predict(
                 self.kind, t.state.mean, t.state.covariance, dt, p)),
                 age_since_update=t.age_since_update + 1)
             for t in self.tracks]
         pos = np.array([t.state.mean[:3] for t in self.tracks]).reshape(-1, 3)
-        det = np.array([b.center for b in boxes]).reshape(-1, 3)
+        det = boxes[:, :3]
         dists = np.linalg.norm(pos[:, None, :] - det[None, :, :], axis=2)
         pairs = sorted((float(dists[ti, di]), t.id, di, ti)
                        for ti, t in enumerate(self.tracks)
@@ -556,18 +565,18 @@ class ReferenceTracker:
                                    t.state.covariance, b, p)
             self.tracks[ti] = t._replace(
                 state=TrackState(mean, cov), age_since_update=0,
-                hits=t.hits + 1, cls=b.cls,
+                hits=t.hits + 1, cls=classes[di],
                 dynamic=bool(abs(mean[4]) > p.dynamic_speed_threshold))
             matched.append(t.id)
-        for di, b in enumerate(boxes):
+        for di, b in enumerate(boxes):  # rows cx cy cz yaw l w h
             if di in used_d:
                 continue
-            mean = np.array([*b.center, b.yaw, 0.0, *b.dims])
+            mean = np.array([*b[:4], 0.0, *b[4:]])
             cov = np.zeros((8, 8))
             cov[np.ix_(_OBS, _OBS)] = p.measurement_noise
             cov[4, 4] = p.initial_velocity_variance
             self.tracks.append(Track(self.next_id, TrackState(mean, cov),
-                                     cls=b.cls))
+                                     cls=classes[di]))
             self.next_id += 1
         self.tracks = [t for t in self.tracks
                        if t.age_since_update <= p.age_max]
@@ -600,7 +609,7 @@ def lane_frames(rng, n_scans=30, dt=0.1):
         if rng.random() < 0.3:
             boxes.append(DetectionBox(rng.uniform(-40, 40, 3), 0.0,
                                       (1.8, 0.8, 1.7), cls="cyclist"))
-        frames.append(DetectionFrame(k, boxes))
+        frames.append(frame_of(k, boxes))
     return frames
 
 
@@ -627,14 +636,14 @@ class TestStackedTrackerEquivalence:
             dynamic = [t for t in ref.tracks if t.dynamic]
             assert len(step.dynamic_boxes) == len(dynamic)
             for box, t in zip(step.dynamic_boxes, dynamic):
-                assert np.allclose(box.center, t.state.mean[:3], atol=1e-9)
+                assert np.allclose(box[:3], t.state.mean[:3], atol=1e-9)
             flagged += len(dynamic)
         assert flagged > 0
 
     def test_len_of_tracks_builds_no_records(self, monkeypatch):
         tracker = Tracker()
-        tracker.step(DetectionFrame(0, [DetectionBox((0, 0, 0), 0.0, (4, 2, 1.5)),
-                                        DetectionBox((9, 0, 0), 0.0, (4, 2, 1.5))]),
+        tracker.step(frame_of(0, [DetectionBox((0, 0, 0), 0.0, (4, 2, 1.5)),
+                                  DetectionBox((9, 0, 0), 0.0, (4, 2, 1.5))]),
                      0.1)
 
         def no_records(*args, **kwargs):
@@ -674,24 +683,24 @@ class TestBatchedFactorization:
     def ekf_tracker(self, obs_blocks, xs):
         """EKF tracker with noiseless measurements, one track at each x, whose
         innovation covariances are the given 7x7 blocks; and a detection of
-        each track."""
+        each track, as box rows."""
         params = UkfParams(measurement_noise=np.zeros((7, 7)))
         tracker = Tracker(params, "ekf")
-        tracker.step(DetectionFrame(0, [DetectionBox((x, 0, 0), 0.0, (4, 2, 1.5))
-                                        for x in xs]), 0.1)
+        tracker.step(frame_of(0, [DetectionBox((x, 0, 0), 0.0, (4, 2, 1.5))
+                                  for x in xs]), 0.1)
         for i, block in enumerate(obs_blocks):
             tracker.covariances[i][np.ix_(_OBS, _OBS)] = block
-        return tracker, [DetectionBox((x + 0.1, 0.2, 0), 0.05, (4, 2, 1.5))
-                         for x in xs]
+        return tracker, np.array([DetectionBox((x + 0.1, 0.2, 0), 0.05,
+                                               (4, 2, 1.5)) for x in xs])
 
     def test_singular_innovation_row_retried_alone(self, rng):
         blocks = [random_psd(rng, 7), np.zeros((7, 7)), random_psd(rng, 7)]
         xs = [0.0, 5.0, 10.0]
         tracker, dets = self.ekf_tracker(blocks, xs)
-        tracker.update(np.arange(3), dets)
+        tracker.update(np.arange(3), dets, ["car"] * 3)
         for i in range(3):
             alone, det = self.ekf_tracker([blocks[i]], [xs[i]])
-            alone.update([0], det)
+            alone.update([0], det, ["car"])
             assert np.array_equal(tracker.means[i], alone.means[0])
             assert np.array_equal(tracker.covariances[i], alone.covariances[0])
         # the zero block reaches the gain only through the jittered solve
@@ -704,7 +713,7 @@ class TestBatchedFactorization:
         blocks = [random_psd(rng, 7), np.diag([0.0, -1e-9, 1, 1, 1, 1, 1])]
         tracker, dets = self.ekf_tracker(blocks, [0.0, 5.0])
         with pytest.raises(ValueError, match="innovation covariance singular"):
-            tracker.update(np.arange(2), dets)
+            tracker.update(np.arange(2), dets, ["car"] * 2)
 
 
 class TestAssociationTies:
