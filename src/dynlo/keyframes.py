@@ -3,11 +3,14 @@
 Keyframes live in two consistent hash maps: id -> keyframe and voxel cell ->
 id set. Insertion distance adapts to the environment's spaciousness (smoothed
 median point range); the scan-to-map submap unions the K nearest keyframes
-with the L nearest convex-hull and J nearest concave-hull keyframes.
+with the L nearest convex-hull and J nearest concave-hull keyframes. Keyframe
+poses never change (there is no loop closure), so each keyframe's cloud is
+moved into the world frame once, at insert, and a submap is a concatenation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +25,8 @@ from .geometry import PointCloud, Pose, rotation_angle
 class Keyframe:
     id: int
     pose: Pose
-    cloud: PointCloud  # body frame at capture, with covariances
+    cloud: PointCloud  # body frame at capture: points and labels
+    world: PointCloud  # world-frame points and covariances
 
 
 def compute_spaciousness(cloud: PointCloud, prev: float) -> float:
@@ -53,10 +57,11 @@ def _convex_hull_indices(xy: np.ndarray) -> List[int]:
     Returns indices into ``xy`` in counter-clockwise hull order.
     """
     order = np.lexsort((xy[:, 1], xy[:, 0]))
+    pts = xy.tolist()  # float arithmetic, as on numpy scalars, but faster
 
     def cross(o, a, b):
-        return ((xy[a, 0] - xy[o, 0]) * (xy[b, 1] - xy[o, 1])
-                - (xy[a, 1] - xy[o, 1]) * (xy[b, 0] - xy[o, 0]))
+        return ((pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1])
+                - (pts[a][1] - pts[o][1]) * (pts[b][0] - pts[o][0]))
 
     lower: List[int] = []
     for i in order:
@@ -72,7 +77,10 @@ def _convex_hull_indices(xy: np.ndarray) -> List[int]:
 
 
 class KeyframeDB:
-    """Keyframe store over a spatial hash of ``cell_size`` cube cells."""
+    """Keyframe store over a spatial hash of ``cell_size`` cube cells.
+
+    Ids count inserts from 0, so keyframe i's translation is ``positions[i]``.
+    """
 
     def __init__(self, cell_size: float = 5.0):
         if cell_size <= 0.0:
@@ -80,6 +88,7 @@ class KeyframeDB:
         self.cell_size = cell_size
         self.by_id: Dict[int, Keyframe] = {}
         self.spatial_index: Dict[Tuple[int, int, int], Set[int]] = {}
+        self.positions = np.empty((0, 3))
         self.spaciousness = 0.0
         self._next_id = 0
         self._submap_cache: Dict[Tuple[int, ...], PointCloud] = {}
@@ -101,9 +110,13 @@ class KeyframeDB:
             raise ValueError("keyframe cloud must be non-empty")
         kid = self._next_id
         self._next_id += 1
-        # keep points and covariances only, not the caches the scan carried
-        stored = PointCloud(cloud.points, cloud.covariances, cloud.labels)
-        self.by_id[kid] = Keyframe(id=kid, pose=pose, cloud=stored)
+        # keep the scan's points and labels, not its covariances or caches
+        world = cloud.transformed(pose)
+        self.by_id[kid] = Keyframe(
+            id=kid, pose=pose,
+            cloud=PointCloud(cloud.points, labels=cloud.labels),
+            world=PointCloud(world.points, world.covariances))
+        self.positions = np.vstack([self.positions, pose.translation])
         self.spatial_index.setdefault(self._cell(pose.translation), set()).add(kid)
         self._submap_cache.clear()
         self._hull_cache.clear()
@@ -126,8 +139,8 @@ class KeyframeDB:
     def query_nearest(self, position, k: int) -> List[int]:
         """K nearest keyframe ids by translation distance, ties by ascending id.
 
-        Expanding-ring search over the spatial hash: rings widen until k
-        candidates are held and the next ring cannot beat the current worst.
+        Expanding-ring search over the spatial hash: rings widen until all
+        keyframes are held, or k are and the next ring cannot beat the worst.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -135,38 +148,39 @@ class KeyframeDB:
             return []
         position = np.asarray(position, dtype=float)
         center = self._cell(position)
-        cells = np.array(list(self.spatial_index.keys()))
-        ring_cap = int(np.max(np.abs(cells - np.array(center)))) if len(cells) else 0
-        found: List[Tuple[float, int]] = []
-        radius = 0
-        while radius <= ring_cap:
+        found: List[int] = []
+        for radius in itertools.count():
             for cell in self._ring_cells(center, radius):
-                for kid in sorted(self.spatial_index.get(cell, ())):
-                    d = float(np.linalg.norm(
-                        self.by_id[kid].pose.translation - position))
-                    found.append((d, kid))
-            if len(found) >= k:
-                worst = sorted(found)[k - 1][0]
-                # points in ring r+1 are at least r*cell_size away
-                if radius * self.cell_size > worst:
-                    break
-            radius += 1
-        return [kid for _, kid in sorted(found)[:k]]
+                found.extend(self.spatial_index.get(cell, ()))
+            nearest, dist = self._nearest(found, position, k)
+            # points in ring r+1 are at least r*cell_size away
+            if len(found) == len(self) or (
+                    len(nearest) == k and radius * self.cell_size > dist[-1]):
+                return nearest.tolist()
 
     @staticmethod
     def _ring_cells(center: Tuple[int, int, int], radius: int):
+        """Cells at Chebyshev distance ``radius`` from ``center``."""
         cx, cy, cz = center
         if radius == 0:
             yield center
             return
-        for dx in range(-radius, radius + 1):
-            for dy in range(-radius, radius + 1):
-                for dz in range(-radius, radius + 1):
-                    if max(abs(dx), abs(dy), abs(dz)) == radius:
-                        yield (cx + dx, cy + dy, cz + dz)
+        span = range(-radius, radius + 1)
+        for dx in span:
+            for dy in span:
+                # inside the shell's x-y square only its top and bottom cells
+                edge = max(abs(dx), abs(dy)) == radius
+                for dz in span if edge else (-radius, radius):
+                    yield (cx + dx, cy + dy, cz + dz)
 
-    def _positions(self, ids: Sequence[int]) -> np.ndarray:
-        return np.stack([self.by_id[i].pose.translation for i in ids])
+    def _nearest(self, ids: Sequence[int], position: np.ndarray, count: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``count`` of ``ids`` nearest ``position`` (ties by ascending id)
+        and their distances."""
+        ids = np.asarray(ids, dtype=np.int64)
+        dist = np.linalg.norm(self.positions[ids] - position, axis=1)
+        order = np.lexsort((ids, dist))[:count]
+        return ids[order], dist[order]
 
     def convex_hull_ids(self) -> List[int]:
         """Ids whose (x, y) translations are convex hull vertices; all ids if < 3."""
@@ -175,12 +189,9 @@ class KeyframeDB:
         return list(self._hull_cache["convex"])
 
     def _convex_hull_ids(self) -> List[int]:
-        ids = self.ids()
-        if len(ids) < 3:
-            return ids
-        xy = self._positions(ids)[:, :2]
-        hull = _convex_hull_indices(xy)
-        return sorted(ids[i] for i in hull)
+        if len(self) < 3:
+            return self.ids()
+        return sorted(_convex_hull_indices(self.positions[:, :2]))
 
     def concave_hull_ids(self, alpha: float) -> List[int]:
         """Concave boundary ids: convex hull edges longer than alpha are split
@@ -190,40 +201,29 @@ class KeyframeDB:
         return list(self._hull_cache[alpha])
 
     def _concave_hull_ids(self, alpha: float) -> List[int]:
-        ids = self.ids()
-        if len(ids) < 3:
-            return ids
-        xy_all = self._positions(ids)[:, :2]
-        hull_idx = _convex_hull_indices(xy_all)
-        polygon = list(hull_idx)  # indices into ids, CCW order
-        guard = 0
-        changed = True
-        while changed and guard < 8 * len(ids):
-            changed = False
-            guard += 1
-            boundary = set(polygon)
-            interior = [i for i in range(len(ids)) if i not in boundary]
-            if not interior:
-                break
-            for e in range(len(polygon)):
-                a = polygon[e]
-                b = polygon[(e + 1) % len(polygon)]
-                edge_len = float(np.linalg.norm(xy_all[a] - xy_all[b]))
-                if edge_len <= alpha:
+        if len(self) < 3:
+            return self.ids()
+        xy = self.positions[:, :2]
+        polygon = _convex_hull_indices(xy)  # ids, CCW order
+        interior = np.ones(len(xy), dtype=bool)
+        interior[polygon] = False
+        # an edge that cannot be split now never can (splits only shrink the
+        # interior), so one pass splits each edge for as long as it can be
+        e = 0
+        while e < len(polygon):
+            a, b = polygon[e], polygon[(e + 1) % len(polygon)]
+            edge_len = float(np.linalg.norm(xy[a] - xy[b]))
+            inner = np.flatnonzero(interior)
+            if edge_len > alpha and inner.size:
+                longer = np.maximum(np.linalg.norm(xy[a] - xy[inner], axis=1),
+                                    np.linalg.norm(xy[inner] - xy[b], axis=1))
+                j = int(np.argmin(longer))  # ties: the lowest id
+                if longer[j] < edge_len:
+                    polygon.insert(e + 1, int(inner[j]))
+                    interior[inner[j]] = False
                     continue
-                best = None
-                for i in interior:
-                    longer = max(float(np.linalg.norm(xy_all[a] - xy_all[i])),
-                                 float(np.linalg.norm(xy_all[i] - xy_all[b])))
-                    key = (longer, ids[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
-                if best is None or best[0][0] >= edge_len:
-                    continue
-                polygon.insert(e + 1, best[1])
-                changed = True
-                break
-        return sorted(ids[i] for i in polygon)
+            e += 1
+        return sorted(polygon)
 
     def select_submap(self, pose: Pose, k_nearest: int, l_hull: int,
                       j_concave: int, concave_alpha: float = float("inf")
@@ -237,29 +237,23 @@ class KeyframeDB:
         selected: Set[int] = set(self.query_nearest(position, k_nearest))
         for pool, count in ((self.convex_hull_ids(), l_hull),
                             (self.concave_hull_ids(concave_alpha), j_concave)):
-            ranked = sorted(
-                (float(np.linalg.norm(self.by_id[i].pose.translation - position)), i)
-                for i in pool)
-            selected.update(i for _, i in ranked[:count])
+            selected.update(self._nearest(pool, position, count)[0].tolist())
         ids = sorted(selected)
         key = tuple(ids)
         if key not in self._submap_cache:
-            clouds = [self.by_id[i].cloud.transformed(self.by_id[i].pose)
-                      for i in ids]
-            points = np.concatenate([c.points for c in clouds])
-            covs = np.concatenate([c.covariances for c in clouds]) \
-                if all(c.covariances is not None for c in clouds) else None
-            self._submap_cache[key] = PointCloud(points, covs)
+            world = [self.by_id[i].world for i in ids]
+            covs = (np.concatenate([w.covariances for w in world])
+                    if all(w.covariances is not None for w in world) else None)
+            self._submap_cache[key] = PointCloud(
+                np.concatenate([w.points for w in world]), covs)
         return ids, self._submap_cache[key]
 
     def world_map(self) -> PointCloud:
         """Union of all keyframe clouds in the world frame (covariances dropped)."""
         if not self.by_id:
             return PointCloud(np.empty((0, 3)))
-        points = np.concatenate([
-            self.by_id[i].pose.apply(self.by_id[i].cloud.points)
-            for i in self.ids()])
-        return PointCloud(points)
+        return PointCloud(np.concatenate(
+            [self.by_id[i].world.points for i in self.ids()]))
 
 
 def dump_keyframes(db: KeyframeDB, directory: str) -> None:

@@ -157,7 +157,8 @@ def run_pipeline(scans: Iterable[PointCloud],
                                                cfg.keyframe_concave_alpha)
                 # the same ids give the same cloud until the next insert
                 if submap.tree is None:
-                    submap.tree = cKDTree(submap.points)
+                    submap.tree = cKDTree(submap.points, balanced_tree=False,
+                                          compact_nodes=False)
                 try:
                     res = gicp_align(cov_cloud, submap, world_init, cfg.gicp,
                                      target_tree=submap.tree)

@@ -49,8 +49,8 @@ class UkfParams:
 
 # one row of a Tracker, as ``Tracker.tracks`` hands it out
 TrackState = namedtuple("TrackState", "mean covariance")
-Track = namedtuple("Track", "id state age_since_update hits dynamic cls",
-                   defaults=(0, 1, False, "car"))
+Track = namedtuple("Track", "id state age_since_update hits dynamic",
+                   defaults=(0, 1, False))
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -206,8 +206,7 @@ class TrackerStep:
     matched_ids: List[int]
 
 
-_ROW_FIELDS = ("means", "covariances", "ids", "ages", "hits", "dynamic",
-               "classes")
+_ROW_FIELDS = ("means", "covariances", "ids", "ages", "hits", "dynamic")
 
 
 class Tracker:
@@ -224,7 +223,7 @@ class Tracker:
         self.params = params if params is not None else UkfParams()
         self.kind = kind
         self.next_id = 0
-        for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)), [])):
+        for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)))):
             setattr(self, name, rows)
 
     @property
@@ -236,7 +235,7 @@ class Tracker:
             self.kind, self.means, self.covariances, dt, self.params)
         self.ages += 1
 
-    def update(self, rows, boxes: np.ndarray, classes) -> None:
+    def update(self, rows, boxes: np.ndarray) -> None:
         """Correct the tracks in ``rows`` with one box row (observation) each."""
         self.means[rows], self.covariances[rows] = _correct(
             self.kind, self.means[rows], self.covariances[rows], boxes,
@@ -245,9 +244,8 @@ class Tracker:
         self.hits[rows] += 1
         self.dynamic[rows] = (np.abs(self.means[rows, 4])
                               > self.params.dynamic_speed_threshold)
-        self.classes[rows] = classes
 
-    def _new_rows(self, boxes: np.ndarray, classes) -> tuple:
+    def _new_rows(self, boxes: np.ndarray) -> tuple:
         """The ``_ROW_FIELDS`` arrays of new tracks, one per box row."""
         n, p = len(boxes), self.params
         cov = np.zeros((STATE_DIM, STATE_DIM))
@@ -258,7 +256,7 @@ class Tracker:
         return (means, np.tile(cov, (n, 1, 1)),
                 np.arange(self.next_id, self.next_id + n),
                 np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
-                np.zeros(n, dtype=bool), np.array(classes, dtype=object))
+                np.zeros(n, dtype=bool))
 
     def step(self, frame: DetectionFrame, dt: float) -> TrackerStep:
         self.predict(dt)
@@ -266,11 +264,11 @@ class Tracker:
             self.means[:, :3], self.ids, frame.boxes[:, :3],
             self.params.gate_distance)
         rows, dets = np.array(matches, dtype=np.int64).reshape(-1, 2).T
-        self.update(rows, frame.boxes[dets], frame.classes[dets])
+        self.update(rows, frame.boxes[dets])
         matched_ids = sorted(self.ids[rows].tolist())
         # prune stale tracks, then append one per unmatched detection
         keep = self.ages <= self.params.age_max
-        new = self._new_rows(frame.boxes[unmatched_d], frame.classes[unmatched_d])
+        new = self._new_rows(frame.boxes[unmatched_d])
         for name, added in zip(_ROW_FIELDS, new):
             setattr(self, name, np.concatenate([getattr(self, name)[keep], added]))
         self.next_id += len(unmatched_d)
@@ -291,7 +289,7 @@ class TrackList(SequenceABC):
         t, i = self.tracker, range(len(self))[i]
         state = TrackState(t.means[i].copy(), t.covariances[i].copy())
         return Track(int(t.ids[i]), state, int(t.ages[i]), int(t.hits[i]),
-                     bool(t.dynamic[i]), t.classes[i])
+                     bool(t.dynamic[i]))
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other)

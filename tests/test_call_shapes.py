@@ -8,7 +8,8 @@ row per box. A
 pipeline that stopped making one of these calls, or changed its shape, would
 still pass the benchmark's smoke test with silently wrong per-layer metrics.
 Scan-to-scan GICP starts from the constant-velocity prediction, which these
-tests also pin, fallbacks included.
+tests also pin, fallbacks included. Keyframes are moved into the world frame
+once, at insert, so a submap is a concatenation of stored arrays.
 """
 
 import numpy as np
@@ -153,13 +154,15 @@ def test_pipeline_call_shapes(monkeypatch):
                      [call for call in calls["gicp"]
                       if not any(call[0][1] is sub for sub in submaps)])
 
-    # the submap tree is built at most once per distinct submap, on its points
+    # the submap tree is built once per distinct submap, on its points,
+    # unbalanced
     distinct = {id(sub): sub for sub in submaps}
     built_on = [args[0] for args, _, _ in calls["tree"]]
-    assert 1 <= len(built_on) <= len(distinct)
-    assert len({id(points) for points in built_on}) == len(built_on)
-    assert all(any(points is sub.points for sub in distinct.values())
-               for points in built_on)
+    assert len(built_on) == len(distinct)
+    assert {id(points) for points in built_on} == {
+        id(sub.points) for sub in distinct.values()}
+    assert all(kwargs == {"balanced_tree": False, "compact_nodes": False}
+               for _, kwargs, _ in calls["tree"])
 
     # removal returns (cloud, removed indices); the label mask runs per
     # labelled scan
@@ -200,3 +203,36 @@ def test_s2s_seed_after_a_fallback(monkeypatch):
     s2s = [call for call in gicp if "target_tree" not in call[1]]
     assert len(s2s) == n_scans - 2
     _check_s2s_seeds(out, covariance, s2s)
+
+
+def test_keyframes_transformed_once_at_insert(monkeypatch):
+    """Each insert moves only its own cloud into the world frame, and a
+    submap selection transforms nothing. The ego drives at 2 m/s so that the
+    run inserts several keyframes and selects submaps after each."""
+    n_scans = 12
+    res = simulate(reference_dynamic_scene(n_scans=n_scans, rays_per_scan=1200,
+                                           ego_speed=2.0), 0)
+    # PointCloud.transformed calls, and how many had been made when each
+    # insert and submap selection began and ended
+    transformed, inserts, selections = [], [], []
+    _record(monkeypatch, PointCloud, "transformed", transformed)
+    for name, spans in (("insert", inserts), ("select_submap", selections)):
+        def counted(*args, _inner=vars(KeyframeDB)[name], _spans=spans,
+                    **kwargs):
+            before = len(transformed)
+            result = _inner(*args, **kwargs)
+            _spans.append((args, before, len(transformed)))
+            return result
+
+        monkeypatch.setattr(KeyframeDB, name, counted)
+    out = pipeline.run_pipeline(res.scans, res.detections, reference_config())
+    assert not any(s.fallback for s in out.stats)
+    assert len(inserts) == len(out.db) >= 3
+    assert [after - before for _, before, after in inserts] == [1] * len(inserts)
+    assert len(transformed) == len(inserts)
+    for (args, before, _), i in zip(inserts, out.db.ids()):
+        (cloud, pose), _, world = transformed[before]
+        assert cloud is args[2] and pose is args[1] is out.db.by_id[i].pose
+        assert np.shares_memory(world.points, out.db.by_id[i].world.points)
+    assert len(selections) == n_scans - 1
+    assert all(before == after for _, before, after in selections)

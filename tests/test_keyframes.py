@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -298,4 +299,182 @@ class TestSubmap:
         stored = db.by_id[0].cloud
         assert stored.tree is None
         assert np.shares_memory(stored.points, cloud.points)
-        assert np.shares_memory(stored.covariances, cloud.covariances)
+        # the world-frame copy holds the covariances, rotated at insert
+        assert stored.covariances is None
+        assert db.by_id[0].world.tree is None
+
+
+# --- oracle: the keyframe database before world-frame storage ----------------
+# Inline copies of the former implementation: an expanding-ring walk over a
+# spatial hash, the hulls split edge by edge in Python, and a submap restitched
+# from the body-frame clouds with ``PointCloud.transformed``.
+
+def ref_cell(position, cell_size):
+    c = np.floor(np.asarray(position, dtype=float) / cell_size).astype(int)
+    return (int(c[0]), int(c[1]), int(c[2]))
+
+
+def ref_query_nearest(positions, cell_size, position, k):
+    index = {}
+    for kid, p in enumerate(positions):
+        index.setdefault(ref_cell(p, cell_size), set()).add(kid)
+    position = np.asarray(position, dtype=float)
+    center = ref_cell(position, cell_size)
+    ring_cap = int(np.max(np.abs(np.array(list(index)) - np.array(center))))
+    found = []
+    radius = 0
+    while radius <= ring_cap:
+        # the occupied cells of ring ``radius``, not every cell of it
+        ring = [ids for cell, ids in index.items()
+                if max(abs(c - o) for c, o in zip(cell, center)) == radius]
+        for ids in ring:
+            for kid in sorted(ids):
+                found.append((float(np.linalg.norm(positions[kid] - position)),
+                              kid))
+        if len(found) >= k:
+            worst = sorted(found)[k - 1][0]
+            if radius * cell_size > worst:
+                break
+        radius += 1
+    return [kid for _, kid in sorted(found)[:k]]
+
+
+def ref_convex_hull(xy):
+    """Andrew monotone chain, collinear points excluded: indices, CCW."""
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+
+    def cross(o, a, b):
+        return ((xy[a, 0] - xy[o, 0]) * (xy[b, 1] - xy[o, 1])
+                - (xy[a, 1] - xy[o, 1]) * (xy[b, 0] - xy[o, 0]))
+
+    lower, upper = [], []
+    for i in order:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0.0:
+            lower.pop()
+        lower.append(int(i))
+    for i in order[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0.0:
+            upper.pop()
+        upper.append(int(i))
+    return lower[:-1] + upper[:-1]
+
+
+def ref_convex_hull_ids(xy):
+    return list(range(len(xy))) if len(xy) < 3 else sorted(ref_convex_hull(xy))
+
+
+def ref_concave_hull_ids(xy, alpha):
+    n = len(xy)
+    if n < 3:
+        return list(range(n))
+    polygon = ref_convex_hull(xy)
+
+    @functools.lru_cache(maxsize=None)
+    def dist(a, b):  # the former scalar norm, computed once per pair
+        return float(np.linalg.norm(xy[a] - xy[b]))
+
+    guard = 0
+    changed = True
+    while changed and guard < 8 * n:
+        changed = False
+        guard += 1
+        boundary = set(polygon)
+        interior = [i for i in range(n) if i not in boundary]
+        if not interior:
+            break
+        for e in range(len(polygon)):
+            a = polygon[e]
+            b = polygon[(e + 1) % len(polygon)]
+            edge_len = dist(a, b)
+            if edge_len <= alpha:
+                continue
+            best = None
+            for i in interior:
+                longer = max(dist(a, i), dist(i, b))
+                if best is None or (longer, i) < best[0]:
+                    best = ((longer, i), i)
+            if best is None or best[0][0] >= edge_len:
+                continue
+            polygon.insert(e + 1, best[1])
+            changed = True
+            break
+    return sorted(polygon)
+
+
+def ref_select_submap(poses, clouds, cell_size, pose, K, L, J, convex,
+                      concave):
+    """(ids, points, covariances) of the former ``select_submap``, given the
+    convex and concave hull ids."""
+    positions = np.array([p.translation for p in poses])
+    q = pose.translation
+    selected = set(ref_query_nearest(positions, cell_size, q, K))
+    for pool, count in ((convex, L), (concave, J)):
+        ranked = sorted((float(np.linalg.norm(positions[i] - q)), i)
+                        for i in pool)
+        selected.update(i for _, i in ranked[:count])
+    ids = sorted(selected)
+    world = [clouds[i].transformed(poses[i]) for i in ids]
+    covs = (np.concatenate([c.covariances for c in world])
+            if all(c.covariances is not None for c in world) else None)
+    return ids, np.concatenate([c.points for c in world]), covs
+
+
+class TestMatchesFormerImplementation:
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from(["all", "none", "mixed"]))
+    @settings(max_examples=30)
+    def test_one_insert_at_a_time(self, seed, grid, covariances):
+        """Ids, submap points and covariances equal the former code's after
+        every insert. Integer-grid layouts and half-integer queries make exact
+        distance and edge-length ties."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 61))
+        if grid:
+            positions = rng.integers(-6, 7, size=(n, 3)).astype(float)
+            positions[:, 2] = rng.integers(0, 2, size=n)
+            alpha = float(rng.integers(1, 8))
+            cell_size = float(rng.choice([1.0, 2.0, 5.0]))
+        else:
+            positions = rng.uniform(-30, 30, size=(n, 3))
+            alpha = float(rng.uniform(2.0, 25.0))
+            cell_size = float(rng.choice([4.0, 8.0]))
+        K, L, J = (int(rng.integers(1, 12)) for _ in range(3))
+        db = KeyframeDB(cell_size=cell_size)
+        poses, clouds = [], []
+        for i, p in enumerate(positions):
+            pose = Pose.from_euler(*rng.uniform(-math.pi, math.pi, size=3),
+                                   translation=p)
+            m = int(rng.integers(1, 20))
+            covs = None
+            if covariances == "all" or (covariances == "mixed"
+                                        and rng.random() < 0.7):
+                A = rng.normal(size=(m, 3, 3))
+                covs = A @ np.swapaxes(A, 1, 2) + 1e-3 * np.eye(3)
+            cloud = PointCloud(rng.normal(scale=5.0, size=(m, 3)), covs)
+            db.insert(pose, cloud)
+            poses.append(pose)
+            clouds.append(cloud)
+            if grid:
+                q = rng.integers(-7, 8, size=3) + rng.choice([0.0, 0.5], size=3)
+            else:
+                q = rng.uniform(-35, 35, size=3)
+            k = int(rng.integers(1, i + 3))
+            assert db.query_nearest(q, k) == ref_query_nearest(
+                positions[:i + 1], cell_size, q, k)
+            xy = positions[:i + 1, :2]
+            convex = ref_convex_hull_ids(xy)
+            concave = ref_concave_hull_ids(xy, alpha)
+            assert db.convex_hull_ids() == convex
+            assert db.concave_hull_ids(alpha) == concave
+            query = Pose.from_yaw(0.0, q)
+            ids, submap = db.select_submap(query, K, L, J, alpha)
+            want_ids, points, covs = ref_select_submap(
+                poses, clouds, cell_size, query, K, L, J, convex, concave)
+            assert ids == want_ids
+            assert np.array_equal(submap.points, points)
+            if covs is None:
+                assert submap.covariances is None
+            else:
+                assert np.array_equal(submap.covariances, covs)
+            assert np.array_equal(db.world_map().points, np.concatenate(
+                [pose.apply(c.points) for pose, c in zip(poses, clouds)]))

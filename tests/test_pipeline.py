@@ -6,7 +6,9 @@ import pytest
 from dynlo.cli import main as cli_main
 from dynlo import geometry, pipeline
 from dynlo.config import dump_config
+from dynlo.fileio import write_trajectory
 from dynlo.geometry import PointCloud, Pose
+from dynlo.keyframes import KeyframeDB
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
 from dynlo.pipeline import run_pipeline, stats_summary, write_stats_file
 from dynlo.simulate import (SimScene, reference_config,
@@ -109,6 +111,10 @@ class TestRunPipeline:
         inserted = [s.keyframe_inserted for s in out.stats]
         assert inserted[0]
         assert sum(inserted) == len(out.db)
+        # the map is every keyframe's body-frame cloud moved into the world
+        assert np.array_equal(out.map_cloud.points, np.concatenate(
+            [out.db.by_id[i].pose.apply(out.db.by_id[i].cloud.points)
+             for i in out.db.ids()]))
 
     def test_stats_track_counts(self):
         res = simulate(small_scene(10), 0)
@@ -289,6 +295,42 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PR [%]" in out and "RR [%]" in out and "F1-Score" in out
+
+    def test_out_keyframes_writes_body_frame_clouds(self, tmp_path, dataset,
+                                                    monkeypatch):
+        """Each keyframe file holds the cloud as inserted, in the body frame,
+        as (x, y, z, 0) float32 records; the manifest lists the insert poses."""
+        out_dir, _ = dataset
+        inserted = []
+        original = vars(KeyframeDB)["insert"]
+
+        def insert(db, pose, cloud):
+            inserted.append((pose, cloud))
+            return original(db, pose, cloud)
+
+        monkeypatch.setattr(KeyframeDB, "insert", insert)
+        kf_dir = str(tmp_path / "keyframes")
+        rc = cli_main(["run", "--scans", os.path.join(out_dir, "scans"),
+                       "--detections", os.path.join(out_dir, "detections"),
+                       "--out-traj", str(tmp_path / "traj.txt"),
+                       "--out-map", str(tmp_path / "map.txt"),
+                       "--out-keyframes", kf_dir])
+        assert rc == 0
+        assert len(inserted) >= 2
+        names = ["%06d.bin" % i for i in range(len(inserted))]
+        assert sorted(os.listdir(kf_dir)) == names + ["keyframe_poses.txt"]
+        for name, (_, cloud) in zip(names, inserted):
+            records = np.zeros((len(cloud), 4), dtype="<f4")
+            records[:, :3] = cloud.points
+            with open(os.path.join(kf_dir, name), "rb") as fh:
+                assert fh.read() == records.tobytes()
+        ids = np.arange(len(inserted))
+        manifest = str(tmp_path / "keyframe_poses.txt")
+        write_trajectory(manifest, Trajectory(
+            ids, ids.astype(float), [pose for pose, _ in inserted]))
+        with open(manifest, "rb") as want, \
+                open(os.path.join(kf_dir, "keyframe_poses.txt"), "rb") as got:
+            assert got.read() == want.read()
 
     def test_simulate_command(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

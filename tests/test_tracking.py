@@ -33,7 +33,6 @@ def filter_one(track, params, kind, operate):
     tracker.ages = np.array([track.age_since_update])
     tracker.hits = np.array([track.hits])
     tracker.dynamic = np.array([track.dynamic])
-    tracker.classes = np.array([track.cls], dtype=object)
     operate(tracker)
     return tracker.tracks[0]
 
@@ -44,8 +43,7 @@ def ukf_predict(track, dt, params):
 
 def ukf_update(track, detection, params):
     return filter_one(track, params, "ukf",
-                      lambda t: t.update([0], np.array([detection]),
-                                         [detection.cls]))
+                      lambda t: t.update([0], np.array([detection])))
 
 
 def ekf_predict(track, dt, params):
@@ -54,8 +52,7 @@ def ekf_predict(track, dt, params):
 
 def ekf_update(track, detection, params):
     return filter_one(track, params, "ekf",
-                      lambda t: t.update([0], np.array([detection]),
-                                         [detection.cls]))
+                      lambda t: t.update([0], np.array([detection])))
 
 
 def frame_of(k, boxes):
@@ -542,7 +539,7 @@ class ReferenceTracker:
         self.next_id = 0
 
     def step(self, frame, dt):
-        p, boxes, classes = self.params, frame.boxes, frame.classes
+        p, boxes = self.params, frame.boxes
         self.tracks = [
             t._replace(state=TrackState(*ref_predict(
                 self.kind, t.state.mean, t.state.covariance, dt, p)),
@@ -565,7 +562,7 @@ class ReferenceTracker:
                                    t.state.covariance, b, p)
             self.tracks[ti] = t._replace(
                 state=TrackState(mean, cov), age_since_update=0,
-                hits=t.hits + 1, cls=classes[di],
+                hits=t.hits + 1,
                 dynamic=bool(abs(mean[4]) > p.dynamic_speed_threshold))
             matched.append(t.id)
         for di, b in enumerate(boxes):  # rows cx cy cz yaw l w h
@@ -575,8 +572,7 @@ class ReferenceTracker:
             cov = np.zeros((8, 8))
             cov[np.ix_(_OBS, _OBS)] = p.measurement_noise
             cov[4, 4] = p.initial_velocity_variance
-            self.tracks.append(Track(self.next_id, TrackState(mean, cov),
-                                     cls=classes[di]))
+            self.tracks.append(Track(self.next_id, TrackState(mean, cov)))
             self.next_id += 1
         self.tracks = [t for t in self.tracks
                        if t.age_since_update <= p.age_max]
@@ -697,10 +693,10 @@ class TestBatchedFactorization:
         blocks = [random_psd(rng, 7), np.zeros((7, 7)), random_psd(rng, 7)]
         xs = [0.0, 5.0, 10.0]
         tracker, dets = self.ekf_tracker(blocks, xs)
-        tracker.update(np.arange(3), dets, ["car"] * 3)
+        tracker.update(np.arange(3), dets)
         for i in range(3):
             alone, det = self.ekf_tracker([blocks[i]], [xs[i]])
-            alone.update([0], det, ["car"])
+            alone.update([0], det)
             assert np.array_equal(tracker.means[i], alone.means[0])
             assert np.array_equal(tracker.covariances[i], alone.covariances[0])
         # the zero block reaches the gain only through the jittered solve
@@ -713,7 +709,7 @@ class TestBatchedFactorization:
         blocks = [random_psd(rng, 7), np.diag([0.0, -1e-9, 1, 1, 1, 1, 1])]
         tracker, dets = self.ekf_tracker(blocks, [0.0, 5.0])
         with pytest.raises(ValueError, match="innovation covariance singular"):
-            tracker.update(np.arange(2), dets, ["car"] * 2)
+            tracker.update(np.arange(2), dets)
 
 
 class TestAssociationTies:
