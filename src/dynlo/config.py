@@ -55,8 +55,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got '{raw}'")
 
 
+def _float(raw: str, positive: bool = False) -> float:
+    value = float(raw)  # inf is a value: concave_alpha = inf means no splits
+    if np.isnan(value) or (positive and value <= 0.0):
+        raise ValueError(f"expected a number{' > 0' * positive}, got '{raw}'")
+    return value
+
+
 def _parse_floats(raw: str, n: int) -> np.ndarray:
-    vals = np.array([float(v) for v in raw.split()])
+    vals = np.array([_float(v) for v in raw.split()])
     if vals.shape[0] != n:
         raise ValueError(f"expected {n} values, got {vals.shape[0]}")
     return vals
@@ -71,20 +78,20 @@ def _entries(cfg: PipelineConfig):
 
     pre, trk, reg, con = cfg.preprocess, cfg.tracker, cfg.gicp, cfg.constraint
     items = [
-        ("dt", *attr(cfg, "dt", float)),
+        ("dt", *attr(cfg, "dt", _float)),
         ("preprocess.self_crop_half_extent",
-         *attr(pre, "self_crop_half_extent", float)),
-        ("preprocess.voxel_leaf", *attr(pre, "voxel_leaf", float)),
+         *attr(pre, "self_crop_half_extent", _float)),
+        ("preprocess.voxel_leaf", *attr(pre, "voxel_leaf", _float)),
         ("preprocess.covariance_knn", *attr(pre, "covariance_knn", int)),
-        ("preprocess.plane_epsilon", *attr(pre, "plane_epsilon", float)),
-        ("detections.min_score", *attr(cfg, "detection_min_score", float)),
+        ("preprocess.plane_epsilon", *attr(pre, "plane_epsilon", _float)),
+        ("detections.min_score", *attr(cfg, "detection_min_score", _float)),
         ("detections.classes",
          lambda: " ".join(cfg.detection_classes),
          lambda raw: setattr(cfg, "detection_classes", tuple(raw.split()))),
         ("tracker.kind", *attr(cfg, "tracker_kind", str)),
-        ("tracker.alpha", *attr(trk, "alpha", float)),
-        ("tracker.beta", *attr(trk, "beta", float)),
-        ("tracker.kappa", *attr(trk, "kappa", float)),
+        ("tracker.alpha", *attr(trk, "alpha", lambda raw: _float(raw, True))),
+        ("tracker.beta", *attr(trk, "beta", _float)),
+        ("tracker.kappa", *attr(trk, "kappa", _float)),
         ("tracker.process_noise_diag",
          lambda: " ".join(_fmt(v) for v in np.diag(trk.process_noise)),
          lambda raw: setattr(trk, "process_noise", np.diag(_parse_floats(raw, 8)))),
@@ -93,31 +100,31 @@ def _entries(cfg: PipelineConfig):
          lambda raw: setattr(trk, "measurement_noise",
                              np.diag(_parse_floats(raw, 7)))),
         ("tracker.initial_velocity_variance",
-         *attr(trk, "initial_velocity_variance", float)),
+         *attr(trk, "initial_velocity_variance", _float)),
         ("tracker.dynamic_speed_threshold",
-         *attr(trk, "dynamic_speed_threshold", float)),
-        ("tracker.gate_distance", *attr(trk, "gate_distance", float)),
+         *attr(trk, "dynamic_speed_threshold", _float)),
+        ("tracker.gate_distance", *attr(trk, "gate_distance", _float)),
         ("tracker.age_max", *attr(trk, "age_max", int)),
         ("removal.enabled", *attr(cfg, "enable_removal", _parse_bool)),
-        ("removal.margin", *attr(cfg, "removal_margin", float)),
+        ("removal.margin", *attr(cfg, "removal_margin", _float)),
         ("gicp.max_correspondence_distance",
-         *attr(reg, "max_correspondence_distance", float)),
+         *attr(reg, "max_correspondence_distance", _float)),
         ("gicp.max_iterations", *attr(reg, "max_iterations", int)),
-        ("gicp.translation_epsilon", *attr(reg, "translation_epsilon", float)),
-        ("gicp.rotation_epsilon", *attr(reg, "rotation_epsilon", float)),
+        ("gicp.translation_epsilon", *attr(reg, "translation_epsilon", _float)),
+        ("gicp.rotation_epsilon", *attr(reg, "rotation_epsilon", _float)),
         ("constraint.enabled", *attr(cfg, "enable_constraint", _parse_bool)),
         ("constraint.window_scans", *attr(con, "window_scans", int)),
         ("constraint.min_inliers", *attr(con, "min_inliers", int)),
         ("constraint.plane_inlier_distance",
-         *attr(con, "plane_inlier_distance", float)),
+         *attr(con, "plane_inlier_distance", _float)),
         ("constraint.z_change_threshold",
-         *attr(con, "z_change_threshold", float)),
-        ("constraint.blend_weight", *attr(con, "blend_weight", float)),
+         *attr(con, "z_change_threshold", _float)),
+        ("constraint.blend_weight", *attr(con, "blend_weight", _float)),
         ("keyframes.k_nearest", *attr(cfg, "keyframe_k_nearest", int)),
         ("keyframes.l_hull", *attr(cfg, "keyframe_l_hull", int)),
         ("keyframes.j_concave", *attr(cfg, "keyframe_j_concave", int)),
-        ("keyframes.concave_alpha", *attr(cfg, "keyframe_concave_alpha", float)),
-        ("keyframes.cell_size", *attr(cfg, "keyframe_cell_size", float)),
+        ("keyframes.concave_alpha", *attr(cfg, "keyframe_concave_alpha", _float)),
+        ("keyframes.cell_size", *attr(cfg, "keyframe_cell_size", _float)),
     ]
     return items
 

@@ -228,7 +228,7 @@ class PointCloud:
         covs = None
         if self.covariances is not None:
             R = pose.rotation
-            covs = np.einsum("ij,njk,lk->nil", R, self.covariances, R)
+            covs = R @ self.covariances @ R.T
         labels = None if self.labels is None else self.labels.copy()
         return PointCloud(pose.apply(self.points), covs, labels)
 

@@ -5,7 +5,9 @@ a constant-velocity model along the heading, with speed v the only
 unobserved component. Objects whose estimated |v| exceeds the dynamic speed
 threshold are flagged dynamic; everything else is treated as semi-static.
 An EKF variant of the same models is available behind the same interface.
-The tracker keeps its tracks as stacked arrays and filters them all at once.
+Sigma points serve only the nonlinear motion model: the observation selects
+state rows, a linear map the unscented transform gets exact, so both kinds
+share one Kalman update. The tracker filters its stacked tracks at once.
 """
 
 from __future__ import annotations
@@ -124,20 +126,18 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return (P + _swap(P)) / 2.0
 
 
-def _weighted_outer(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i w_i a_i b_i^T over stacks (T, 2n+1, .). The small-alpha weights
-    (~1e6, both signs) cancel: einsum keeps a one-set einsum's sum order."""
-    return np.einsum("i,tij,tik->tjk", w, a, b)
-
-
 def _predict(kind: str, means, covs, dt: float, params: UkfParams):
     """Propagate stacked means (T, 8) and covariances (T, 8, 8) by ``dt``."""
     if kind == "ukf":
-        pts, wm, wc = sigma_points(means, covs, params)
+        pts, wm, _ = sigma_points(means, covs, params)
         prop = _motion_model_raw(pts, dt)
-        mean = wm @ prop
-        diff = prop - mean[:, None, :]
-        cov = _weighted_outer(wc, diff, diff)
+        # sums about the centre point y0 (e_i = y_i - y0, so e_0 = 0): the
+        # ~-1e6 centre weights drop out, and mean = y0 + mu, mu = w sum e_i
+        e = prop[:, 1:] - prop[:, :1]
+        mu = wm[1] * e.sum(axis=1)
+        mean = prop[:, 0] + mu
+        cov = (wm[1] * (_swap(e) @ e) + (params.beta - params.alpha ** 2)
+               * mu[:, :, None] * mu[:, None, :])
         mean[:, 3] = wrap_angle(mean[:, 3])
     else:
         th, v = means[:, 3], means[:, 4]
@@ -148,18 +148,11 @@ def _predict(kind: str, means, covs, dt: float, params: UkfParams):
     return mean, _symmetrize(cov + params.process_noise * dt)
 
 
-def _correct(kind: str, means, covs, obs, params: UkfParams):
+def _correct(means, covs, obs, params: UkfParams):
     """Kalman correction of stacked tracks by one observation (T, 7) each."""
-    if kind == "ukf":
-        pts, wm, wc = sigma_points(means, covs, params)
-        ys = observation_model(pts)
-        yhat = wm @ ys
-        dy = ys - yhat[:, None, :]
-        pxy = _weighted_outer(wc, pts - means[:, None, :], dy)
-        pyy = _weighted_outer(wc, dy, dy) + params.measurement_noise
-    else:  # the observation Jacobian selects rows and columns _OBS_IDX
-        yhat, pxy = observation_model(means), covs[:, :, _OBS_IDX]
-        pyy = pxy[:, _OBS_IDX, :] + params.measurement_noise
+    # the observation Jacobian selects rows and columns _OBS_IDX
+    yhat, pxy = observation_model(means), covs[:, :, _OBS_IDX]
+    pyy = pxy[:, _OBS_IDX, :] + params.measurement_noise
     innov = obs - yhat
     # yaw innovations fold into (-pi/2, pi/2]: boxes are front/back symmetric
     r = wrap_angle(innov[:, 3])
@@ -238,8 +231,7 @@ class Tracker:
     def update(self, rows, boxes: np.ndarray) -> None:
         """Correct the tracks in ``rows`` with one box row (observation) each."""
         self.means[rows], self.covariances[rows] = _correct(
-            self.kind, self.means[rows], self.covariances[rows], boxes,
-            self.params)
+            self.means[rows], self.covariances[rows], boxes, self.params)
         self.ages[rows] = 0
         self.hits[rows] += 1
         self.dynamic[rows] = (np.abs(self.means[rows, 4])

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynlo.cli import _scan_source
+from dynlo.cli import main as cli_main
 
 from dynlo.config import PipelineConfig, dump_config, load_config, parse_config_text
 from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
@@ -66,6 +67,30 @@ class TestConfig:
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("removal.enabled = maybe\n")
+
+    @pytest.mark.parametrize("line", [
+        "tracker.alpha = 0", "tracker.alpha = -1e-3", "tracker.alpha = nan",
+        "tracker.measurement_noise_diag = nan 0.04 0.04 0.01 0.01 0.01 0.01",
+        "tracker.process_noise_diag = 0.01 0.01 0.01 0.01 NaN 1 1 1",
+        "dt = nan", "keyframes.concave_alpha = -nan"])
+    def test_values_that_break_the_filter_rejected_with_line(self, line):
+        with pytest.raises(ValueError, match="config line 2: expected a number"):
+            parse_config_text("dt = 0.1\n" + line + "\n")
+
+    def test_inf_accepted(self):
+        cfg = parse_config_text("keyframes.concave_alpha = inf\n")
+        assert cfg.keyframe_concave_alpha == np.inf
+
+    def test_run_reports_zero_alpha_as_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("tracker.alpha = 0\n")
+        rc = cli_main(["run", "--config", str(config),
+                       "--scans", str(tmp_path), "--detections", str(tmp_path),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: config line 1: expected a number > 0" in err
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"

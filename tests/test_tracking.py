@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dynlo import tracking
 from dynlo.detections import DetectionFrame
 from dynlo.geometry import DetectionBox, wrap_angle
 from dynlo.simulate import reference_config
-from dynlo.tracking import (Track, TrackState, Tracker, UkfParams,
+from dynlo.tracking import (STATE_DIM, Track, TrackState, Tracker, UkfParams,
                             associate_nn, motion_model, observation_model,
                             sigma_points)
 
@@ -482,11 +483,15 @@ def ref_motion_raw(state, dt):
 
 def ref_predict(kind, mean, cov, dt, params):
     if kind == "ukf":
-        pts, wm, wc = ref_sigma_points(mean, cov, params)
+        pts, wm, _ = ref_sigma_points(mean, cov, params)
         prop = ref_motion_raw(pts, dt)
-        new = wm @ prop
-        diff = prop - new
-        P = np.einsum("i,ij,ik->jk", wc, diff, diff) + params.process_noise * dt
+        e = prop[1:] - prop[0]
+        mu = wm[1] * e.sum(axis=0)
+        new = prop[0] + mu
+        # rounded as the stacked filter rounds: w (~6e4) scales one ulp of a
+        # sigma point, and the next scan's update carries it into the mean
+        P = (wm[1] * (e.T @ e) + (params.beta - params.alpha ** 2)
+             * np.outer(mu, mu) + params.process_noise * dt)
     else:
         th, v = mean[3], mean[4]
         F = np.eye(8)
@@ -500,20 +505,14 @@ def ref_predict(kind, mean, cov, dt, params):
     return new, (P + P.T) / 2.0
 
 
-def ref_update(kind, mean, cov, obs, params):
-    if kind == "ukf":
-        pts, wm, wc = ref_sigma_points(mean, cov, params)
-        ys = pts[:, _OBS]
-        yhat = wm @ ys
-        dy = ys - yhat
-        pyy = np.einsum("i,ij,ik->jk", wc, dy, dy) + params.measurement_noise
-        pxy = np.einsum("i,ij,ik->jk", wc, pts - mean, dy)
-    else:
-        H = np.zeros((7, 8))
-        H[np.arange(7), _OBS] = 1.0
-        pyy = H @ cov @ H.T + params.measurement_noise
-        pxy = cov @ H.T
-        yhat = mean[_OBS]
+def ref_update(mean, cov, obs, params):
+    H = np.zeros((7, 8))
+    H[np.arange(7), _OBS] = 1.0
+    return ref_gain_update(mean, cov, obs, params, mean[_OBS], cov @ H.T,
+                           H @ cov @ H.T + params.measurement_noise)
+
+
+def ref_gain_update(mean, cov, obs, params, yhat, pxy, pyy):
     innov = obs - yhat
     r = wrap_angle(innov[3])
     if r > math.pi / 2.0:
@@ -529,8 +528,30 @@ def ref_update(kind, mean, cov, obs, params):
     return new, (P + P.T) / 2.0
 
 
+def former_predict(mean, cov, dt, params):
+    """The UKF prediction as plain weighted sums over all sigma points."""
+    pts, wm, wc = ref_sigma_points(mean, cov, params)
+    prop = ref_motion_raw(pts, dt)
+    new = wm @ prop
+    diff = prop - new
+    P = np.einsum("i,ij,ik->jk", wc, diff, diff) + params.process_noise * dt
+    new[3] = wrap_angle(new[3])
+    return new, (P + P.T) / 2.0
+
+
+def former_update(mean, cov, obs, params):
+    """The UKF correction by the unscented transform of the observation."""
+    pts, wm, wc = ref_sigma_points(mean, cov, params)
+    ys = pts[:, _OBS]
+    yhat = wm @ ys
+    dy = ys - yhat
+    pyy = np.einsum("i,ij,ik->jk", wc, dy, dy) + params.measurement_noise
+    pxy = np.einsum("i,ij,ik->jk", wc, pts - mean, dy)
+    return ref_gain_update(mean, cov, obs, params, yhat, pxy, pyy)
+
+
 class ReferenceTracker:
-    """The per-track tracker: one Cholesky, einsum and solve per track, and
+    """The per-track tracker: one Cholesky and solve per track, and
     association by sorting every (distance, track id, detection) tuple."""
 
     def __init__(self, params, kind):
@@ -538,11 +559,17 @@ class ReferenceTracker:
         self.tracks = []
         self.next_id = 0
 
+    def predict(self, mean, cov, dt):
+        return ref_predict(self.kind, mean, cov, dt, self.params)
+
+    def update(self, mean, cov, obs):
+        return ref_update(mean, cov, obs, self.params)
+
     def step(self, frame, dt):
         p, boxes = self.params, frame.boxes
         self.tracks = [
-            t._replace(state=TrackState(*ref_predict(
-                self.kind, t.state.mean, t.state.covariance, dt, p)),
+            t._replace(state=TrackState(*self.predict(
+                t.state.mean, t.state.covariance, dt)),
                 age_since_update=t.age_since_update + 1)
             for t in self.tracks]
         pos = np.array([t.state.mean[:3] for t in self.tracks]).reshape(-1, 3)
@@ -558,8 +585,7 @@ class ReferenceTracker:
             used_t.add(ti)
             used_d.add(di)
             t, b = self.tracks[ti], boxes[di]
-            mean, cov = ref_update(self.kind, t.state.mean,
-                                   t.state.covariance, b, p)
+            mean, cov = self.update(t.state.mean, t.state.covariance, b)
             self.tracks[ti] = t._replace(
                 state=TrackState(mean, cov), age_since_update=0,
                 hits=t.hits + 1,
@@ -577,6 +603,20 @@ class ReferenceTracker:
         self.tracks = [t for t in self.tracks
                        if t.age_since_update <= p.age_max]
         return sorted(matched)
+
+
+class FormerSigmaPointTracker(ReferenceTracker):
+    """The per-track UKF as it was before the shared Kalman update: plain
+    weighted sums over all sigma points, in prediction and correction."""
+
+    def __init__(self, params):
+        super().__init__(params, "ukf")
+
+    def predict(self, mean, cov, dt):
+        return former_predict(mean, cov, dt, self.params)
+
+    def update(self, mean, cov, obs):
+        return former_update(mean, cov, obs, self.params)
 
 
 def lane_frames(rng, n_scans=30, dt=0.1):
@@ -635,6 +675,55 @@ class TestStackedTrackerEquivalence:
                 assert np.allclose(box[:3], t.state.mean[:3], atol=1e-9)
             flagged += len(dynamic)
         assert flagged > 0
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_matches_former_sigma_point_filter(self, seed):
+        # same filter in exact arithmetic; the former sums cancelled ~1e6
+        # weights, so only round-off may differ
+        params = reference_config().tracker
+        stacked, former = Tracker(params, "ukf"), FormerSigmaPointTracker(params)
+        for frame in lane_frames(np.random.default_rng(seed), n_scans=60):
+            assert stacked.step(frame, 0.1).matched_ids == former.step(frame, 0.1)
+            rows = list(stacked.tracks)
+            assert ([(t.id, t.dynamic, t.age_since_update, t.hits) for t in rows]
+                    == [(t.id, t.dynamic, t.age_since_update, t.hits)
+                        for t in former.tracks])
+            for got, want in zip(rows, former.tracks):
+                assert np.allclose(got.state.mean, want.state.mean,
+                                   rtol=0.0, atol=1e-6)
+                assert np.allclose(got.state.covariance, want.state.covariance,
+                                   rtol=0.0, atol=1e-6)
+
+    def test_prediction_matches_exact_sigma_sums(self):
+        """The UKF prediction of ~12 lane tracks against its weighted sums
+        over the same float64 propagated sigma points, evaluated exactly."""
+        params, dt, n = reference_config().tracker, 0.1, STATE_DIM
+        tracker = Tracker(params, "ukf")
+        for frame in lane_frames(np.random.default_rng(5), n_scans=8):
+            tracker.step(frame, dt)
+        rows = np.arange(0, len(tracker.ids), len(tracker.ids) // 12)
+        means, covs = tracker.means[rows], tracker.covariances[rows]
+        got_mean, got_cov = tracking._predict("ukf", means, covs, dt, params)
+        pts, wm, _ = sigma_points(means, covs, params)
+        prop = tracking._motion_model_raw(pts, dt)
+        # the weights sigma_points returns, the centre one chosen so that
+        # they sum to one exactly
+        w = [Fraction(1) - 2 * n * Fraction(wm[1])] + [Fraction(wm[1])] * 2 * n
+        c0 = 1 - Fraction(params.alpha) ** 2 + Fraction(params.beta)
+        wc = [w[0] + c0] + w[1:]
+        q = [[Fraction(v) * Fraction(dt) for v in row]
+             for row in params.process_noise]
+        for t, ys in enumerate(prop):
+            ys = [[Fraction(v) for v in y] for y in ys]
+            m = [sum(wi * y[j] for wi, y in zip(w, ys)) for j in range(n)]
+            d = [[y[j] - m[j] for j in range(n)] for y in ys]
+            want_mean = np.array([float(v) for v in m])
+            want_mean[3] = wrap_angle(want_mean[3])
+            want_cov = np.array([[float(sum(ci * di[j] * di[k]
+                                            for ci, di in zip(wc, d)) + q[j][k])
+                                  for k in range(n)] for j in range(n)])
+            assert np.allclose(got_mean[t], want_mean, rtol=0.0, atol=1e-12)
+            assert np.allclose(got_cov[t], want_cov, rtol=0.0, atol=1e-10)
 
     def test_len_of_tracks_builds_no_records(self, monkeypatch):
         tracker = Tracker()
