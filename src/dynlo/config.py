@@ -1,13 +1,16 @@
 """Pipeline configuration: dataclass bundle plus a key=value text format.
 
-Every parameter of every stage has a key; absent keys keep their defaults and
-unknown keys are rejected. ``#`` starts a comment. The tracker noise matrices
-are exposed as diagonals.
+Every parameter of every stage has a key, derived from the dataclass fields:
+a stage field is ``<stage>.<field>`` (a matrix ``<stage>.<field>_diag``, given
+by its diagonal), a top-level field its own name, ``keyframe_*`` is
+``keyframes.*``, and ``_RENAMES`` names the rest. Values are parsed and
+formatted by the type of their default. Absent keys keep their defaults and
+unknown keys are rejected. ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -24,8 +27,8 @@ class PipelineConfig:
     preprocess: PreprocessParams = field(default_factory=PreprocessParams)
     detection_min_score: float = 0.75
     detection_classes: tuple = VALID_CLASSES
-    tracker: UkfParams = field(default_factory=UkfParams)
     tracker_kind: str = "ukf"
+    tracker: UkfParams = field(default_factory=UkfParams)
     enable_removal: bool = True
     removal_margin: float = 0.1
     gicp: GicpParams = field(default_factory=GicpParams)
@@ -62,85 +65,74 @@ def _float(raw: str, positive: bool = False) -> float:
     return value
 
 
-def _parse_floats(raw: str, n: int) -> np.ndarray:
-    vals = np.array([_float(v) for v in raw.split()])
-    if vals.shape[0] != n:
-        raise ValueError(f"expected {n} values, got {vals.shape[0]}")
-    return vals
+# top-level fields whose key is neither their name nor ``keyframes.*``
+_RENAMES = {"detection_min_score": "detections.min_score",
+            "detection_classes": "detections.classes",
+            "tracker_kind": "tracker.kind",
+            "enable_removal": "removal.enabled",
+            "removal_margin": "removal.margin",
+            "enable_constraint": "constraint.enabled"}
+_POSITIVE = ("tracker.alpha",)  # float keys that must be > 0
 
 
-def _entries(cfg: PipelineConfig):
-    """(key, getter, setter) triples covering every configurable parameter."""
+def _parameters():
+    """(key, stage, field name, default) of every parameter in field order;
+    ``stage`` is the ``PipelineConfig`` attribute that holds it, or None."""
+    defaults = PipelineConfig()
+    for f in fields(defaults):
+        default = getattr(defaults, f.name)
+        if is_dataclass(default):
+            for g in fields(default):
+                value = getattr(default, g.name)
+                diag = "_diag" if isinstance(value, np.ndarray) else ""
+                yield f"{f.name}.{g.name}{diag}", f.name, g.name, value
+        elif f.name.startswith("keyframe_"):
+            yield "keyframes." + f.name[9:], None, f.name, default
+        else:
+            yield _RENAMES.get(f.name, f.name), None, f.name, default
 
-    def attr(obj, name, caster):
-        return (lambda: getattr(obj, name),
-                lambda raw: setattr(obj, name, caster(raw)))
 
-    pre, trk, reg, con = cfg.preprocess, cfg.tracker, cfg.gicp, cfg.constraint
-    items = [
-        ("dt", *attr(cfg, "dt", _float)),
-        ("preprocess.self_crop_half_extent",
-         *attr(pre, "self_crop_half_extent", _float)),
-        ("preprocess.voxel_leaf", *attr(pre, "voxel_leaf", _float)),
-        ("preprocess.covariance_knn", *attr(pre, "covariance_knn", int)),
-        ("preprocess.plane_epsilon", *attr(pre, "plane_epsilon", _float)),
-        ("detections.min_score", *attr(cfg, "detection_min_score", _float)),
-        ("detections.classes",
-         lambda: " ".join(cfg.detection_classes),
-         lambda raw: setattr(cfg, "detection_classes", tuple(raw.split()))),
-        ("tracker.kind", *attr(cfg, "tracker_kind", str)),
-        ("tracker.alpha", *attr(trk, "alpha", lambda raw: _float(raw, True))),
-        ("tracker.beta", *attr(trk, "beta", _float)),
-        ("tracker.kappa", *attr(trk, "kappa", _float)),
-        ("tracker.process_noise_diag",
-         lambda: " ".join(_fmt(v) for v in np.diag(trk.process_noise)),
-         lambda raw: setattr(trk, "process_noise", np.diag(_parse_floats(raw, 8)))),
-        ("tracker.measurement_noise_diag",
-         lambda: " ".join(_fmt(v) for v in np.diag(trk.measurement_noise)),
-         lambda raw: setattr(trk, "measurement_noise",
-                             np.diag(_parse_floats(raw, 7)))),
-        ("tracker.initial_velocity_variance",
-         *attr(trk, "initial_velocity_variance", _float)),
-        ("tracker.dynamic_speed_threshold",
-         *attr(trk, "dynamic_speed_threshold", _float)),
-        ("tracker.gate_distance", *attr(trk, "gate_distance", _float)),
-        ("tracker.age_max", *attr(trk, "age_max", int)),
-        ("removal.enabled", *attr(cfg, "enable_removal", _parse_bool)),
-        ("removal.margin", *attr(cfg, "removal_margin", _float)),
-        ("gicp.max_correspondence_distance",
-         *attr(reg, "max_correspondence_distance", _float)),
-        ("gicp.max_iterations", *attr(reg, "max_iterations", int)),
-        ("gicp.translation_epsilon", *attr(reg, "translation_epsilon", _float)),
-        ("gicp.rotation_epsilon", *attr(reg, "rotation_epsilon", _float)),
-        ("constraint.enabled", *attr(cfg, "enable_constraint", _parse_bool)),
-        ("constraint.window_scans", *attr(con, "window_scans", int)),
-        ("constraint.min_inliers", *attr(con, "min_inliers", int)),
-        ("constraint.plane_inlier_distance",
-         *attr(con, "plane_inlier_distance", _float)),
-        ("constraint.z_change_threshold",
-         *attr(con, "z_change_threshold", _float)),
-        ("constraint.blend_weight", *attr(con, "blend_weight", _float)),
-        ("keyframes.k_nearest", *attr(cfg, "keyframe_k_nearest", int)),
-        ("keyframes.l_hull", *attr(cfg, "keyframe_l_hull", int)),
-        ("keyframes.j_concave", *attr(cfg, "keyframe_j_concave", int)),
-        ("keyframes.concave_alpha", *attr(cfg, "keyframe_concave_alpha", _float)),
-        ("keyframes.cell_size", *attr(cfg, "keyframe_cell_size", _float)),
-    ]
-    return items
+def _parse(raw: str, default, positive: bool):
+    if isinstance(default, bool):
+        return _parse_bool(raw)
+    if isinstance(default, int):
+        return int(raw)
+    if isinstance(default, float):
+        return _float(raw, positive)
+    if isinstance(default, np.ndarray):
+        diag = np.array([_float(v) for v in raw.split()])
+        if len(diag) != len(default):
+            raise ValueError(f"expected {len(default)} values, got {len(diag)}")
+        return np.diag(diag)
+    if isinstance(default, tuple):
+        names = tuple(raw.split())
+        for name in names:
+            if name not in VALID_CLASSES:
+                raise ValueError(f"unknown class '{name}'")
+        return names
+    return raw
+
+
+def _format(value, default) -> str:
+    if isinstance(default, np.ndarray):
+        return " ".join(_fmt(v) for v in np.diag(value))
+    if isinstance(default, tuple):
+        return " ".join(value)
+    return _fmt(value)
 
 
 def dump_config(cfg: PipelineConfig | None = None) -> str:
     cfg = cfg if cfg is not None else PipelineConfig()
     lines = ["# dynlo pipeline configuration"]
-    for key, get, _ in _entries(cfg):
-        value = get()
-        lines.append(f"{key} = {_fmt(value) if not isinstance(value, str) else value}")
+    for key, stage, name, default in _parameters():
+        owner = getattr(cfg, stage) if stage else cfg
+        lines.append(f"{key} = {_format(getattr(owner, name), default)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_config_text(text: str) -> PipelineConfig:
     cfg = PipelineConfig()
-    setters = {key: setter for key, _, setter in _entries(cfg)}
+    params = {key: rest for key, *rest in _parameters()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -150,12 +142,14 @@ def parse_config_text(text: str) -> PipelineConfig:
         key, raw = stripped.split("=", 1)
         key = key.strip()
         raw = raw.strip()
-        if key not in setters:
+        if key not in params:
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
+        stage, name, default = params[key]
         try:
-            setters[key](raw)
+            value = _parse(raw, default, key in _POSITIVE)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
+        setattr(getattr(cfg, stage) if stage else cfg, name, value)
     return cfg
 
 

@@ -265,8 +265,6 @@ def dump_keyframes(db: KeyframeDB, directory: str) -> None:
     ids = db.ids()
     for i in ids:
         write_scan_bin(os.path.join(directory, "%06d.bin" % i), db.by_id[i].cloud)
-    traj = Trajectory(
-        scan_indices=np.array(ids, dtype=int),
-        timestamps=np.array(ids, dtype=float),
-        poses=[db.by_id[i].pose for i in ids])
-    write_trajectory(os.path.join(directory, "keyframe_poses.txt"), traj)
+    # ids run 0..n-1, so they are the trajectory's indices and timestamps
+    write_trajectory(os.path.join(directory, "keyframe_poses.txt"),
+                     Trajectory.from_poses([db.by_id[i].pose for i in ids], 1.0))

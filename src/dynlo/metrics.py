@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, orthonormalize
 
 
 @dataclass
@@ -44,12 +44,7 @@ def align_rigid(src: np.ndarray, dst: np.ndarray) -> Pose:
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     cs = src.mean(axis=0)
     cd = dst.mean(axis=0)
-    H = (dst - cd).T @ (src - cs)
-    U, _, Vt = np.linalg.svd(H)
-    D = np.eye(3)
-    if np.linalg.det(U @ Vt) < 0.0:
-        D[2, 2] = -1.0
-    R = U @ D @ Vt
+    R = orthonormalize((dst - cd).T @ (src - cs))
     return Pose(R, cd - R @ cs)
 
 

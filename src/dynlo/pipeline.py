@@ -24,7 +24,7 @@ from .keyframes import KeyframeDB, compute_spaciousness
 from .metrics import RemovalCounts, Trajectory
 from .preprocess import crop_self_returns, estimate_point_covariances, voxel_downsample
 from .removal import dynamic_point_mask, remove_dynamic_points
-from .registration import gicp_align, propagate_world
+from .registration import gicp_align
 from .tracking import Tracker, track_table
 
 
@@ -82,7 +82,6 @@ def run_pipeline(scans: Iterable[PointCloud],
     window = SlidingBoxWindow(cfg.constraint.window_scans)
 
     poses: List[Pose] = []
-    indices: List[int] = []
     stats: List[ScanStats] = []
     track_tables: List[np.ndarray] = []
     provenance_rows: List[Tuple[int, int, int, int, int]] = []
@@ -123,7 +122,7 @@ def run_pipeline(scans: Iterable[PointCloud],
         s2m_iterations = 0
         if len(static) < pre.covariance_knn:
             # degenerate scan: coast on the previous relative motion
-            pose = propagate_world(prev_pose, prev_rel)
+            pose = prev_pose.compose(prev_rel)
             rel = prev_rel
             cov_cloud = None
             reasons.append("degenerate:too few static points")
@@ -137,13 +136,13 @@ def run_pipeline(scans: Iterable[PointCloud],
                 # constant velocity: s2s starts from one more scan of the last
                 # motion, expressed in the frame of prev_cloud's scan (earlier
                 # than the last one if that fell back as degenerate)
-                world_init = propagate_world(prev_pose, prev_rel)
+                world_init = prev_pose.compose(prev_rel)
                 rel = prev_rel
                 try:
                     res = gicp_align(cov_cloud, prev_cloud,
                                      cloud_pose.inverse().compose(world_init),
                                      cfg.gicp)
-                    world_init = propagate_world(cloud_pose, res.pose)
+                    world_init = cloud_pose.compose(res.pose)
                     rel = prev_pose.inverse().compose(world_init)
                     s2s_ok = res.converged
                     s2s_iterations = res.iterations
@@ -194,7 +193,6 @@ def run_pipeline(scans: Iterable[PointCloud],
         prev_rel = rel
         prev_pose = pose
         poses.append(pose)
-        indices.append(k)
         track_tables.append(track_table(tracker))
         t_end = time.perf_counter()
         stats.append(ScanStats(
@@ -215,9 +213,8 @@ def run_pipeline(scans: Iterable[PointCloud],
             fallback_reason=";".join(reasons),
         ))
 
-    trajectory = Trajectory(np.array(indices, dtype=int),
-                            np.array(indices, dtype=float) * cfg.dt, poses)
-    return PipelineResult(trajectory=trajectory, map_cloud=db.world_map(),
+    return PipelineResult(trajectory=Trajectory.from_poses(poses, cfg.dt),
+                          map_cloud=db.world_map(),
                           stats=stats, provenance_rows=provenance_rows, db=db,
                           track_tables=track_tables)
 

@@ -300,8 +300,3 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         err = cand_err
     return GicpResult(pose=T, converged=converged, error=err,
                       iterations=iterations)
-
-
-def propagate_world(prev_world: Pose, rel: Pose) -> Pose:
-    """Accumulate a relative scan transform onto the previous world pose."""
-    return prev_world.compose(rel)

@@ -322,6 +322,5 @@ def write_sim_dir(result: SimResult, out_dir: str, dt: float) -> None:
         write_scan_bin(os.path.join(scans_dir, "%06d.bin" % k), cloud)
         save_detection_frame(frame, os.path.join(det_dir, "%06d.txt" % k))
         write_labels(os.path.join(label_dir, "%06d.txt" % k), cloud.labels)
-    n = len(result.gt_poses)
-    traj = Trajectory(np.arange(n), np.arange(n) * dt, list(result.gt_poses))
-    write_trajectory(os.path.join(out_dir, "gt_traj.txt"), traj)
+    write_trajectory(os.path.join(out_dir, "gt_traj.txt"),
+                     Trajectory.from_poses(result.gt_poses, dt))

@@ -75,12 +75,16 @@ def _per_row_retry(fn: Callable, a: np.ndarray, b: np.ndarray, message: str):
         raise ValueError(message) from None
 
 
+def _sigma_lambda(params: UkfParams, n: int) -> float:
+    return params.alpha ** 2 * (n + params.kappa) - n
+
+
 def sigma_points(mean, cov, params: UkfParams):
     """Scaled symmetric sigma sets (..., 2n+1, n) of means (..., n) and
     covariances (..., n, n), by one batched Cholesky, plus the weights."""
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     n = mean.shape[-1]
-    lam = params.alpha ** 2 * (n + params.kappa) - n
+    lam = _sigma_lambda(params, n)
     scale = n + lam
     L = _per_row_retry(lambda c, _: np.linalg.cholesky(scale * c), cov, cov,
                        "covariance not decomposable")
@@ -214,6 +218,12 @@ class Tracker:
         if kind not in ("ukf", "ekf"):
             raise ValueError(f"unknown tracker kind '{kind}'")
         self.params = params if params is not None else UkfParams()
+        # the sigma spread n + lambda scales the Cholesky and divides the weights
+        scale = STATE_DIM + _sigma_lambda(self.params, STATE_DIM)
+        if kind == "ukf" and not 0.0 < scale < np.inf:
+            raise ValueError("tracker.alpha and tracker.kappa give a sigma "
+                             f"spread n + lambda = {scale:g}; it must be "
+                             "finite and > 0")
         self.kind = kind
         self.next_id = 0
         for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)))):

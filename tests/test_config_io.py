@@ -1,6 +1,7 @@
 import os
 import tempfile
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -11,12 +12,63 @@ from dynlo.cli import _scan_source
 from dynlo.cli import main as cli_main
 
 from dynlo.config import PipelineConfig, dump_config, load_config, parse_config_text
+from dynlo.detections import VALID_CLASSES
 from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
                           read_trajectory, write_labels, write_map_ascii,
                           write_removal_provenance, write_scan_bin,
                           write_trajectory)
 from dynlo.geometry import PointCloud
 from dynlo.metrics import Trajectory
+from dynlo.simulate import reference_config
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _fields(cfg):
+    """(owner, name) of every parameter field, stage fields expanded."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from ((value, g.name) for g in fields(value))
+        else:
+            yield cfg, f.name
+
+
+def _printable_floats(positive=False):
+    # the dump writes 12 significant digits, so draw values it carries exactly
+    infs = [np.inf] if positive else [np.inf, -np.inf]
+    finite = (st.floats(min_value=0.0, exclude_min=True) if positive
+              else st.floats(allow_nan=False))
+    return st.one_of(st.sampled_from(infs), finite).map(
+        lambda v: float("%.12g" % v))
+
+
+@st.composite
+def _random_configs(draw):
+    """A PipelineConfig with a random value in every field, drawn by the type
+    of its default."""
+    cfg = PipelineConfig()
+    for owner, name in _fields(cfg):
+        default = getattr(owner, name)
+        if isinstance(default, bool):
+            value = draw(st.booleans())
+        elif isinstance(default, int):
+            value = draw(st.integers(-2**63, 2**63))
+        elif isinstance(default, float):
+            # tracker.alpha must be > 0
+            value = draw(_printable_floats(owner is cfg.tracker
+                                           and name == "alpha"))
+        elif isinstance(default, np.ndarray):
+            value = np.diag(draw(st.lists(_printable_floats(),
+                                          min_size=len(default),
+                                          max_size=len(default))))
+        elif isinstance(default, tuple):
+            value = tuple(draw(st.lists(st.sampled_from(VALID_CLASSES),
+                                        unique=True)))
+        else:
+            value = draw(st.sampled_from(["ukf", "ekf"]))
+        setattr(owner, name, value)
+    return cfg
 
 
 class TestConfig:
@@ -60,6 +112,52 @@ class TestConfig:
                            [1, 2, 3, 4, 5, 6, 7, 8])
         assert cfg.detection_classes == ("car",)
 
+    @pytest.mark.parametrize("cfg, golden", [
+        (PipelineConfig(), "config_defaults.txt"),
+        (reference_config(), "config_reference.txt")])
+    def test_dump_matches_golden_text(self, cfg, golden):
+        with open(os.path.join(GOLDEN, golden), "rb") as fh:
+            assert dump_config(cfg).encode() == fh.read()
+
+    @given(_random_configs())
+    def test_dump_parse_round_trip_reproduces_every_field(self, cfg):
+        back = parse_config_text(dump_config(cfg))
+        for (owner, name), (owner_back, _) in zip(_fields(cfg), _fields(back)):
+            value, value_back = getattr(owner, name), getattr(owner_back, name)
+            assert type(value) is type(value_back), name
+            assert np.array_equal(value, value_back), name
+
+    def test_every_field_has_exactly_one_key(self):
+        # changing one field changes one line of the dump, and that line
+        # parses back into that field alone
+        base = dump_config().splitlines()
+        for i, _ in enumerate(_fields(PipelineConfig())):
+            cfg = PipelineConfig()
+            owner, name = list(_fields(cfg))[i]
+            value = getattr(owner, name)
+            if isinstance(value, np.ndarray):
+                value = value * 2.0
+            elif isinstance(value, tuple):
+                value = value[:1]
+            elif isinstance(value, str):
+                value = "ekf"
+            else:
+                value = not value if isinstance(value, bool) else value + 1
+            setattr(owner, name, value)
+            changed = [line for line, ref in zip(dump_config(cfg).splitlines(),
+                                                 base) if line != ref]
+            assert len(changed) == 1, name
+            back = parse_config_text(changed[0])
+            assert all(np.array_equal(getattr(a, n), getattr(b, n)) for
+                       (a, n), (b, _) in zip(_fields(back), _fields(cfg))), name
+
+    @pytest.mark.parametrize("value, bad", [("Car", "Car"),
+                                            ("car Pedestrian", "Pedestrian")])
+    def test_unknown_class_rejected_with_line(self, value, bad):
+        with pytest.raises(ValueError,
+                           match=f"config line 2: unknown class '{bad}'"):
+            parse_config_text(f"dt = 0.1\ndetections.classes = {value}\n")
+
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ValueError, match="line 2.*unknown key"):
             parse_config_text("dt = 0.1\nbogus.key = 3\n")
@@ -91,6 +189,27 @@ class TestConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error: config line 1: expected a number > 0" in err
+
+    @pytest.mark.parametrize("lines", ["tracker.kappa = -8",
+                                       "tracker.alpha = 1e-9",
+                                       "tracker.alpha = inf"])
+    def test_run_reports_degenerate_sigma_spread(self, tmp_path, capsys, lines):
+        (tmp_path / "scans").mkdir()
+        (tmp_path / "dets").mkdir()
+        write_scan_bin(str(tmp_path / "scans" / "000000.bin"),
+                       PointCloud(np.random.default_rng(0).normal(size=(50, 3))))
+        (tmp_path / "dets" / "000000.txt").write_text("")
+        config = tmp_path / "cfg.txt"
+        config.write_text(lines + "\n")
+        rc = cli_main(["run", "--config", str(config),
+                       "--scans", str(tmp_path / "scans"),
+                       "--detections", str(tmp_path / "dets"),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tracker.alpha and tracker.kappa")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -74,7 +74,7 @@ class TestRunPipeline:
         from dynlo.preprocess import (crop_self_returns,
                                       estimate_point_covariances,
                                       voxel_downsample)
-        from dynlo.registration import gicp_align, propagate_world
+        from dynlo.registration import gicp_align
 
         scene = small_scene(60, movers=False)
         res = simulate(scene, 2)
@@ -89,7 +89,7 @@ class TestRunPipeline:
         for k in range(1, len(clouds)):
             rel = gicp_align(clouds[k], clouds[k - 1], Pose.identity(),
                              cfg.gicp).pose
-            poses.append(propagate_world(poses[-1], rel))
+            poses.append(poses[-1].compose(rel))
         dead_reckoned = Trajectory.from_poses(poses)
         full = run_pipeline(res.scans, res.detections, cfg)
         assert (ape_rmse(full.trajectory, gt)

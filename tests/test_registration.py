@@ -7,7 +7,7 @@ from dynlo import registration
 from dynlo.geometry import PointCloud, Pose, se3_exp, skew, so3_exp
 from dynlo.preprocess import estimate_point_covariances
 from dynlo.registration import (GicpParams, gicp_align, gicp_gradient,
-                                gicp_residual, propagate_world)
+                                gicp_residual)
 
 
 def structured_cloud(rng, n_per_surface=700, extent=3.0):
@@ -276,12 +276,6 @@ class TestCarriedTree:
 
 
 class TestScanToScanAndMap:
-    def test_propagate_world_composes(self, rng):
-        from conftest import random_pose
-        a, b = random_pose(rng), random_pose(rng)
-        out = propagate_world(a, b)
-        assert np.allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-12)
-
     def test_stationary_scene_gives_identity(self, rng):
         pts = structured_cloud(rng, 500)
         a = estimate_point_covariances(
@@ -322,9 +316,8 @@ class TestScanToScanAndMap:
         world_prev = Pose.from_yaw(0.8, (4.0, -2.0, 0.3))
         submap = room.transformed(world_prev)
         rel = gicp_align(current, room, Pose.identity()).pose
-        init = propagate_world(world_prev, rel)
-        refined = gicp_align(current, submap, init).pose
         expected = world_prev.compose(rel)
+        refined = gicp_align(current, submap, expected).pose
         assert np.allclose(refined.matrix(), expected.matrix(), atol=1e-6)
 
     def test_empty_submap_raises(self, room):

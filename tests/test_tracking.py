@@ -449,6 +449,16 @@ class TestTrackerLifecycle:
         with pytest.raises(ValueError):
             Tracker(kind="pf")
 
+    # n + lambda rounds to 0 (the first two) or is not finite
+    @pytest.mark.parametrize("alpha, kappa", [(1e-3, -8.0), (1e-9, 0.0),
+                                              (math.inf, 0.0)])
+    def test_degenerate_sigma_spread_rejected_at_construction(self, alpha,
+                                                               kappa):
+        params = UkfParams(alpha=alpha, kappa=kappa)
+        with pytest.raises(ValueError, match="tracker.alpha and tracker.kappa"):
+            Tracker(params, kind="ukf")
+        Tracker(params, kind="ekf")  # the EKF takes no sigma points
+
 
 # --- the stacked tracker against the per-track one it replaced ----------------
 
