@@ -106,6 +106,8 @@ def _parse(raw: str, default, positive: bool):
         return np.diag(diag)
     if isinstance(default, tuple):
         names = tuple(raw.split())
+        if not names:  # removal.enabled = false is the switch for no classes
+            raise ValueError("expected at least one class")
         for name in names:
             if name not in VALID_CLASSES:
                 raise ValueError(f"unknown class '{name}'")

@@ -175,12 +175,6 @@ class Pose:
         T[:3, 3] = self.translation
         return T
 
-    def euler(self):
-        return euler_zyx(self.rotation)
-
-    def yaw(self) -> float:
-        return self.euler()[0]
-
 
 @dataclass
 class PointCloud:
@@ -188,19 +182,16 @@ class PointCloud:
 
     ``labels`` is a boolean array where True marks a return on a moving object.
 
-    ``tree`` and ``rank`` cache structures derived from ``points``: a k-d tree
-    over them (kept by ``estimate_point_covariances``, and by the pipeline on
-    a cached submap) and each point's rank in lexicographic (x, y, z) order
-    (filled in by ``gicp_align`` on first use as a source). They assume
-    ``points`` is not modified in place, and ``subset`` and ``transformed``
-    return clouds without them.
+    ``tree`` caches a k-d tree over ``points`` (kept by
+    ``estimate_point_covariances``, and by the pipeline on a cached submap).
+    It assumes ``points`` is not modified in place, and ``subset`` and
+    ``transformed`` return clouds without it.
     """
 
     points: np.ndarray
     covariances: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
     tree: Optional["cKDTree"] = field(default=None, repr=False, compare=False)
-    rank: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)

@@ -1,6 +1,6 @@
 """Hash-indexed keyframe database with adaptive insertion and submap selection.
 
-Keyframes live in two consistent hash maps: id -> keyframe and voxel cell ->
+Keyframes live in a list indexed by id and in a hash map from voxel cell to
 id set. Insertion distance adapts to the environment's spaciousness (smoothed
 median point range); the scan-to-map submap unions the K nearest keyframes
 with the L nearest convex-hull and J nearest concave-hull keyframes. Keyframe
@@ -23,7 +23,6 @@ from .geometry import PointCloud, Pose, rotation_angle
 
 @dataclass
 class Keyframe:
-    id: int
     pose: Pose
     cloud: PointCloud  # body frame at capture: points and labels
     world: PointCloud  # world-frame points and covariances
@@ -79,18 +78,18 @@ def _convex_hull_indices(xy: np.ndarray) -> List[int]:
 class KeyframeDB:
     """Keyframe store over a spatial hash of ``cell_size`` cube cells.
 
-    Ids count inserts from 0, so keyframe i's translation is ``positions[i]``.
+    Ids count inserts from 0, so keyframe i is ``by_id[i]`` and its
+    translation is ``positions[i]``.
     """
 
     def __init__(self, cell_size: float = 5.0):
         if cell_size <= 0.0:
             raise ValueError("cell_size must be positive")
         self.cell_size = cell_size
-        self.by_id: Dict[int, Keyframe] = {}
+        self.by_id: List[Keyframe] = []
         self.spatial_index: Dict[Tuple[int, int, int], Set[int]] = {}
         self.positions = np.empty((0, 3))
         self.spaciousness = 0.0
-        self._next_id = 0
         self._submap_cache: Dict[Tuple[int, ...], PointCloud] = {}
         # hull ids change only on insert: "convex" or a concave alpha -> ids
         self._hull_cache: Dict[object, List[int]] = {}
@@ -99,7 +98,7 @@ class KeyframeDB:
         return len(self.by_id)
 
     def ids(self) -> List[int]:
-        return sorted(self.by_id)
+        return list(range(len(self)))
 
     def _cell(self, position: np.ndarray) -> Tuple[int, int, int]:
         c = np.floor(np.asarray(position, dtype=float) / self.cell_size).astype(int)
@@ -108,14 +107,12 @@ class KeyframeDB:
     def insert(self, pose: Pose, cloud: PointCloud) -> int:
         if len(cloud) == 0:
             raise ValueError("keyframe cloud must be non-empty")
-        kid = self._next_id
-        self._next_id += 1
+        kid = len(self)
         # keep the scan's points and labels, not its covariances or caches
         world = cloud.transformed(pose)
-        self.by_id[kid] = Keyframe(
-            id=kid, pose=pose,
-            cloud=PointCloud(cloud.points, labels=cloud.labels),
-            world=PointCloud(world.points, world.covariances))
+        self.by_id.append(Keyframe(
+            pose=pose, cloud=PointCloud(cloud.points, labels=cloud.labels),
+            world=PointCloud(world.points, world.covariances)))
         self.positions = np.vstack([self.positions, pose.translation])
         self.spatial_index.setdefault(self._cell(pose.translation), set()).add(kid)
         self._submap_cache.clear()
@@ -252,8 +249,7 @@ class KeyframeDB:
         """Union of all keyframe clouds in the world frame (covariances dropped)."""
         if not self.by_id:
             return PointCloud(np.empty((0, 3)))
-        return PointCloud(np.concatenate(
-            [self.by_id[i].world.points for i in self.ids()]))
+        return PointCloud(np.concatenate([k.world.points for k in self.by_id]))
 
 
 def dump_keyframes(db: KeyframeDB, directory: str) -> None:
@@ -262,9 +258,8 @@ def dump_keyframes(db: KeyframeDB, directory: str) -> None:
     from .metrics import Trajectory
 
     os.makedirs(directory, exist_ok=True)
-    ids = db.ids()
-    for i in ids:
-        write_scan_bin(os.path.join(directory, "%06d.bin" % i), db.by_id[i].cloud)
+    for i, kf in enumerate(db.by_id):
+        write_scan_bin(os.path.join(directory, "%06d.bin" % i), kf.cloud)
     # ids run 0..n-1, so they are the trajectory's indices and timestamps
     write_trajectory(os.path.join(directory, "keyframe_poses.txt"),
-                     Trajectory.from_poses([db.by_id[i].pose for i in ids], 1.0))
+                     Trajectory.from_poses([kf.pose for kf in db.by_id], 1.0))

@@ -34,10 +34,11 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """Centroid per occupied voxel of an origin-anchored grid.
 
     Points are grouped by a stable lexicographic sort of their integer voxel
-    indices, and each group is summed in input order, so the result is
-    deterministic and independent of the input point order. Output order is
-    ascending lexicographic voxel index. Per-point covariances and labels do
-    not survive aggregation and are dropped.
+    indices, so the grouping and the output order (ascending lexicographic
+    voxel index) do not depend on the input point order. Each group is
+    summed in input order, so a permuted input can move a centroid by
+    round-off. Per-point covariances and labels do not survive aggregation
+    and are dropped.
     """
     if leaf <= 0.0:
         raise ValueError("leaf must be positive")

@@ -172,14 +172,6 @@ def find_correspondences(T: Pose, points: np.ndarray, target_tree: cKDTree,
     return np.flatnonzero(valid), idx[valid]
 
 
-def _coordinate_rank(points: np.ndarray) -> np.ndarray:
-    """Rank of each point under lexicographic (x, y, z) ordering."""
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    rank = np.empty(points.shape[0], dtype=np.int64)
-    rank[order] = np.arange(points.shape[0])
-    return rank
-
-
 def _moment_basis(points: np.ndarray) -> np.ndarray:
     """Rows [1, x, y, z, xx, xy, xz, yy, yz, zz] per point."""
     return np.column_stack([np.ones(points.shape[0]), points,
@@ -225,10 +217,8 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
     Gauss-Newton with per-iteration correspondence re-search; Levenberg
     damping engages only when the undamped step does not decrease the error.
     Correspondences are searched in ``target_tree`` if given, else in the
-    tree the target carries, else in a tree built here. The source's
-    coordinate rank is computed once and kept on the source cloud; the
-    source is visited in that order, so the accumulation order, and hence
-    the solution, does not depend on the input point ordering.
+    tree the target carries, else in a tree built here. The sums run over
+    the source in its stored order.
     """
     params = params if params is not None else GicpParams()
     if len(source) < _MIN_CORRESPONDENCES or len(target) < _MIN_CORRESPONDENCES:
@@ -238,19 +228,14 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
     tree = target_tree if target_tree is not None else target.tree
     if tree is None:
         tree = cKDTree(target.points)
-    if source.rank is None:
-        source.rank = _coordinate_rank(source.points)
-    order = np.empty_like(source.rank)
-    order[source.rank] = np.arange(len(source))
-    src_points = source.points.take(order, axis=0)
-    src_basis = _moment_basis(src_points)
-    src_cov = _pack(source.covariances).take(order, axis=0)
+    src_basis = _moment_basis(source.points)
+    src_cov = _pack(source.covariances)
     T = init
     err = float("inf")
     iterations = 0
     converged = False
     for iterations in range(1, params.max_iterations + 1):
-        s_idx, t_idx = find_correspondences(T, src_points, tree,
+        s_idx, t_idx = find_correspondences(T, source.points, tree,
                                             params.max_correspondence_distance)
         if s_idx.shape[0] < _MIN_CORRESPONDENCES:
             if iterations == 1:

@@ -64,7 +64,7 @@ def _random_configs(draw):
                                           max_size=len(default))))
         elif isinstance(default, tuple):
             value = tuple(draw(st.lists(st.sampled_from(VALID_CLASSES),
-                                        unique=True)))
+                                        min_size=1, unique=True)))
         else:
             value = draw(st.sampled_from(["ukf", "ekf"]))
         setattr(owner, name, value)
@@ -157,6 +157,12 @@ class TestConfig:
         with pytest.raises(ValueError,
                            match=f"config line 2: unknown class '{bad}'"):
             parse_config_text(f"dt = 0.1\ndetections.classes = {value}\n")
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_class_list_rejected_with_line(self, value):
+        with pytest.raises(ValueError,
+                           match="config line 2: expected at least one class"):
+            parse_config_text(f"dt = 0.1\ndetections.classes ={value}\n")
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ValueError, match="line 2.*unknown key"):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_pose
-from dynlo.geometry import DetectionBox, Pose, transform_box
+from dynlo.geometry import DetectionBox, Pose, euler_zyx, transform_box
 from dynlo.ground import (ConstraintParams, SlidingBoxWindow,
                           apply_consistency_constraint, fit_ground_from_boxes)
 
@@ -93,7 +93,7 @@ class TestConstraint:
         fit = GroundFit(normal=normal_body, offset=-1.6, inlier_count=10)
         params = ConstraintParams(blend_weight=1.0)
         out = apply_consistency_constraint(est, true_pose, fit, None, params)
-        y, p, r = out.euler()
+        y, p, r = euler_zyx(out.rotation)
         assert abs(r) < 1e-6
         assert abs(p) < 1e-6
         assert y == pytest.approx(yaw, abs=1e-9)
@@ -127,7 +127,8 @@ class TestConstraint:
         out = apply_consistency_constraint(pose, prev, fit, dz,
                                            ConstraintParams())
         assert np.allclose(out.translation[:2], pose.translation[:2])
-        assert out.euler()[0] == pytest.approx(pose.euler()[0], abs=1e-9)
+        assert euler_zyx(out.rotation)[0] == pytest.approx(
+            euler_zyx(pose.rotation)[0], abs=1e-9)
 
 
 class TestSlidingWindow:

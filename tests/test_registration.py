@@ -197,7 +197,10 @@ class TestAlign:
         shuffled = PointCloud(room.points[perm], room.covariances[perm])
         a = gicp_align(room, target, Pose.identity())
         b = gicp_align(shuffled, target, Pose.identity())
-        assert np.array_equal(a.pose.matrix(), b.pose.matrix())
+        # the sums run in the source's stored order, so a shuffle moves the
+        # pose by round-off only
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert np.allclose(a.pose.matrix(), b.pose.matrix(), rtol=0, atol=1e-12)
 
     def test_convergence_basin(self, rng, room):
         noisy = PointCloud(room.points + rng.normal(0, 0.01, room.points.shape),
@@ -258,21 +261,13 @@ class TestCarriedTree:
                    Pose.identity(), target_tree=room.tree)
         assert tree_builds == []
 
-    def test_source_rank_computed_once(self, room, monkeypatch):
-        calls = []
-        rank = registration._coordinate_rank
-
-        def counting_rank(points):
-            calls.append(len(points))
-            return rank(points)
-
-        monkeypatch.setattr(registration, "_coordinate_rank", counting_rank)
+    def test_arguments_left_untouched(self, room):
         source = PointCloud(room.points, room.covariances)
-        first = gicp_align(source, room, Pose.identity())
-        second = gicp_align(source, room, Pose.identity())
-        assert calls == [len(source)]
-        assert np.array_equal(source.rank, rank(source.points))
-        assert np.array_equal(first.pose.matrix(), second.pose.matrix())
+        before = [dict(vars(c)) for c in (source, room)]
+        gicp_align(source, room, Pose.identity())
+        for cloud, attrs in zip((source, room), before):
+            assert vars(cloud).keys() == attrs.keys()
+            assert all(vars(cloud)[k] is v for k, v in attrs.items())
 
 
 class TestScanToScanAndMap:
