@@ -75,6 +75,8 @@ def estimate_point_covariances(cloud: PointCloud, k: int = 10,
     The returned cloud keeps the k-d tree built over its points in ``tree``,
     so a registration against it does not build a second one.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     n = len(cloud)
     if n < k:
         raise ValueError("insufficient points for covariance estimation")

@@ -4,8 +4,12 @@ The cost for a transform T = (R, t) over correspondences (s, t) is
 
     sum_i d_i^T W_i d_i,   W_i = (C_i^tgt + R C_i^src R^T)^-1,   d_i = p_i^tgt - T p_i^src
 
-with plane-regularized per-point covariances. Correspondences are re-searched
-every iteration; the local step is a right-multiplied 6-DoF increment.
+with plane-regularized per-point covariances. Each iteration pairs every
+source point with its nearest target inside the gate, but a point keeps its
+last answer while it has moved less than half the gap between its nearest
+and second-nearest target (or the gate), since that answer cannot have
+changed; an exact tie has no gap and is searched every iteration. The local
+step is a right-multiplied 6-DoF increment.
 
 Symmetric 3x3 matrices are packed into their upper triangles, (n, 6) rows
 ``[00, 01, 02, 11, 12, 22]``. ``gicp_align`` packs the source covariances
@@ -32,6 +36,8 @@ from .geometry import PointCloud, Pose, query_neighbors, se3_exp, skew
 
 _MIN_CORRESPONDENCES = 10
 _JITTER = 1e-9
+# per metre of coordinate magnitude, see _NearestTargets
+_REUSE_SLACK = 1e-9
 
 # packed entry p holds the 3x3 entry (_ROWS[p], _COLS[p])
 _ROWS, _COLS = np.triu_indices(3)
@@ -162,14 +168,57 @@ def gicp_gradient(T: Pose, source: PointCloud, target: PointCloud,
     return np.concatenate([g_v, g_w])
 
 
-def find_correspondences(T: Pose, points: np.ndarray, target_tree: cKDTree,
-                         max_distance: float):
-    """Indices (source, target) of the nearest target point per transformed
-    source point, within max_distance; source indices ascend."""
-    dist, idx = query_neighbors(target_tree, T.apply(points), 1,
-                                max_distance)
-    valid = np.isfinite(dist)
-    return np.flatnonzero(valid), idx[valid]
+class _NearestTargets:
+    """Nearest target point of each source point, within the gate, at the
+    source positions of successive iterations.
+
+    A search (k = 2) stores each point's anchor, the position it was searched
+    from, its nearest target and the gap ``min(d2, gate) - d1`` by which every
+    other target point was farther. A point that has since moved by delta
+    with ``2 delta + slack < gap`` keeps its answer: the old nearest is at
+    most ``d1 + delta`` away and every other point at least ``d2 - delta``
+    (or ``gate - delta``), so a k = 1 search would return it, inside the
+    gate. Only the other points are searched again.
+    """
+
+    def __init__(self, tree: cKDTree, max_distance: float):
+        self.tree = tree
+        self.max_distance = max_distance
+        # covers the round-off of the compared distances, which grows with
+        # the coordinates' magnitude
+        self.slack = _REUSE_SLACK * (1.0 + max(np.abs(tree.mins).max(),
+                                               np.abs(tree.maxes).max()))
+        self.anchor = None
+
+    def _search(self, q: np.ndarray):
+        dist, idx = query_neighbors(self.tree, q, 2, self.max_distance)
+        nearest = idx[:, 0]
+        # scipy orders an exact tie differently at k = 2 than at k = 1, so a
+        # tied row takes its k = 1 answer; its gap is 0, so it is searched
+        # every time
+        tied = np.flatnonzero((dist[:, 0] == dist[:, 1])
+                              & np.isfinite(dist[:, 0]))
+        if tied.size:
+            nearest[tied] = query_neighbors(self.tree, q[tied], 1,
+                                            self.max_distance)[1]
+        # -inf where no target is inside the gate
+        return nearest, np.minimum(dist[:, 1], self.max_distance) - dist[:, 0]
+
+    def pairs(self, q: np.ndarray):
+        """Indices (source, target) of the nearest target of each row of q
+        within the gate; source indices ascend."""
+        if self.anchor is None:
+            self.anchor = q
+            self.nearest, self.gap = self._search(q)
+        else:
+            moved = q - self.anchor
+            stale = np.flatnonzero(
+                2.0 * np.sqrt(np.einsum("ij,ij->i", moved, moved))
+                + self.slack >= self.gap)
+            self.anchor[stale] = q[stale]
+            self.nearest[stale], self.gap[stale] = self._search(q[stale])
+        found = self.nearest < self.tree.n
+        return np.flatnonzero(found), self.nearest[found]
 
 
 def _moment_basis(points: np.ndarray) -> np.ndarray:
@@ -214,13 +263,18 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
                target_tree: Optional[cKDTree] = None) -> GicpResult:
     """Iteratively minimize the GICP cost of source against target from ``init``.
 
-    Gauss-Newton with per-iteration correspondence re-search; Levenberg
-    damping engages only when the undamped step does not decrease the error.
+    Gauss-Newton with per-iteration correspondences; Levenberg damping
+    engages only when the undamped step does not decrease the error.
     Correspondences are searched in ``target_tree`` if given, else in the
-    tree the target carries, else in a tree built here. The sums run over
-    the source in its stored order.
+    tree the target carries, else in a tree built here. A source point is
+    searched again only where its nearest target could have changed (see
+    :class:`_NearestTargets`), so the correspondences equal a k = 1 search
+    of every point at every iteration. The sums run over the source in its
+    stored order.
     """
     params = params if params is not None else GicpParams()
+    if params.max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     if len(source) < _MIN_CORRESPONDENCES or len(target) < _MIN_CORRESPONDENCES:
         raise ValueError("insufficient overlap")
     _require_covariances(source, "source")
@@ -230,13 +284,11 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         tree = cKDTree(target.points)
     src_basis = _moment_basis(source.points)
     src_cov = _pack(source.covariances)
+    nearest_targets = _NearestTargets(tree, params.max_correspondence_distance)
     T = init
-    err = float("inf")
-    iterations = 0
     converged = False
     for iterations in range(1, params.max_iterations + 1):
-        s_idx, t_idx = find_correspondences(T, source.points, tree,
-                                            params.max_correspondence_distance)
+        s_idx, t_idx = nearest_targets.pairs(T.apply(source.points))
         if s_idx.shape[0] < _MIN_CORRESPONDENCES:
             if iterations == 1:
                 raise ValueError("insufficient overlap")

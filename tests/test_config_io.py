@@ -196,6 +196,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error: config line 1: expected a number > 0" in err
 
+    def test_run_reports_zero_covariance_knn_in_one_line(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "scans").mkdir()
+        (tmp_path / "dets").mkdir()
+        write_scan_bin(str(tmp_path / "scans" / "000000.bin"),
+                       PointCloud(np.random.default_rng(0).normal(size=(50, 3))))
+        (tmp_path / "dets" / "000000.txt").write_text("")
+        config = tmp_path / "cfg.txt"
+        config.write_text("preprocess.covariance_knn = 0\n")
+        rc = cli_main(["run", "--config", str(config),
+                       "--scans", str(tmp_path / "scans"),
+                       "--detections", str(tmp_path / "dets"),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: k must be at least 1\n"
+
     @pytest.mark.parametrize("lines", ["tracker.kappa = -8",
                                        "tracker.alpha = 1e-9",
                                        "tracker.alpha = inf"])

@@ -169,6 +169,11 @@ class TestCovariances:
         with pytest.raises(ValueError, match="insufficient points"):
             estimate_point_covariances(PointCloud(np.zeros((3, 3))), k=10)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_neighbour_rejected(self, n):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            estimate_point_covariances(PointCloud(np.zeros((n, 3))), k=0)
+
 
 class TestClosedFormNormal:
     """The closed-form normal against eigh, one neighborhood per case: with

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from dynlo import registration
 from dynlo.geometry import PointCloud, Pose, se3_exp, skew, so3_exp
@@ -223,6 +224,134 @@ class TestAlign:
         bare = PointCloud(room.points)
         with pytest.raises(ValueError, match="covariances"):
             gicp_align(bare, room, Pose.identity())
+
+    def test_no_iteration_rejected_before_any_query(self, room, monkeypatch):
+        queries = []
+        monkeypatch.setattr(registration, "query_neighbors",
+                            lambda *args: queries.append(args))
+        with pytest.raises(ValueError,
+                           match="max_iterations must be at least 1"):
+            gicp_align(room, room, Pose.identity(),
+                       GicpParams(max_iterations=0))
+        assert queries == []
+
+
+def grid_room(step=0.25, extent=2.0):
+    """Floor and two walls sampled on an exact dyadic grid, each point once."""
+    a = np.arange(-extent, extent + step / 2, step)
+    h = np.arange(0.0, 2.0 + step / 2, step)
+    u, v = (g.ravel() for g in np.meshgrid(a, a))
+    s, z = (g.ravel() for g in np.meshgrid(a, h))
+    return np.unique(np.concatenate([
+        np.column_stack([u, v, np.zeros_like(u)]),
+        np.column_stack([s, np.full_like(s, extent), z]),
+        np.column_stack([np.full_like(s, -extent), s, z])]), axis=0)
+
+
+def brute_force_pairs(T, source, target, max_distance):
+    """(source, target) indices of a plain k = 1 search of every point."""
+    dist, idx = cKDTree(target.points).query(
+        T.apply(source.points), k=1, distance_upper_bound=max_distance)
+    found = np.isfinite(dist)
+    return np.flatnonzero(found), idx[found]
+
+
+class TestCorrespondenceReuse:
+    """The reused correspondences equal a k = 1 search at every iteration."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = registration._normal_equations
+
+        def recording(T, basis, cs, pt, ct):
+            calls.append((T, basis[:, 1:4].copy(), pt.copy()))
+            return original(T, basis, cs, pt, ct)
+
+        monkeypatch.setattr(registration, "_normal_equations", recording)
+        return calls
+
+    def check(self, solves, source, target, init, params=GicpParams()):
+        # distinct target points, so equal points mean equal indices
+        assert len(np.unique(target.points, axis=0)) == len(target)
+        del solves[:]
+        res = gicp_align(source, target, init, params)
+        assert len(solves) == res.iterations
+        for T, ps, pt in solves:
+            s_idx, t_idx = brute_force_pairs(
+                T, source, target, params.max_correspondence_distance)
+            assert np.array_equal(ps, source.points[s_idx])
+            assert np.array_equal(pt, target.points[t_idx])
+        return res
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_clouds_under_small_motions(self, solves, seed):
+        rng = np.random.default_rng(seed)
+        pts = structured_cloud(rng, 400)
+        source = estimate_point_covariances(
+            PointCloud(pts + rng.normal(0, 0.02, pts.shape)), 10, 1e-3)
+        target = estimate_point_covariances(
+            PointCloud(pts + rng.normal(0, 0.02, pts.shape)), 10, 1e-3)
+        init = se3_exp(np.concatenate([rng.normal(0, 0.15, 3),
+                                       rng.normal(0, 0.03, 3)]))
+        assert self.check(solves, source, target, init).iterations > 1
+
+    def test_exact_ties_on_a_grid(self, solves):
+        grid = grid_room()
+        target = estimate_point_covariances(PointCloud(grid), 10, 1e-3)
+        # half a step off the grid along x: the floor and the y wall tie
+        # between two targets
+        source = estimate_point_covariances(
+            PointCloud(grid + [0.125, 0.0, 0.0]), 10, 1e-3)
+        dist, _ = cKDTree(grid).query(source.points, k=2)
+        assert np.mean(dist[:, 0] == dist[:, 1]) > 0.7
+        assert self.check(solves, source, target,
+                          Pose.identity()).iterations > 1
+
+    def test_far_from_the_origin(self, solves, room):
+        far = Pose.from_yaw(0.3, (1e5, -1e5, 1e5))
+        target = room.transformed(far)
+        init = far.compose(Pose.from_yaw(0.02, (0.1, -0.05, 0.0)))
+        assert self.check(solves, room, target, init).iterations > 1
+
+    def test_rows_beyond_the_gate(self, solves, rng, room):
+        # floor points lifted about one gate width: they cross the gate as
+        # the pose moves; others lifted far out never have a target
+        floor = room.points[room.points[:, 2] == 0.0][:300]
+        lifted = floor + np.column_stack([
+            np.zeros((300, 2)), rng.uniform(0.8, 1.2, 300)])
+        lifted[::3, 2] += 5.0
+        source = estimate_point_covariances(
+            PointCloud(np.concatenate([room.points, lifted])), 10, 1e-3)
+        init = Pose.from_yaw(0.05, (0.2, 0.1, -0.1))
+        res = self.check(solves, source, room, init)
+        assert res.iterations > 1
+        assert all(len(ps) < len(source) for _, ps, _ in solves)
+
+    def test_later_iterations_query_fewer_rows(self, room, monkeypatch):
+        rows = [0]
+        original = registration.query_neighbors
+
+        def counting(tree, points, k, distance_upper_bound=np.inf):
+            rows[-1] += len(points)
+            return original(tree, points, k, distance_upper_bound)
+
+        solve = registration._normal_equations
+
+        def next_iteration(*args):
+            rows.append(0)
+            return solve(*args)
+
+        monkeypatch.setattr(registration, "query_neighbors", counting)
+        monkeypatch.setattr(registration, "_normal_equations", next_iteration)
+        target = room.transformed(Pose.from_yaw(0.02, (0.1, 0.05, 0.0)))
+        res = gicp_align(room, target, Pose.identity())
+        per_iteration = rows[:res.iterations]
+        assert res.iterations > 2
+        assert per_iteration[0] == len(room)
+        assert all(n < len(room) for n in per_iteration[1:])
+        # the last step is tiny: nearly every row keeps its answer
+        assert per_iteration[-1] < len(room) // 10
 
 
 class TestCarriedTree:
