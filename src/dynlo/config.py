@@ -1,11 +1,10 @@
 """Pipeline configuration: dataclass bundle plus a key=value text format.
 
-Every parameter of every stage has a key, derived from the dataclass fields:
-a stage field is ``<stage>.<field>`` (a matrix ``<stage>.<field>_diag``, given
-by its diagonal), a top-level field its own name, ``keyframe_*`` is
-``keyframes.*``, and ``_RENAMES`` names the rest. Values are parsed and
-formatted by the type of their default. Absent keys keep their defaults and
-unknown keys are rejected. ``#`` starts a comment.
+Each stage's parameters are the fields of its dataclass, and the key of a
+field is ``<stage>.<field>`` (a matrix ``<stage>.<field>_diag``, given by its
+diagonal); ``dt``, the one top-level field, is its own key. Values are parsed
+and formatted by the type of their default. Absent keys keep their defaults
+and unknown keys are rejected. ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -14,31 +13,25 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .detections import VALID_CLASSES
+from .detections import VALID_CLASSES, DetectionParams
 from .ground import ConstraintParams
+from .keyframes import KeyframeParams
 from .preprocess import PreprocessParams
 from .registration import GicpParams
-from .tracking import UkfParams
+from .removal import RemovalParams
+from .tracking import TRACKER_KINDS, UkfParams
 
 
 @dataclass
 class PipelineConfig:
     dt: float = 0.1
     preprocess: PreprocessParams = field(default_factory=PreprocessParams)
-    detection_min_score: float = 0.75
-    detection_classes: tuple = VALID_CLASSES
-    tracker_kind: str = "ukf"
+    detections: DetectionParams = field(default_factory=DetectionParams)
     tracker: UkfParams = field(default_factory=UkfParams)
-    enable_removal: bool = True
-    removal_margin: float = 0.1
+    removal: RemovalParams = field(default_factory=RemovalParams)
     gicp: GicpParams = field(default_factory=GicpParams)
-    enable_constraint: bool = True
     constraint: ConstraintParams = field(default_factory=ConstraintParams)
-    keyframe_k_nearest: int = 10
-    keyframe_l_hull: int = 10
-    keyframe_j_concave: int = 10
-    keyframe_concave_alpha: float = 25.0
-    keyframe_cell_size: float = 5.0
+    keyframes: KeyframeParams = field(default_factory=KeyframeParams)
 
 
 def _fmt(value) -> str:
@@ -65,31 +58,23 @@ def _float(raw: str, positive: bool = False) -> float:
     return value
 
 
-# top-level fields whose key is neither their name nor ``keyframes.*``
-_RENAMES = {"detection_min_score": "detections.min_score",
-            "detection_classes": "detections.classes",
-            "tracker_kind": "tracker.kind",
-            "enable_removal": "removal.enabled",
-            "removal_margin": "removal.margin",
-            "enable_constraint": "constraint.enabled"}
 _POSITIVE = ("tracker.alpha",)  # float keys that must be > 0
 
 
 def _parameters():
     """(key, stage, field name, default) of every parameter in field order;
-    ``stage`` is the ``PipelineConfig`` attribute that holds it, or None."""
+    ``stage`` is the ``PipelineConfig`` attribute that holds it, or None for
+    ``dt``."""
     defaults = PipelineConfig()
     for f in fields(defaults):
-        default = getattr(defaults, f.name)
-        if is_dataclass(default):
-            for g in fields(default):
-                value = getattr(default, g.name)
-                diag = "_diag" if isinstance(value, np.ndarray) else ""
-                yield f"{f.name}.{g.name}{diag}", f.name, g.name, value
-        elif f.name.startswith("keyframe_"):
-            yield "keyframes." + f.name[9:], None, f.name, default
-        else:
-            yield _RENAMES.get(f.name, f.name), None, f.name, default
+        stage = getattr(defaults, f.name)
+        if not is_dataclass(stage):
+            yield f.name, None, f.name, stage
+            continue
+        for g in fields(stage):
+            default = getattr(stage, g.name)
+            diag = "_diag" if isinstance(default, np.ndarray) else ""
+            yield f"{f.name}.{g.name}{diag}", f.name, g.name, default
 
 
 def _parse(raw: str, default, positive: bool):
@@ -112,6 +97,8 @@ def _parse(raw: str, default, positive: bool):
             if name not in VALID_CLASSES:
                 raise ValueError(f"unknown class '{name}'")
         return names
+    if raw not in TRACKER_KINDS:  # tracker.kind, the one string parameter
+        raise ValueError(f"unknown tracker kind '{raw}'")
     return raw
 
 

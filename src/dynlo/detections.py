@@ -20,6 +20,12 @@ from .geometry import wrap_angle
 VALID_CLASSES = ("car", "cyclist")
 
 
+@dataclass
+class DetectionParams:
+    min_score: float = 0.75
+    classes: tuple = VALID_CLASSES
+
+
 @dataclass(eq=False)
 class DetectionFrame:
     """One scan's box rows ``cx cy cz yaw l w h`` (D, 7), the tracker's

@@ -150,11 +150,6 @@ class Pose:
     def from_yaw(yaw: float, translation=(0.0, 0.0, 0.0)) -> "Pose":
         return Pose(rot_z(yaw), translation)
 
-    @staticmethod
-    def from_euler(yaw: float, pitch: float, roll: float,
-                   translation=(0.0, 0.0, 0.0)) -> "Pose":
-        return Pose(from_euler_zyx(yaw, pitch, roll), translation)
-
     def compose(self, other: "Pose") -> "Pose":
         R = self.rotation @ other.rotation
         if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:

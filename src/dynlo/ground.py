@@ -19,6 +19,7 @@ from .geometry import Pose, euler_zyx, from_euler_zyx, rotation_aligning, wrap_a
 
 @dataclass
 class ConstraintParams:
+    enabled: bool = True
     window_scans: int = 10
     min_inliers: int = 8
     plane_inlier_distance: float = 0.2

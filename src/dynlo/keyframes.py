@@ -22,6 +22,15 @@ from .geometry import PointCloud, Pose, rotation_angle
 
 
 @dataclass
+class KeyframeParams:
+    k_nearest: int = 10
+    l_hull: int = 10
+    j_concave: int = 10
+    concave_alpha: float = 25.0
+    cell_size: float = 5.0
+
+
+@dataclass
 class Keyframe:
     pose: Pose
     cloud: PointCloud  # body frame at capture: points and labels

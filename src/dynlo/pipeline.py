@@ -77,8 +77,9 @@ def run_pipeline(scans: Iterable[PointCloud],
                  config: PipelineConfig | None = None) -> PipelineResult:
     cfg = config if config is not None else PipelineConfig()
     pre = cfg.preprocess
-    tracker = Tracker(cfg.tracker, kind=cfg.tracker_kind)
-    db = KeyframeDB(cell_size=cfg.keyframe_cell_size)
+    det, rem, kf = cfg.detections, cfg.removal, cfg.keyframes
+    tracker = Tracker(cfg.tracker)
+    db = KeyframeDB(cell_size=kf.cell_size)
     window = SlidingBoxWindow(cfg.constraint.window_scans)
 
     poses: List[Pose] = []
@@ -99,15 +100,13 @@ def run_pipeline(scans: Iterable[PointCloud],
         downsampled = voxel_downsample(cropped, pre.voxel_leaf)
         t_pre = time.perf_counter()
 
-        frame_f = filter_detections(frame, cfg.detection_min_score,
-                                    cfg.detection_classes)
+        frame_f = filter_detections(frame, det.min_score, det.classes)
         step = tracker.step(frame_f, cfg.dt)
-        dyn_boxes = step.dynamic_boxes if cfg.enable_removal else np.empty((0, 7))
+        dyn_boxes = step.dynamic_boxes if rem.enabled else np.empty((0, 7))
         static, _removed = remove_dynamic_points(downsampled, dyn_boxes,
-                                                 cfg.removal_margin)
+                                                 rem.margin)
         if raw.labels is not None:
-            removed_raw = dynamic_point_mask(raw.points, dyn_boxes,
-                                             cfg.removal_margin)
+            removed_raw = dynamic_point_mask(raw.points, dyn_boxes, rem.margin)
             labels = raw.labels
             provenance_rows.append((k,
                                     int(np.sum(~labels)), int(np.sum(labels)),
@@ -149,11 +148,9 @@ def run_pipeline(scans: Iterable[PointCloud],
                 except ValueError as exc:
                     s2s_ok = False
                     reasons.append(f"s2s:{exc}")
-                ids, submap = db.select_submap(world_init,
-                                               cfg.keyframe_k_nearest,
-                                               cfg.keyframe_l_hull,
-                                               cfg.keyframe_j_concave,
-                                               cfg.keyframe_concave_alpha)
+                ids, submap = db.select_submap(world_init, kf.k_nearest,
+                                               kf.l_hull, kf.j_concave,
+                                               kf.concave_alpha)
                 # the same ids give the same cloud until the next insert
                 if submap.tree is None:
                     submap.tree = cKDTree(submap.points, balanced_tree=False,
@@ -169,7 +166,7 @@ def run_pipeline(scans: Iterable[PointCloud],
                     s2m_ok = False
                     reasons.append(f"s2m:{exc}")
 
-        if cfg.enable_constraint:
+        if cfg.constraint.enabled:
             if poses:
                 window.advance(pose.inverse().compose(prev_pose))
             window.push(frame_f.boxes)

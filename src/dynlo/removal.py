@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -9,6 +10,12 @@ import numpy as np
 from .geometry import PointCloud, rot_z
 
 _CHUNK_PAIRS = 1 << 16  # (point, box) pairs per prefilter chunk
+
+
+@dataclass
+class RemovalParams:
+    enabled: bool = True
+    margin: float = 0.1
 
 
 def dynamic_point_mask(points: np.ndarray, boxes: np.ndarray,

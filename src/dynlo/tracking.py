@@ -23,6 +23,7 @@ from .detections import DetectionFrame
 from .geometry import wrap_angle
 
 STATE_DIM = 8
+TRACKER_KINDS = ("ukf", "ekf")
 # observation keeps [x, y, z, yaw, l, w, h] and drops v
 _OBS_IDX = np.array([0, 1, 2, 3, 5, 6, 7])
 
@@ -38,6 +39,7 @@ def _default_measurement_noise() -> np.ndarray:
 
 @dataclass
 class UkfParams:
+    kind: str = "ukf"  # one of TRACKER_KINDS
     alpha: float = 1e-3
     beta: float = 2.0
     kappa: float = 0.0
@@ -130,9 +132,10 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return (P + _swap(P)) / 2.0
 
 
-def _predict(kind: str, means, covs, dt: float, params: UkfParams):
-    """Propagate stacked means (T, 8) and covariances (T, 8, 8) by ``dt``."""
-    if kind == "ukf":
+def _predict(means, covs, dt: float, params: UkfParams):
+    """Propagate stacked means (T, 8) and covariances (T, 8, 8) by ``dt``
+    with the filter ``params.kind``."""
+    if params.kind == "ukf":
         pts, wm, _ = sigma_points(means, covs, params)
         prop = _motion_model_raw(pts, dt)
         # sums about the centre point y0 (e_i = y_i - y0, so e_0 = 0): the
@@ -214,17 +217,16 @@ class Tracker:
     ascends. ``tracks`` reads the rows as ``Track`` records.
     """
 
-    def __init__(self, params: UkfParams | None = None, kind: str = "ukf"):
-        if kind not in ("ukf", "ekf"):
-            raise ValueError(f"unknown tracker kind '{kind}'")
+    def __init__(self, params: UkfParams | None = None):
         self.params = params if params is not None else UkfParams()
+        if self.params.kind not in TRACKER_KINDS:
+            raise ValueError(f"unknown tracker kind '{self.params.kind}'")
         # the sigma spread n + lambda scales the Cholesky and divides the weights
         scale = STATE_DIM + _sigma_lambda(self.params, STATE_DIM)
-        if kind == "ukf" and not 0.0 < scale < np.inf:
+        if self.params.kind == "ukf" and not 0.0 < scale < np.inf:
             raise ValueError("tracker.alpha and tracker.kappa give a sigma "
                              f"spread n + lambda = {scale:g}; it must be "
                              "finite and > 0")
-        self.kind = kind
         self.next_id = 0
         for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)))):
             setattr(self, name, rows)
@@ -235,7 +237,7 @@ class Tracker:
 
     def predict(self, dt: float) -> None:
         self.means, self.covariances = _predict(
-            self.kind, self.means, self.covariances, dt, self.params)
+            self.means, self.covariances, dt, self.params)
         self.ages += 1
 
     def update(self, rows, boxes: np.ndarray) -> None:

@@ -315,9 +315,9 @@ def _ablation_matrix(seeds=(0, 1, 2, 3, 4)):
             "no_constraint": reference_config(),
             "ekf": reference_config(),
         }
-        variants["no_removal"].enable_removal = False
-        variants["no_constraint"].enable_constraint = False
-        variants["ekf"].tracker_kind = "ekf"
+        variants["no_removal"].removal.enabled = False
+        variants["no_constraint"].constraint.enabled = False
+        variants["ekf"].tracker.kind = "ekf"
         for name, cfg in variants.items():
             out = run_pipeline(res.scans, res.detections, cfg)
             results.setdefault(name, []).append(

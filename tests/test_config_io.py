@@ -20,6 +20,7 @@ from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
 from dynlo.geometry import PointCloud
 from dynlo.metrics import Trajectory
 from dynlo.simulate import reference_config
+from dynlo.tracking import TRACKER_KINDS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -66,7 +67,7 @@ def _random_configs(draw):
             value = tuple(draw(st.lists(st.sampled_from(VALID_CLASSES),
                                         min_size=1, unique=True)))
         else:
-            value = draw(st.sampled_from(["ukf", "ekf"]))
+            value = draw(st.sampled_from(TRACKER_KINDS))
         setattr(owner, name, value)
     return cfg
 
@@ -83,8 +84,8 @@ class TestConfig:
         assert np.array_equal(cfg.tracker.process_noise, ref.tracker.process_noise)
         assert np.array_equal(cfg.tracker.measurement_noise,
                               ref.tracker.measurement_noise)
-        assert cfg.enable_removal and cfg.enable_constraint
-        assert cfg.tracker_kind == "ukf"
+        assert cfg.removal.enabled and cfg.constraint.enabled
+        assert cfg.tracker.kind == "ukf"
 
     def test_every_documented_key_appears(self):
         text = dump_config()
@@ -106,11 +107,11 @@ class TestConfig:
             detections.classes = car
         """)
         assert cfg.dt == 0.05
-        assert cfg.tracker_kind == "ekf"
-        assert not cfg.enable_removal
+        assert cfg.tracker.kind == "ekf"
+        assert not cfg.removal.enabled
         assert np.allclose(np.diag(cfg.tracker.process_noise),
                            [1, 2, 3, 4, 5, 6, 7, 8])
-        assert cfg.detection_classes == ("car",)
+        assert cfg.detections.classes == ("car",)
 
     @pytest.mark.parametrize("cfg, golden", [
         (PipelineConfig(), "config_defaults.txt"),
@@ -128,13 +129,18 @@ class TestConfig:
             assert np.array_equal(value, value_back), name
 
     def test_every_field_has_exactly_one_key(self):
-        # changing one field changes one line of the dump, and that line
-        # parses back into that field alone
+        # changing one field changes one line of the dump, keyed
+        # <stage>.<field> (<stage>.<field>_diag for a matrix) or dt, and that
+        # line parses back into that field alone
         base = dump_config().splitlines()
         for i, _ in enumerate(_fields(PipelineConfig())):
             cfg = PipelineConfig()
             owner, name = list(_fields(cfg))[i]
             value = getattr(owner, name)
+            stage = [f.name for f in fields(cfg) if getattr(cfg, f.name) is owner]
+            key = (f"{stage[0]}.{name}" if stage else name) + (
+                "_diag" if isinstance(value, np.ndarray) else "")
+            assert stage or key == "dt", name
             if isinstance(value, np.ndarray):
                 value = value * 2.0
             elif isinstance(value, tuple):
@@ -147,16 +153,20 @@ class TestConfig:
             changed = [line for line, ref in zip(dump_config(cfg).splitlines(),
                                                  base) if line != ref]
             assert len(changed) == 1, name
+            assert changed[0].startswith(key + " = "), name
             back = parse_config_text(changed[0])
             assert all(np.array_equal(getattr(a, n), getattr(b, n)) for
                        (a, n), (b, _) in zip(_fields(back), _fields(cfg))), name
 
-    @pytest.mark.parametrize("value, bad", [("Car", "Car"),
-                                            ("car Pedestrian", "Pedestrian")])
-    def test_unknown_class_rejected_with_line(self, value, bad):
-        with pytest.raises(ValueError,
-                           match=f"config line 2: unknown class '{bad}'"):
-            parse_config_text(f"dt = 0.1\ndetections.classes = {value}\n")
+    @pytest.mark.parametrize("line, message", [
+        ("detections.classes = Car", "unknown class 'Car'"),
+        ("detections.classes = car Pedestrian", "unknown class 'Pedestrian'"),
+        ("tracker.kind = pf", "unknown tracker kind 'pf'"),
+        ("tracker.kind = EKF", "unknown tracker kind 'EKF'")],
+        ids=["Car", "Pedestrian", "pf", "EKF"])
+    def test_unknown_name_rejected_with_line(self, line, message):
+        with pytest.raises(ValueError, match=f"config line 2: {message}"):
+            parse_config_text(f"dt = 0.1\n{line}\n")
 
     @pytest.mark.parametrize("value", ["", "  "])
     def test_empty_class_list_rejected_with_line(self, value):
@@ -183,7 +193,7 @@ class TestConfig:
 
     def test_inf_accepted(self):
         cfg = parse_config_text("keyframes.concave_alpha = inf\n")
-        assert cfg.keyframe_concave_alpha == np.inf
+        assert cfg.keyframes.concave_alpha == np.inf
 
     def test_run_reports_zero_alpha_as_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_pose
-from dynlo.geometry import DetectionBox, Pose, euler_zyx, transform_box
+from dynlo.geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
+                            transform_box)
 from dynlo.ground import (ConstraintParams, SlidingBoxWindow,
                           apply_consistency_constraint, fit_ground_from_boxes)
 
@@ -84,8 +85,8 @@ class TestConstraint:
     def test_roll_error_fully_corrected_at_full_blend(self, rng):
         yaw = 0.7
         roll_err = math.radians(2.0)
-        true_pose = Pose.from_euler(yaw, 0.0, 0.0, (3.0, 1.0, 0.5))
-        est = Pose.from_euler(yaw, 0.0, roll_err, true_pose.translation)
+        true_pose = Pose(from_euler_zyx(yaw, 0.0, 0.0), (3.0, 1.0, 0.5))
+        est = Pose(from_euler_zyx(yaw, 0.0, roll_err), true_pose.translation)
         # detections live in the true body frame, so the measured ground
         # normal reflects the true attitude, not the estimated one
         normal_body = true_pose.rotation.T @ np.array([0.0, 0.0, 1.0])
@@ -116,8 +117,8 @@ class TestConstraint:
     @given(st.integers(0, 2**32 - 1))
     def test_never_touches_yaw_or_xy(self, seed):
         rng = np.random.default_rng(seed)
-        pose = Pose.from_euler(rng.uniform(-3, 3), rng.uniform(-0.2, 0.2),
-                               rng.uniform(-0.2, 0.2), rng.normal(size=3))
+        pose = Pose(from_euler_zyx(rng.uniform(-3, 3), rng.uniform(-0.2, 0.2),
+                                   rng.uniform(-0.2, 0.2)), rng.normal(size=3))
         prev = random_pose(rng)
         normal = np.array([rng.normal(0, 0.05), rng.normal(0, 0.05), 1.0])
         from dynlo.ground import GroundFit
@@ -160,8 +161,10 @@ class TestSlidingWindow:
         for k in range(int(rng.integers(1, 9))):
             if k:
                 # tilted relative poses: the drop stays along the current z
-                rel = Pose.from_euler(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3),
-                                      rng.uniform(-0.3, 0.3), rng.normal(size=3))
+                rel = Pose(from_euler_zyx(rng.uniform(-3, 3),
+                                          rng.uniform(-0.3, 0.3),
+                                          rng.uniform(-0.3, 0.3)),
+                           rng.normal(size=3))
                 w.advance(rel)
                 frames = [[transform_box(rel, b) for b in f] for f in frames]
             boxes = [DetectionBox(rng.normal(scale=20.0, size=3),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from dynlo.geometry import PointCloud, Pose
+from dynlo.geometry import PointCloud, Pose, from_euler_zyx
 from dynlo.keyframes import (KeyframeDB, compute_spaciousness,
                              keyframe_threshold)
 
@@ -442,8 +442,8 @@ class TestMatchesFormerImplementation:
         db = KeyframeDB(cell_size=cell_size)
         poses, clouds = [], []
         for i, p in enumerate(positions):
-            pose = Pose.from_euler(*rng.uniform(-math.pi, math.pi, size=3),
-                                   translation=p)
+            pose = Pose(from_euler_zyx(*rng.uniform(-math.pi, math.pi, size=3)),
+                        p)
             m = int(rng.integers(1, 20))
             covs = None
             if covariances == "all" or (covariances == "mixed"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
-from dynlo.geometry import Pose
+from dynlo.geometry import Pose, from_euler_zyx
 from dynlo.metrics import (MapQuality, RemovalCounts, Trajectory, align_rigid,
                            ape_rmse, map_pr_rr_f1, max_z_drift, rpe_rmse)
 
@@ -40,9 +40,10 @@ def traj_from_poses(poses, dt=0.1):
 def random_traj(rng, n, step=0.5):
     poses = [Pose.identity()]
     for _ in range(n - 1):
-        delta = Pose.from_euler(rng.normal(scale=0.1), rng.normal(scale=0.02),
-                                rng.normal(scale=0.02),
-                                rng.normal(scale=step, size=3))
+        delta = Pose(from_euler_zyx(rng.normal(scale=0.1),
+                                    rng.normal(scale=0.02),
+                                    rng.normal(scale=0.02)),
+                     rng.normal(scale=step, size=3))
         poses.append(poses[-1].compose(delta))
     return traj_from_poses(poses)
 
@@ -76,8 +77,8 @@ class TestApe:
         for _ in range(20):
             gt = random_traj(rng, 30)
             est = traj_from_poses([
-                p.compose(Pose.from_euler(rng.normal(scale=0.01), 0, 0,
-                                          rng.normal(scale=0.05, size=3)))
+                p.compose(Pose(from_euler_zyx(rng.normal(scale=0.01), 0, 0),
+                               rng.normal(scale=0.05, size=3)))
                 for p in gt.poses])
             a, b = est.translations(), gt.translations()
             R, t = davenport_alignment(a, b)

@@ -100,7 +100,7 @@ class TestRunPipeline:
         gt = Trajectory.from_poses(res.gt_poses)
         on = run_pipeline(res.scans, res.detections, reference_config())
         cfg = reference_config()
-        cfg.enable_constraint = False
+        cfg.constraint.enabled = False
         off = run_pipeline(res.scans, res.detections, cfg)
         assert max_z_drift(on.trajectory, gt) <= max_z_drift(off.trajectory, gt)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ def make_track(mean, cov, tid=0):
 
 def filter_one(track, params, kind, operate):
     """Run a stacked ``Tracker`` operation on a tracker holding only ``track``."""
-    tracker = Tracker(params, kind)
+    tracker = Tracker(replace(params, kind=kind))
     tracker.means = np.array([track.state.mean])
     tracker.covariances = np.array([track.state.covariance])
     tracker.ids = np.array([track.id])
@@ -447,7 +448,7 @@ class TestTrackerLifecycle:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            Tracker(kind="pf")
+            Tracker(UkfParams(kind="pf"))
 
     # n + lambda rounds to 0 (the first two) or is not finite
     @pytest.mark.parametrize("alpha, kappa", [(1e-3, -8.0), (1e-9, 0.0),
@@ -456,8 +457,8 @@ class TestTrackerLifecycle:
                                                                kappa):
         params = UkfParams(alpha=alpha, kappa=kappa)
         with pytest.raises(ValueError, match="tracker.alpha and tracker.kappa"):
-            Tracker(params, kind="ukf")
-        Tracker(params, kind="ekf")  # the EKF takes no sigma points
+            Tracker(params)
+        Tracker(replace(params, kind="ekf"))  # the EKF takes no sigma points
 
 
 # --- the stacked tracker against the per-track one it replaced ----------------
@@ -663,7 +664,8 @@ class TestStackedTrackerEquivalence:
     @pytest.mark.parametrize("kind", ["ukf", "ekf"])
     def test_matches_per_track_tracker(self, kind):
         params = reference_config().tracker
-        stacked, ref = Tracker(params, kind), ReferenceTracker(params, kind)
+        stacked = Tracker(replace(params, kind=kind))
+        ref = ReferenceTracker(params, kind)
         flagged = 0
         for frame in lane_frames(np.random.default_rng(5)):
             step = stacked.step(frame, 0.1)
@@ -691,7 +693,7 @@ class TestStackedTrackerEquivalence:
         # same filter in exact arithmetic; the former sums cancelled ~1e6
         # weights, so only round-off may differ
         params = reference_config().tracker
-        stacked, former = Tracker(params, "ukf"), FormerSigmaPointTracker(params)
+        stacked, former = Tracker(params), FormerSigmaPointTracker(params)
         for frame in lane_frames(np.random.default_rng(seed), n_scans=60):
             assert stacked.step(frame, 0.1).matched_ids == former.step(frame, 0.1)
             rows = list(stacked.tracks)
@@ -708,12 +710,12 @@ class TestStackedTrackerEquivalence:
         """The UKF prediction of ~12 lane tracks against its weighted sums
         over the same float64 propagated sigma points, evaluated exactly."""
         params, dt, n = reference_config().tracker, 0.1, STATE_DIM
-        tracker = Tracker(params, "ukf")
+        tracker = Tracker(params)
         for frame in lane_frames(np.random.default_rng(5), n_scans=8):
             tracker.step(frame, dt)
         rows = np.arange(0, len(tracker.ids), len(tracker.ids) // 12)
         means, covs = tracker.means[rows], tracker.covariances[rows]
-        got_mean, got_cov = tracking._predict("ukf", means, covs, dt, params)
+        got_mean, got_cov = tracking._predict(means, covs, dt, params)
         pts, wm, _ = sigma_points(means, covs, params)
         prop = tracking._motion_model_raw(pts, dt)
         # the weights sigma_points returns, the centre one chosen so that
@@ -779,8 +781,8 @@ class TestBatchedFactorization:
         """EKF tracker with noiseless measurements, one track at each x, whose
         innovation covariances are the given 7x7 blocks; and a detection of
         each track, as box rows."""
-        params = UkfParams(measurement_noise=np.zeros((7, 7)))
-        tracker = Tracker(params, "ekf")
+        params = UkfParams(kind="ekf", measurement_noise=np.zeros((7, 7)))
+        tracker = Tracker(params)
         tracker.step(frame_of(0, [DetectionBox((x, 0, 0), 0.0, (4, 2, 1.5))
                                   for x in xs]), 0.1)
         for i, block in enumerate(obs_blocks):
