@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +22,9 @@ VALID_CLASSES = ("car", "cyclist")
 
 @dataclass
 class DetectionParams:
-    min_score: float = 0.75
-    classes: tuple = VALID_CLASSES
+    min_score: float = field(default=0.75, metadata={"bound": "in [0, 1]"})
+    classes: tuple = field(default=VALID_CLASSES, metadata={
+        "bound": VALID_CLASSES, "noun": "class"})
 
 
 @dataclass(eq=False)
@@ -91,8 +92,8 @@ def save_detection_frame(frame: DetectionFrame, path: str) -> None:
                 cls, score, cx, cy, cz, l, w, h, yaw))
 
 
-def filter_detections(frame: DetectionFrame, min_score: float = 0.75,
-                      classes: Sequence[str] = VALID_CLASSES) -> DetectionFrame:
+def filter_detections(frame: DetectionFrame, min_score: float,
+                      classes: Sequence[str]) -> DetectionFrame:
     """Keep boxes with score >= min_score and class in ``classes``; order preserved."""
     keep = (frame.scores >= min_score) & np.isin(frame.classes, list(classes))
     return DetectionFrame(frame.scan_index, frame.boxes[keep],

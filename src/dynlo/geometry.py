@@ -256,7 +256,7 @@ class DetectionBox:
         return np.array([*self.center, self.yaw, *self.dims], dtype=dtype)
 
 
-def point_in_box(points, box: DetectionBox, margin: float = 0.1):
+def point_in_box(points, box: DetectionBox, margin: float):
     """True where a point falls inside the box dilated by ``margin`` per axis."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     local = (pts - box.center) @ rot_z(box.yaw)

@@ -9,7 +9,7 @@ scans indicates flat terrain and constrains t_z toward the previous pose.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -19,12 +19,12 @@ from .geometry import Pose, euler_zyx, from_euler_zyx, rotation_aligning, wrap_a
 
 @dataclass
 class ConstraintParams:
-    enabled: bool = True
-    window_scans: int = 10
-    min_inliers: int = 8
-    plane_inlier_distance: float = 0.2
-    z_change_threshold: float = 0.1
-    blend_weight: float = 0.5
+    enabled: bool = field(default=True, metadata={"bound": None})
+    window_scans: int = field(default=10, metadata={"bound": ">= 1"})
+    min_inliers: int = field(default=8, metadata={"bound": None})
+    plane_inlier_distance: float = field(default=0.2, metadata={"bound": "> 0"})
+    z_change_threshold: float = field(default=0.1, metadata={"bound": ">= 0"})
+    blend_weight: float = field(default=0.5, metadata={"bound": "in [0, 1]"})
 
 
 @dataclass

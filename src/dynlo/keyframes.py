@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -23,11 +23,11 @@ from .geometry import PointCloud, Pose, rotation_angle
 
 @dataclass
 class KeyframeParams:
-    k_nearest: int = 10
-    l_hull: int = 10
-    j_concave: int = 10
-    concave_alpha: float = 25.0
-    cell_size: float = 5.0
+    k_nearest: int = field(default=10, metadata={"bound": ">= 1"})
+    l_hull: int = field(default=10, metadata={"bound": ">= 0"})
+    j_concave: int = field(default=10, metadata={"bound": ">= 0"})
+    concave_alpha: float = field(default=25.0, metadata={"bound": None})
+    cell_size: float = field(default=5.0, metadata={"bound": "> 0"})
 
 
 @dataclass
@@ -91,7 +91,7 @@ class KeyframeDB:
     translation is ``positions[i]``.
     """
 
-    def __init__(self, cell_size: float = 5.0):
+    def __init__(self, cell_size: float):
         if cell_size <= 0.0:
             raise ValueError("cell_size must be positive")
         self.cell_size = cell_size
@@ -232,7 +232,7 @@ class KeyframeDB:
         return sorted(polygon)
 
     def select_submap(self, pose: Pose, k_nearest: int, l_hull: int,
-                      j_concave: int, concave_alpha: float = float("inf")
+                      j_concave: int, concave_alpha: float
                       ) -> Tuple[List[int], PointCloud]:
         """Deduplicated union of nearest / convex-hull / concave-hull keyframes,
         stitched into one world-frame cloud with rotated covariances; the same

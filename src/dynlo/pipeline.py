@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check_config
 from .detections import DetectionFrame, filter_detections
 from .geometry import PointCloud, Pose
 from .ground import SlidingBoxWindow, apply_consistency_constraint, fit_ground_from_boxes
@@ -76,6 +76,7 @@ def run_pipeline(scans: Iterable[PointCloud],
                  detections: Iterable[DetectionFrame],
                  config: PipelineConfig | None = None) -> PipelineResult:
     cfg = config if config is not None else PipelineConfig()
+    check_config(cfg)  # before the first scan is pulled
     pre = cfg.preprocess
     det, rem, kf = cfg.detections, cfg.removal, cfg.keyframes
     tracker = Tracker(cfg.tracker)

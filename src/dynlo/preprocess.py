@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -16,10 +16,11 @@ _DEGENERATE_GAP = 1e-6
 
 @dataclass
 class PreprocessParams:
-    self_crop_half_extent: float = 0.5
-    voxel_leaf: float = 0.25
-    covariance_knn: int = 10
-    plane_epsilon: float = 1e-3
+    self_crop_half_extent: float = field(default=0.5, metadata={"bound": "> 0"})
+    voxel_leaf: float = field(default=0.25, metadata={"bound": "> 0"})
+    covariance_knn: int = field(default=10, metadata={"bound": ">= 1"})
+    plane_epsilon: float = field(default=1e-3,
+                                 metadata={"bound": "in (0, 1]"})
 
 
 def crop_self_returns(cloud: PointCloud, half_extent: float) -> PointCloud:
@@ -61,8 +62,8 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(centroids)
 
 
-def estimate_point_covariances(cloud: PointCloud, k: int = 10,
-                               plane_epsilon: float = 1e-3) -> PointCloud:
+def estimate_point_covariances(cloud: PointCloud, k: int,
+                               plane_epsilon: float) -> PointCloud:
     """Attach plane-regularized covariances from each point's k nearest neighbors.
 
     Each point's covariance is ``I - (1 - plane_epsilon) n n^T``, where n is

@@ -26,7 +26,7 @@ contracted with the three skew generators. No per-point Jacobian is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,10 +52,11 @@ _SECOND = 4 + _UNPACK.reshape(3, 3)
 
 @dataclass
 class GicpParams:
-    max_correspondence_distance: float = 1.0
-    max_iterations: int = 64
-    translation_epsilon: float = 1e-4
-    rotation_epsilon: float = 1e-4
+    max_correspondence_distance: float = field(default=1.0,
+                                               metadata={"bound": "> 0"})
+    max_iterations: int = field(default=64, metadata={"bound": ">= 1"})
+    translation_epsilon: float = field(default=1e-4, metadata={"bound": "> 0"})
+    rotation_epsilon: float = field(default=1e-4, metadata={"bound": "> 0"})
 
 
 @dataclass
@@ -275,6 +276,9 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
     params = params if params is not None else GicpParams()
     if params.max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
+    if not params.max_correspondence_distance > 0.0:
+        # scipy reads a negative distance bound as no bound at all
+        raise ValueError("max_correspondence_distance must be positive")
     if len(source) < _MIN_CORRESPONDENCES or len(target) < _MIN_CORRESPONDENCES:
         raise ValueError("insufficient overlap")
     _require_covariances(source, "source")

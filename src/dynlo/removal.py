@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -14,12 +14,12 @@ _CHUNK_PAIRS = 1 << 16  # (point, box) pairs per prefilter chunk
 
 @dataclass
 class RemovalParams:
-    enabled: bool = True
-    margin: float = 0.1
+    enabled: bool = field(default=True, metadata={"bound": None})
+    margin: float = field(default=0.1, metadata={"bound": None})
 
 
 def dynamic_point_mask(points: np.ndarray, boxes: np.ndarray,
-                       margin: float = 0.1) -> np.ndarray:
+                       margin: float) -> np.ndarray:
     """True where a point lies inside any box row ``cx cy cz yaw l w h`` (dilated
     by margin): a conservative circumscribed-sphere prefilter of all (point,
     box) pairs at once, then ``point_in_box``'s exact test, same arithmetic."""
@@ -49,7 +49,7 @@ def dynamic_point_mask(points: np.ndarray, boxes: np.ndarray,
 
 
 def remove_dynamic_points(cloud: PointCloud, dynamic_boxes: np.ndarray,
-                          margin: float = 0.1) -> Tuple[PointCloud, np.ndarray]:
+                          margin: float) -> Tuple[PointCloud, np.ndarray]:
     """Split a cloud into survivors and the ascending indices of removed points."""
     removed = dynamic_point_mask(cloud.points, dynamic_boxes, margin)
     return cloud.subset(~removed), np.flatnonzero(removed)

@@ -39,16 +39,22 @@ def _default_measurement_noise() -> np.ndarray:
 
 @dataclass
 class UkfParams:
-    kind: str = "ukf"  # one of TRACKER_KINDS
-    alpha: float = 1e-3
-    beta: float = 2.0
-    kappa: float = 0.0
-    process_noise: np.ndarray = field(default_factory=_default_process_noise)
-    measurement_noise: np.ndarray = field(default_factory=_default_measurement_noise)
-    initial_velocity_variance: float = 100.0
-    dynamic_speed_threshold: float = 1.0
-    gate_distance: float = 2.0
-    age_max: int = 3
+    kind: str = field(default="ukf", metadata={"bound": TRACKER_KINDS,
+                                               "noun": "tracker kind"})
+    alpha: float = field(default=1e-3, metadata={"bound": "> 0"})
+    beta: float = field(default=2.0, metadata={"bound": None})
+    # bounded with alpha: Tracker checks their sigma spread n + lambda
+    kappa: float = field(default=0.0, metadata={"bound": None})
+    process_noise: np.ndarray = field(default_factory=_default_process_noise,
+                                      metadata={"bound": ">= 0"})
+    measurement_noise: np.ndarray = field(
+        default_factory=_default_measurement_noise, metadata={"bound": ">= 0"})
+    initial_velocity_variance: float = field(default=100.0,
+                                             metadata={"bound": "> 0"})
+    dynamic_speed_threshold: float = field(default=1.0,
+                                           metadata={"bound": ">= 0"})
+    gate_distance: float = field(default=2.0, metadata={"bound": "> 0"})
+    age_max: int = field(default=3, metadata={"bound": ">= 0"})
 
 
 # one row of a Tracker, as ``Tracker.tracks`` hands it out

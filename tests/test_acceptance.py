@@ -104,10 +104,13 @@ def test_criterion_3_dynamic_classification():
     # 5 m/s object: flagged within 5 frames of first detection
     scene = classification_scene(mover_speed=5.0, n_scans=8, noise_sigma=0.05)
     res = simulate(scene, 0)
-    tracker = Tracker(reference_config().tracker)
+    cfg = reference_config()
+    det = cfg.detections
+    tracker = Tracker(cfg.tracker)
     flagged_at = None
     for k in range(8):
-        tracker.step(filter_detections(res.detections[k]), scene.dt)
+        tracker.step(filter_detections(res.detections[k], det.min_score,
+                                       det.classes), scene.dt)
         if flagged_at is None and any(t.dynamic for t in tracker.tracks):
             flagged_at = k
     fast_ok = flagged_at is not None and flagged_at < 5
@@ -116,10 +119,11 @@ def test_criterion_3_dynamic_classification():
     scene = classification_scene(mover_speed=0.0, n_scans=100,
                                  noise_sigma=0.05)
     res = simulate(scene, 1)
-    tracker = Tracker(reference_config().tracker)
+    tracker = Tracker(cfg.tracker)
     ever_flagged = False
     for k in range(100):
-        tracker.step(filter_detections(res.detections[k]), scene.dt)
+        tracker.step(filter_detections(res.detections[k], det.min_score,
+                                       det.classes), scene.dt)
         ever_flagged |= any(t.dynamic for t in tracker.tracks)
     report("criterion 3 (dynamic classification)",
            fast_ok and not ever_flagged,
@@ -261,7 +265,7 @@ class TestCriterion5OracleEquivalence:
                 hull = ConvexHull(xy)
             except QhullError:
                 continue
-            db = KeyframeDB()
+            db = KeyframeDB(cell_size=5.0)
             for p in xy:
                 db.insert(Pose.from_yaw(0.0, (p[0], p[1], 0.0)),
                           PointCloud(rng.normal(size=(3, 3))))
@@ -276,7 +280,7 @@ class TestCriterion5OracleEquivalence:
         for _ in range(self.N):
             n = int(rng.integers(1, 40))
             positions = rng.uniform(-40, 40, size=(n, 3))
-            db = KeyframeDB()
+            db = KeyframeDB(cell_size=5.0)
             for p in positions:
                 db.insert(Pose.from_yaw(0.0, p),
                           PointCloud(rng.normal(size=(3, 3))))

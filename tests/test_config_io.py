@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import fields, is_dataclass
@@ -12,64 +13,96 @@ from dynlo.cli import _scan_source
 from dynlo.cli import main as cli_main
 
 from dynlo.config import PipelineConfig, dump_config, load_config, parse_config_text
-from dynlo.detections import VALID_CLASSES
 from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
                           read_trajectory, write_labels, write_map_ascii,
                           write_removal_provenance, write_scan_bin,
                           write_trajectory)
 from dynlo.geometry import PointCloud
 from dynlo.metrics import Trajectory
+from dynlo.pipeline import run_pipeline
 from dynlo.simulate import reference_config
-from dynlo.tracking import TRACKER_KINDS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _fields(cfg):
-    """(owner, name) of every parameter field, stage fields expanded."""
+    """(owner, field) of every parameter, stage fields expanded."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
-            yield from ((value, g.name) for g in fields(value))
+            yield from ((value, g) for g in fields(value))
         else:
-            yield cfg, f.name
+            yield cfg, f
 
 
-def _printable_floats(positive=False):
-    # the dump writes 12 significant digits, so draw values it carries exactly
-    infs = [np.inf] if positive else [np.inf, -np.inf]
-    finite = (st.floats(min_value=0.0, exclude_min=True) if positive
-              else st.floats(allow_nan=False))
-    return st.one_of(st.sampled_from(infs), finite).map(
+# every numeric bound a field declares: the st.floats arguments of the
+# values inside it, and values just outside it
+_BOUNDS = {
+    None: ({}, []),
+    "> 0": ({"min_value": 0.0, "exclude_min": True}, [0.0, -1.0]),
+    ">= 0": ({"min_value": 0.0}, [-1.0]),
+    ">= 1": ({"min_value": 1.0}, [0.0, -1.0]),
+    "in [0, 1]": ({"min_value": 0.0, "max_value": 1.0}, [-0.5, 1.5]),
+    "in (0, 1]": ({"min_value": 0.0, "max_value": 1.0, "exclude_min": True},
+                  [0.0, 1.5]),
+}
+
+
+def _inside(default, bound):
+    """Values inside a field's declared range, drawn by the type of its
+    default."""
+    if isinstance(bound, tuple):  # the names the field may hold
+        if isinstance(default, tuple):
+            return st.lists(st.sampled_from(bound), min_size=1,
+                            unique=True).map(tuple)
+        return st.sampled_from(bound)
+    if isinstance(default, bool):
+        return st.booleans()
+    kwargs = _BOUNDS[bound][0]
+    if isinstance(default, int):  # the integer bounds are all ">= n"
+        return st.integers(int(kwargs.get("min_value", -2**63)), 2**63)
+    # the dump writes 12 significant digits, so draw values it carries
+    # exactly; rounding to them keeps a value inside each bound above
+    floats = st.floats(allow_nan=False, **kwargs).map(
         lambda v: float("%.12g" % v))
+    if isinstance(default, np.ndarray):
+        return st.lists(floats, min_size=len(default),
+                        max_size=len(default)).map(np.diag)
+    return floats
 
 
 @st.composite
 def _random_configs(draw):
-    """A PipelineConfig with a random value in every field, drawn by the type
-    of its default."""
+    """A PipelineConfig with a random value inside the declared range of
+    every field."""
     cfg = PipelineConfig()
-    for owner, name in _fields(cfg):
-        default = getattr(owner, name)
-        if isinstance(default, bool):
-            value = draw(st.booleans())
-        elif isinstance(default, int):
-            value = draw(st.integers(-2**63, 2**63))
-        elif isinstance(default, float):
-            # tracker.alpha must be > 0
-            value = draw(_printable_floats(owner is cfg.tracker
-                                           and name == "alpha"))
-        elif isinstance(default, np.ndarray):
-            value = np.diag(draw(st.lists(_printable_floats(),
-                                          min_size=len(default),
-                                          max_size=len(default))))
-        elif isinstance(default, tuple):
-            value = tuple(draw(st.lists(st.sampled_from(VALID_CLASSES),
-                                        min_size=1, unique=True)))
-        else:
-            value = draw(st.sampled_from(TRACKER_KINDS))
-        setattr(owner, name, value)
+    for owner, f in _fields(cfg):
+        setattr(owner, f.name,
+                draw(_inside(getattr(owner, f.name), f.metadata["bound"])))
     return cfg
+
+
+def _outside(default, bound):
+    """(config text, value) pairs just outside a field's declared range."""
+    if isinstance(bound, tuple):
+        if isinstance(default, tuple):
+            return [("", ()), ("bogus", ("bogus",))]
+        return [("bogus", "bogus")]
+    pairs = []
+    for v in _BOUNDS[bound][1]:
+        if isinstance(default, np.ndarray):
+            diag = np.diag(default).copy()
+            diag[0] = v
+            pairs.append((" ".join("%.12g" % d for d in diag), np.diag(diag)))
+        else:
+            v = type(default)(v)
+            pairs.append((str(v) if isinstance(v, int) else "%.12g" % v, v))
+    return pairs
+
+
+def _unpulled_scans():
+    raise AssertionError("a scan was pulled")
+    yield
 
 
 class TestConfig:
@@ -123,10 +156,11 @@ class TestConfig:
     @given(_random_configs())
     def test_dump_parse_round_trip_reproduces_every_field(self, cfg):
         back = parse_config_text(dump_config(cfg))
-        for (owner, name), (owner_back, _) in zip(_fields(cfg), _fields(back)):
-            value, value_back = getattr(owner, name), getattr(owner_back, name)
-            assert type(value) is type(value_back), name
-            assert np.array_equal(value, value_back), name
+        for (owner, f), (owner_back, _) in zip(_fields(cfg), _fields(back)):
+            value, value_back = getattr(owner, f.name), getattr(owner_back,
+                                                                f.name)
+            assert type(value) is type(value_back), f.name
+            assert np.array_equal(value, value_back), f.name
 
     def test_every_field_has_exactly_one_key(self):
         # changing one field changes one line of the dump, keyed
@@ -135,7 +169,8 @@ class TestConfig:
         base = dump_config().splitlines()
         for i, _ in enumerate(_fields(PipelineConfig())):
             cfg = PipelineConfig()
-            owner, name = list(_fields(cfg))[i]
+            owner, f = list(_fields(cfg))[i]
+            name = f.name
             value = getattr(owner, name)
             stage = [f.name for f in fields(cfg) if getattr(cfg, f.name) is owner]
             key = (f"{stage[0]}.{name}" if stage else name) + (
@@ -147,16 +182,43 @@ class TestConfig:
                 value = value[:1]
             elif isinstance(value, str):
                 value = "ekf"
-            else:
-                value = not value if isinstance(value, bool) else value + 1
+            elif isinstance(value, bool):
+                value = not value
+            elif isinstance(value, int):  # the integer bounds are all ">= n"
+                value = value + 1
+            else:  # each float bound holds half of any positive value in it
+                value = value / 2.0 if value else 1.0
             setattr(owner, name, value)
             changed = [line for line, ref in zip(dump_config(cfg).splitlines(),
                                                  base) if line != ref]
             assert len(changed) == 1, name
             assert changed[0].startswith(key + " = "), name
             back = parse_config_text(changed[0])
-            assert all(np.array_equal(getattr(a, n), getattr(b, n)) for
-                       (a, n), (b, _) in zip(_fields(back), _fields(cfg))), name
+            assert all(np.array_equal(getattr(a, g.name), getattr(b, g.name))
+                       for (a, g), (b, _) in zip(_fields(back), _fields(cfg))
+                       ), name
+
+    def test_every_bounded_field_rejects_values_outside_twice(self):
+        # every field declares a range (None for none); a value just outside
+        # it is rejected at its config line, and in a config built in code
+        # by run_pipeline, naming the key, before the first scan is pulled
+        keys = [line.split(" = ")[0] for line in dump_config().splitlines()[1:]]
+        for i, key in enumerate(keys):
+            owner, f = list(_fields(PipelineConfig()))[i]
+            assert "bound" in f.metadata, key
+            for raw, value in _outside(getattr(owner, f.name),
+                                       f.metadata["bound"]):
+                with pytest.raises(ValueError) as at_line:
+                    parse_config_text(f"dt = 0.1\n{key} = {raw}\n")
+                message = str(at_line.value)
+                assert message.startswith("config line 2: "), key
+                cfg = PipelineConfig()
+                owner, _ = list(_fields(cfg))[i]
+                setattr(owner, f.name, value)
+                named = key + ": " + message[len("config line 2: "):]
+                with pytest.raises(ValueError,
+                                   match="^" + re.escape(named) + "$"):
+                    run_pipeline(_unpulled_scans(), [], cfg)
 
     @pytest.mark.parametrize("line, message", [
         ("detections.classes = Car", "unknown class 'Car'"),
@@ -221,7 +283,19 @@ class TestConfig:
                        "--out-traj", str(tmp_path / "t.txt"),
                        "--out-map", str(tmp_path / "m.txt")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: k must be at least 1\n"
+        assert capsys.readouterr().err == (
+            "error: config line 1: expected an integer >= 1, got '0'\n")
+
+    def test_run_reports_negative_dt_in_one_line(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("dt = -0.1\n")
+        rc = cli_main(["run", "--config", str(config),
+                       "--scans", str(tmp_path), "--detections", str(tmp_path),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: config line 1: expected a number > 0, got '-0.1'\n")
 
     @pytest.mark.parametrize("lines", ["tracker.kappa = -8",
                                        "tracker.alpha = 1e-9",

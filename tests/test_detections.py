@@ -123,12 +123,12 @@ class TestFilter:
 
     def test_perfect_scores_unchanged(self):
         frame = self.frame([self.box(i) for i in range(3)])
-        assert len(filter_detections(frame).boxes) == 3
+        assert len(filter_detections(frame, 0.75, VALID_CLASSES).boxes) == 3
 
     def test_score_below_default_threshold_removed(self):
         # the detection threshold is 0.75, inclusive comparison
         frame = self.frame([self.box(0, score=0.74), self.box(1, score=0.75)])
-        kept = filter_detections(frame, min_score=0.75)
+        kept = filter_detections(frame, min_score=0.75, classes=VALID_CLASSES)
         assert len(kept.boxes) == 1
         assert kept.scores[0] == 0.75
 
@@ -145,8 +145,8 @@ class TestFilter:
     def test_idempotent(self, rng):
         frame = self.frame([self.box(i, score=float(rng.uniform(0, 1)))
                             for i in range(20)])
-        once = filter_detections(frame)
-        twice = filter_detections(once)
+        once = filter_detections(frame, 0.75, VALID_CLASSES)
+        twice = filter_detections(once, 0.75, VALID_CLASSES)
         assert rows_of(once) == rows_of(twice)
 
 

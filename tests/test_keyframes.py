@@ -59,25 +59,25 @@ class TestThresholdBands:
 
 class TestInsertion:
     def test_empty_db_always_inserts(self, rng):
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         assert db.maybe_insert(Pose.identity(), tiny_cloud(rng))
         assert len(db) == 1
 
     def test_repeat_pose_not_inserted(self, rng):
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         pose = Pose.from_yaw(0.1, (1.0, 2.0, 0.0))
         db.maybe_insert(pose, tiny_cloud(rng))
         assert not db.maybe_insert(pose, tiny_cloud(rng))
         assert len(db) == 1
 
     def test_rotation_alone_can_trigger(self, rng):
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         db.maybe_insert(Pose.identity(), tiny_cloud(rng))
         turned = Pose.from_yaw(math.radians(31.0))
         assert db.maybe_insert(turned, tiny_cloud(rng))
 
     def test_random_walk_matches_linear_scan_oracle(self, rng):
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         inserted_poses = []
         decisions = []
         pos = np.zeros(3)
@@ -211,7 +211,7 @@ class TestHulls:
     @settings(max_examples=20)
     def test_cached_ids_equal_fresh_computation_after_each_insert(self, seed):
         rng = np.random.default_rng(seed)
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         alpha = float(rng.uniform(2.0, 20.0))
         for p in rng.uniform(-30, 30, size=(int(rng.integers(1, 25)), 3)):
             db.insert(Pose.from_yaw(0.0, p), tiny_cloud(rng))
@@ -222,11 +222,11 @@ class TestHulls:
 
 class TestSubmap:
     def test_single_keyframe_world_cloud(self, rng):
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         pose = Pose.from_yaw(0.5, (3.0, -1.0, 0.2))
         cloud = tiny_cloud(rng)
         db.insert(pose, cloud)
-        ids, submap = db.select_submap(Pose.identity(), 5, 5, 5)
+        ids, submap = db.select_submap(Pose.identity(), 5, 5, 5, np.inf)
         assert ids == [0]
         assert np.allclose(submap.points, pose.apply(cloud.points))
         R = pose.rotation
@@ -235,7 +235,7 @@ class TestSubmap:
     def test_all_selected_once(self, rng):
         positions = rng.uniform(-30, 30, size=(12, 3))
         db = db_with_positions(rng, positions)
-        ids, submap = db.select_submap(Pose.identity(), 12, 12, 12)
+        ids, submap = db.select_submap(Pose.identity(), 12, 12, 12, np.inf)
         assert ids == list(range(12))
         total = sum(len(db.by_id[i].cloud) for i in ids)
         assert len(submap) == total
@@ -262,39 +262,41 @@ class TestSubmap:
         db = db_with_positions(rng, positions)
         for _ in range(10):
             pose = Pose.from_yaw(0.0, rng.uniform(-40, 40, size=3))
-            ids, _ = db.select_submap(pose, 1, 2, 2)
+            ids, _ = db.select_submap(pose, 1, 2, 2, np.inf)
             nearest = db.query_nearest(pose.translation, 1)[0]
             assert nearest in ids
 
     def test_cache_invalidated_on_insert(self, rng):
         db = db_with_positions(rng, [(0, 0, 0), (8, 0, 0)])
-        ids1, sub1 = db.select_submap(Pose.identity(), 10, 10, 10)
+        ids1, sub1 = db.select_submap(Pose.identity(), 10, 10, 10, np.inf)
         db.insert(Pose.from_yaw(0, (20, 0, 0)), tiny_cloud(rng))
-        ids2, sub2 = db.select_submap(Pose.identity(), 10, 10, 10)
+        ids2, sub2 = db.select_submap(Pose.identity(), 10, 10, 10, np.inf)
         assert ids2 == [0, 1, 2]
         assert len(sub2) == len(sub1) + len(db.by_id[2].cloud)
 
     def test_same_ids_return_the_same_cloud(self, rng):
         # the pipeline hangs the submap's k-d tree on this cloud
         db = db_with_positions(rng, [(0, 0, 0), (8, 0, 0), (30, 0, 0)])
-        ids1, sub1 = db.select_submap(Pose.identity(), 1, 1, 1)
-        ids2, _ = db.select_submap(Pose.from_yaw(0, (30, 0, 0)), 1, 1, 1)
-        ids3, sub3 = db.select_submap(Pose.identity(), 1, 1, 1)
+        ids1, sub1 = db.select_submap(Pose.identity(), 1, 1, 1, np.inf)
+        ids2, _ = db.select_submap(Pose.from_yaw(0, (30, 0, 0)), 1, 1, 1,
+                                   np.inf)
+        ids3, sub3 = db.select_submap(Pose.identity(), 1, 1, 1, np.inf)
         assert ids1 == ids3 != ids2
         assert sub3 is sub1
         db.insert(Pose.from_yaw(0, (60, 0, 0)), tiny_cloud(rng))
-        ids4, sub4 = db.select_submap(Pose.identity(), 1, 1, 1)
+        ids4, sub4 = db.select_submap(Pose.identity(), 1, 1, 1, np.inf)
         assert ids4 == ids1
         assert sub4 is not sub1 and sub4.tree is None
 
     def test_empty_db_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            KeyframeDB().select_submap(Pose.identity(), 1, 1, 1)
+            KeyframeDB(cell_size=5.0).select_submap(Pose.identity(), 1, 1, 1,
+                                                    np.inf)
 
     def test_keyframe_keeps_no_tree(self, rng):
         cloud = tiny_cloud(rng)
         cloud.tree = cKDTree(cloud.points)
-        db = KeyframeDB()
+        db = KeyframeDB(cell_size=5.0)
         db.insert(Pose.identity(), cloud)
         stored = db.by_id[0].cloud
         assert stored.tree is None

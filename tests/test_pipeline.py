@@ -206,16 +206,19 @@ class TestRunPipeline:
         assert [row[-1] for row in rows] == [
             "-", "-", "-", "degenerate:too_few_static_points", "-", "-"]
 
-    def test_registration_without_iterations_falls_back(self):
-        res = simulate(small_scene(3), 0)
+    def test_registration_without_iterations_rejected_before_a_scan(self):
+        # gicp_align keeps its own guard for direct callers
+        # (TestAlign::test_no_iteration_rejected_before_any_query)
         cfg = reference_config()
         cfg.gicp.max_iterations = 0
-        out = run_pipeline(res.scans, res.detections, cfg)
-        reason = ("s2s:max_iterations must be at least 1;"
-                  "s2m:max_iterations must be at least 1")
-        assert [s.fallback_reason for s in out.stats] == ["", reason, reason]
-        assert [(s.s2s_iterations, s.s2m_iterations) for s in out.stats] == [
-            (0, 0)] * 3
+
+        def scans():
+            raise AssertionError("a scan was pulled")
+            yield
+
+        with pytest.raises(ValueError, match="^gicp.max_iterations: expected "
+                           "an integer >= 1, got '0'$"):
+            run_pipeline(scans(), [], cfg)
 
     def test_parallel_queries_give_the_same_run(self, monkeypatch):
         res = simulate(small_scene(6), 0)

@@ -160,19 +160,22 @@ class TestCovariances:
 
     def test_keeps_kdtree_over_its_points(self, rng):
         pts = rng.normal(size=(40, 3))
-        out = estimate_point_covariances(PointCloud(pts), k=6)
+        out = estimate_point_covariances(PointCloud(pts), k=6,
+                                         plane_epsilon=1e-3)
         assert out.tree is not None
         _, nn = out.tree.query(out.points, k=6)
         assert np.array_equal(nn, cKDTree(pts).query(pts, k=6)[1])
 
     def test_insufficient_points_error(self):
         with pytest.raises(ValueError, match="insufficient points"):
-            estimate_point_covariances(PointCloud(np.zeros((3, 3))), k=10)
+            estimate_point_covariances(PointCloud(np.zeros((3, 3))), k=10,
+                                       plane_epsilon=1e-3)
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_no_neighbour_rejected(self, n):
         with pytest.raises(ValueError, match="^k must be at least 1$"):
-            estimate_point_covariances(PointCloud(np.zeros((n, 3))), k=0)
+            estimate_point_covariances(PointCloud(np.zeros((n, 3))), k=0,
+                                       plane_epsilon=1e-3)
 
 
 class TestClosedFormNormal:

@@ -235,6 +235,19 @@ class TestAlign:
                        GicpParams(max_iterations=0))
         assert queries == []
 
+    @pytest.mark.parametrize("gate", [0.0, -1.0])
+    def test_no_gate_rejected_before_any_query(self, room, monkeypatch, gate):
+        # scipy reads a negative distance bound as no bound at all
+        queries = []
+        monkeypatch.setattr(registration, "query_neighbors",
+                            lambda *args: queries.append(args))
+        with pytest.raises(ValueError,
+                           match="max_correspondence_distance must be "
+                                 "positive"):
+            gicp_align(room, room, Pose.identity(),
+                       GicpParams(max_correspondence_distance=gate))
+        assert queries == []
+
 
 def grid_room(step=0.25, extent=2.0):
     """Floor and two walls sampled on an exact dyadic grid, each point once."""
