@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -265,14 +265,3 @@ def point_in_box(points, box: DetectionBox, margin: float):
     if np.ndim(points) == 1:
         return bool(inside[0])
     return inside
-
-
-def transform_box(pose: Pose, box: DetectionBox) -> DetectionBox:
-    """Re-express a yaw-oriented box under a rigid transform.
-
-    Exact for yaw-only poses; for tilted poses the center is transformed
-    exactly and the residual roll/pitch is dropped from the orientation.
-    """
-    center = pose.apply(box.center)
-    yaw = wrap_angle(box.yaw + euler_zyx(pose.rotation)[0])
-    return replace(box, center=center, yaw=yaw)

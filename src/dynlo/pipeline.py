@@ -183,7 +183,7 @@ def run_pipeline(scans: Iterable[PointCloud],
             prev_ids, prev_z = ids, pose.apply(tracker.means[:, :3])[:, 2]
 
         inserted = False
-        if cov_cloud is not None and len(cov_cloud) > 0:
+        if cov_cloud is not None:
             db.spaciousness = compute_spaciousness(static, db.spaciousness)
             inserted = db.maybe_insert(pose, cov_cloud)
             prev_cloud = cov_cloud

@@ -13,13 +13,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List
 
 import numpy as np
 
-from .detections import DetectionFrame
-from .geometry import DetectionBox, PointCloud, Pose, rot_z, transform_box
+from .config import PipelineConfig
+from .detections import DetectionFrame, save_detection_frame
+from .fileio import write_labels, write_scan_bin, write_trajectory
+from .geometry import (DetectionBox, PointCloud, Pose, euler_zyx, rot_z,
+                       wrap_angle)
+from .metrics import Trajectory
 from .removal import dynamic_point_mask
 
 
@@ -28,6 +32,17 @@ class SensorModel:
     rays_per_scan: int = 4000
     max_range: float = 60.0
     noise_sigma: float = 0.02
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"sensor {f.name} must be finite")
+        if self.rays_per_scan < 0:
+            raise ValueError("sensor rays_per_scan must be >= 0")
+        if self.max_range <= 0.0:
+            raise ValueError("sensor max_range must be > 0")
+        if self.noise_sigma < 0.0:
+            raise ValueError("sensor noise_sigma must be >= 0")
 
 
 @dataclass
@@ -42,14 +57,6 @@ class RectPatch:
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         self.u = np.asarray(self.u, dtype=float).reshape(3)
         self.v = np.asarray(self.v, dtype=float).reshape(3)
-
-    @property
-    def area(self) -> float:
-        return float(np.linalg.norm(np.cross(self.u, self.v)))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        ab = rng.random((n, 2))
-        return self.origin + ab[:, :1] * self.u + ab[:, 1:] * self.v
 
 
 @dataclass
@@ -85,24 +92,20 @@ class SimResult:
     detections: List[DetectionFrame]
 
 
-def box_surface_patches(box: DetectionBox) -> List[RectPatch]:
-    """The five visible faces of an oriented box (bottom face omitted)."""
-    l, w, h = box.dims
-    R = rot_z(box.yaw)
-    c = box.center
-
-    def patch(origin, u, v):
-        return RectPatch(c + R @ np.asarray(origin, dtype=float),
-                         R @ np.asarray(u, dtype=float),
-                         R @ np.asarray(v, dtype=float))
-
-    return [
-        patch((l / 2, -w / 2, -h / 2), (0, w, 0), (0, 0, h)),   # +x
-        patch((-l / 2, -w / 2, -h / 2), (0, w, 0), (0, 0, h)),  # -x
-        patch((-l / 2, w / 2, -h / 2), (l, 0, 0), (0, 0, h)),   # +y
-        patch((-l / 2, -w / 2, -h / 2), (l, 0, 0), (0, 0, h)),  # -y
-        patch((-l / 2, -w / 2, h / 2), (l, 0, 0), (0, w, 0)),   # top
+def _box_faces(dims: np.ndarray, yaw: float) -> np.ndarray:
+    """The five visible faces of a box (bottom face omitted): per face, its
+    origin's offset from the box centre, u and v, as a (5, 3, 3) array."""
+    l, w, h = dims
+    R = rot_z(yaw)
+    faces = [
+        ((l / 2, -w / 2, -h / 2), (0, w, 0), (0, 0, h)),   # +x
+        ((-l / 2, -w / 2, -h / 2), (0, w, 0), (0, 0, h)),  # -x
+        ((-l / 2, w / 2, -h / 2), (l, 0, 0), (0, 0, h)),   # +y
+        ((-l / 2, -w / 2, -h / 2), (l, 0, 0), (0, 0, h)),  # -y
+        ((-l / 2, -w / 2, h / 2), (l, 0, 0), (0, w, 0)),   # top
     ]
+    return np.array([[R @ np.asarray(x, dtype=float) for x in face]
+                     for face in faces])
 
 
 def _allocate_rays(areas: np.ndarray, budget: int) -> np.ndarray:
@@ -113,35 +116,50 @@ def _allocate_rays(areas: np.ndarray, budget: int) -> np.ndarray:
 
 
 def simulate(scene: SimScene, seed: int) -> SimResult:
+    """Sample every scan of the scene. The surfaces and each one's share of
+    the rays are built once; per scan only the movers' boxes move."""
     rng = np.random.default_rng(seed)
     sensor = scene.sensor
+    movers = scene.movers
+    # every surface is a parallelogram origin + a u + b v: the rects, then
+    # the faces of each static box, then those of each mover
+    rects = np.array([(r.origin, r.u, r.v) for r in scene.rects]).reshape(-1, 3, 3)
+    boxes = scene.boxes + [m.box for m in movers]
+    faces = np.array([_box_faces(b.dims, b.yaw) for b in boxes]).reshape(-1, 5, 3, 3)
+    centers = np.array([b.center for b in boxes]).reshape(-1, 3)
+    u, v = (np.concatenate([rects[:, i], faces[:, :, i].reshape(-1, 3)])
+            for i in (1, 2))
+    # face by face: the norm of one vector rounds unlike that of a row stack
+    areas = np.array([np.linalg.norm(np.cross(a, b)) for a, b in zip(u, v)])
+    patch = np.repeat(np.arange(len(areas)),
+                      _allocate_rays(areas, sensor.rays_per_scan))
+    u, v = u[patch], v[patch]
+    rows0 = np.array([m.box for m in movers]).reshape(-1, 7)
+    velocities = np.array([m.velocity for m in movers]).reshape(-1, 3)
+    classes = np.array([m.box.cls for m in movers], dtype=object)
     scans: List[PointCloud] = []
     detections: List[DetectionFrame] = []
     for k, ego in enumerate(scene.ego_poses):
-        t = k * scene.dt
-        mover_boxes = [m.box_at(t) for m in scene.movers]
-        patches: List[RectPatch] = list(scene.rects)
-        for b in scene.boxes:
-            patches.extend(box_surface_patches(b))
-        for b in mover_boxes:
-            patches.extend(box_surface_patches(b))
-        areas = np.array([p.area for p in patches])
-        counts = _allocate_rays(areas, sensor.rays_per_scan)
-        pieces = [p.sample(rng, int(n)) for p, n in zip(patches, counts) if n > 0]
-        world = (np.concatenate(pieces) if pieces else np.empty((0, 3)))
+        rows = rows0.copy()  # cx cy cz yaw l w h
+        rows[:, :3] += velocities * (k * scene.dt)
+        centers[len(scene.boxes):] = rows[:, :3]
+        origins = np.concatenate(
+            [rects[:, 0], (centers[:, None] + faces[:, :, 0]).reshape(-1, 3)])
+        ab = rng.random((len(patch), 2))
+        world = origins[patch] + ab[:, :1] * u + ab[:, 1:] * v
         in_range = np.linalg.norm(world - ego.translation, axis=1) <= sensor.max_range
         world = world[in_range]
         # ground-truth labels come from the noise-free geometry
-        labels = dynamic_point_mask(world, mover_boxes, margin=0.0)
-        body = ego.inverse().apply(world)
+        labels = dynamic_point_mask(world, rows, margin=0.0)
+        inverse = ego.inverse()
+        body = inverse.apply(world)
         if sensor.noise_sigma > 0.0 and body.shape[0] > 0:
             body = body + rng.normal(0.0, sensor.noise_sigma, body.shape)
-        body_boxes = [transform_box(ego.inverse(), b) for b in mover_boxes]
+        rows[:, :3] = inverse.apply(rows[:, :3])
+        rows[:, 3] = wrap_angle(rows[:, 3] + euler_zyx(inverse.rotation)[0])
         scans.append(PointCloud(body, labels=labels))
-        detections.append(DetectionFrame(
-            k, np.array(body_boxes).reshape(-1, 7),
-            np.array([b.cls for b in body_boxes], dtype=object),
-            np.ones(len(body_boxes))))
+        detections.append(DetectionFrame(k, rows, classes.copy(),
+                                         np.ones(len(rows))))
     return SimResult(scans=scans, gt_poses=list(scene.ego_poses),
                      detections=detections)
 
@@ -218,8 +236,6 @@ def reference_config():
     crossers violate the constant-velocity-along-heading model; registration
     epsilons are relaxed to the scene's noise floor.
     """
-    from .config import PipelineConfig
-
     cfg = PipelineConfig()
     cfg.tracker.measurement_noise = np.diag([4e-4, 4e-4, 4e-4,
                                              1e-4, 1e-4, 1e-4, 1e-4])
@@ -250,11 +266,7 @@ def classification_scene(mover_speed: float, n_scans: int,
 def scene_to_json(scene: SimScene) -> str:
     payload = {
         "dt": scene.dt,
-        "sensor": {
-            "rays_per_scan": scene.sensor.rays_per_scan,
-            "max_range": scene.sensor.max_range,
-            "noise_sigma": scene.sensor.noise_sigma,
-        },
+        "sensor": asdict(scene.sensor),
         "ego_matrices": [
             np.hstack([p.rotation.reshape(-1), p.translation]).tolist()
             for p in scene.ego_poses
@@ -270,6 +282,20 @@ def scene_to_json(scene: SimScene) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _keys(item, where: str, required=(), optional=()) -> dict:
+    """``item``, a JSON object that holds every ``required`` key and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(item, dict):
+        raise ValueError(f"scene {where}: expected an object")
+    for key in required:
+        if key not in item:
+            raise ValueError(f"scene {where}: missing key '{key}'")
+    for key in item:
+        if key not in required and key not in optional:
+            raise ValueError(f"scene {where}: unknown key '{key}'")
+    return item
+
+
 def _ego_from_payload(payload: dict) -> List[Pose]:
     if "ego_matrices" in payload:
         poses = []
@@ -277,27 +303,38 @@ def _ego_from_payload(payload: dict) -> List[Pose]:
             row = np.asarray(row, dtype=float)
             poses.append(Pose(row[:9].reshape(3, 3), row[9:12]))
         return poses
+    if "ego" not in payload:
+        raise ValueError("scene file: missing key 'ego_matrices' or 'ego'")
     ego = payload["ego"]
-    if ego.get("kind") == "line":
+    kind = ego.get("kind") if isinstance(ego, dict) else None
+    if kind == "line":
+        _keys(ego, "ego", ("kind", "start", "speed", "n_scans"), ("yaw",))
         return line_ego_path(ego["start"], float(ego.get("yaw", 0.0)),
                              float(ego["speed"]), int(ego["n_scans"]),
                              float(payload["dt"]))
-    if ego.get("kind") == "waypoints":
+    if kind == "waypoints":
+        _keys(ego, "ego", ("kind", "poses"))
         return [Pose.from_yaw(float(p[3]), p[:3]) for p in ego["poses"]]
-    raise ValueError(f"unknown ego path kind '{ego.get('kind')}'")
+    raise ValueError(f"unknown ego path kind '{kind}'")
+
+
+def _box(item, where: str, extra=()) -> DetectionBox:
+    item = _keys(item, where, ("center", "yaw", "dims") + extra, ("cls",))
+    return DetectionBox(item["center"], item["yaw"], item["dims"],
+                        cls=item.get("cls", "car"))
 
 
 def scene_from_json(text: str) -> SimScene:
-    payload = json.loads(text)
-    sensor = SensorModel(**payload.get("sensor", {}))
-    rects = [RectPatch(r["origin"], r["u"], r["v"])
-             for r in payload.get("rects", [])]
-    boxes = [DetectionBox(b["center"], b["yaw"], b["dims"],
-                          cls=b.get("cls", "car"))
-             for b in payload.get("boxes", [])]
-    movers = [Mover(DetectionBox(m["center"], m["yaw"], m["dims"],
-                                 cls=m.get("cls", "car")), m["velocity"])
-              for m in payload.get("movers", [])]
+    """Parse a scene file; a missing or unknown key raises ``ValueError``."""
+    payload = _keys(json.loads(text), "file", ("dt",),
+                    ("sensor", "ego_matrices", "ego", "rects", "boxes", "movers"))
+    sensor = SensorModel(**_keys(payload.get("sensor", {}), "sensor", (),
+                                 [f.name for f in fields(SensorModel)]))
+    rects = [RectPatch(**_keys(r, f"rects[{i}]", ("origin", "u", "v")))
+             for i, r in enumerate(payload.get("rects", []))]
+    boxes = [_box(b, f"boxes[{i}]") for i, b in enumerate(payload.get("boxes", []))]
+    movers = [Mover(_box(m, f"movers[{i}]", ("velocity",)), m["velocity"])
+              for i, m in enumerate(payload.get("movers", []))]
     return SimScene(dt=float(payload["dt"]), ego_poses=_ego_from_payload(payload),
                     sensor=sensor, rects=rects, boxes=boxes, movers=movers)
 
@@ -309,10 +346,6 @@ def load_scene(path: str) -> SimScene:
 
 def write_sim_dir(result: SimResult, out_dir: str, dt: float) -> None:
     """Write scans/, detections/, labels/ and the ground-truth trajectory."""
-    from .detections import save_detection_frame
-    from .fileio import write_labels, write_scan_bin, write_trajectory
-    from .metrics import Trajectory
-
     scans_dir = os.path.join(out_dir, "scans")
     det_dir = os.path.join(out_dir, "detections")
     label_dir = os.path.join(out_dir, "labels")

@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from dynlo.geometry import Pose
+from dynlo.geometry import Pose, euler_zyx, wrap_angle
 
 hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None,
@@ -18,6 +18,16 @@ def random_pose(rng: np.random.Generator, trans_scale: float = 5.0) -> Pose:
     if np.linalg.det(Q) < 0:
         Q[:, 2] = -Q[:, 2]
     return Pose(Q, rng.normal(scale=trans_scale, size=3))
+
+
+def transform_rows(pose: Pose, rows) -> np.ndarray:
+    """Box rows ``cx cy cz yaw l w h`` re-expressed under a rigid transform:
+    the centres exactly, the yaw turned by the pose's yaw (its roll and pitch
+    dropped, so exact for yaw-only poses)."""
+    rows = np.array(rows, dtype=float).reshape(-1, 7)
+    rows[:, :3] = pose.apply(rows[:, :3])
+    rows[:, 3] = wrap_angle(rows[:, 3] + euler_zyx(pose.rotation)[0])
+    return rows
 
 
 @pytest.fixture

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import random_pose
+from conftest import random_pose, transform_rows
 from dynlo import geometry
 from dynlo.geometry import (DetectionBox, PointCloud, Pose, euler_zyx,
-                            point_in_box, se3_exp, transform_box, wrap_angle)
+                            point_in_box, se3_exp, wrap_angle)
 
 
 def homogeneous_multiply(a: Pose, b: Pose) -> np.ndarray:
@@ -132,8 +132,9 @@ class TestPointInBox:
         # joint transform is only exact for yaw-only poses of the box type,
         # so use one for the box and the full pose on points via the box frame
         yaw_pose = Pose.from_yaw(rng.uniform(-3, 3), rng.normal(size=3))
-        after = point_in_box(yaw_pose.apply(pts), transform_box(yaw_pose, box),
-                             margin=0.1)
+        row = transform_rows(yaw_pose, [box])[0]
+        after = point_in_box(yaw_pose.apply(pts),
+                             DetectionBox(row[:3], row[3], row[4:]), margin=0.1)
         assert np.array_equal(before, after)
 
 

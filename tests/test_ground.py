@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_pose
-from dynlo.geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
-                            transform_box)
+from conftest import random_pose, transform_rows
+from dynlo.geometry import DetectionBox, Pose, euler_zyx, from_euler_zyx
 from dynlo.ground import (ConstraintParams, SlidingBoxWindow,
                           apply_consistency_constraint, fit_ground_from_boxes)
 
@@ -152,8 +151,8 @@ class TestSlidingWindow:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     def test_footprints_match_transformed_boxes(self, seed, window_scans):
-        """Footprints equal the boxes' own path: each stored box carried by
-        ``transform_box`` through every later relative pose, then dropped
+        """Footprints equal the boxes' own path: each stored box row carried
+        by ``transform_rows`` through every later relative pose, then dropped
         by h/2 along the current z."""
         rng = np.random.default_rng(seed)
         w = SlidingBoxWindow(window_scans)
@@ -166,14 +165,14 @@ class TestSlidingWindow:
                                           rng.uniform(-0.3, 0.3)),
                            rng.normal(size=3))
                 w.advance(rel)
-                frames = [[transform_box(rel, b) for b in f] for f in frames]
-            boxes = [DetectionBox(rng.normal(scale=20.0, size=3),
-                                  rng.uniform(-3, 3), rng.uniform(0.5, 4.0, 3))
-                     for _ in range(int(rng.integers(0, 6)))]  # empty frames too
-            w.push(np.array(boxes))
+                frames = [transform_rows(rel, f) for f in frames]
+            boxes = np.array([
+                DetectionBox(rng.normal(scale=20.0, size=3),
+                             rng.uniform(-3, 3), rng.uniform(0.5, 4.0, 3))
+                for _ in range(int(rng.integers(0, 6)))]).reshape(-1, 7)
+            w.push(boxes)  # empty frames too
             frames = (frames + [boxes])[-window_scans:]
-        expected = [b.center - [0.0, 0.0, b.dims[2] / 2.0]
-                    for f in frames for b in f]
+        expected = [r[:3] - [0.0, 0.0, r[6] / 2.0] for f in frames for r in f]
         got = w.footprints()
         assert got.shape == (len(expected), 3)
         if expected:

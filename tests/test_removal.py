@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import transform_rows
 from dynlo import removal
-from dynlo.geometry import (DetectionBox, PointCloud, Pose, point_in_box,
-                            rot_z, transform_box)
+from dynlo.geometry import DetectionBox, PointCloud, Pose, point_in_box, rot_z
 from dynlo.removal import dynamic_point_mask, remove_dynamic_points
 from dynlo.simulate import classification_scene, simulate
 
@@ -85,7 +85,7 @@ class TestRemoval:
         boxes = random_boxes(rng, 2)
         pose = Pose.from_yaw(rng.uniform(-3, 3), rng.normal(size=3))
         before = dynamic_point_mask(pts, np.array(boxes), 0.1)
-        moved = np.array([transform_box(pose, b) for b in boxes])
+        moved = transform_rows(pose, boxes)
         after = dynamic_point_mask(pose.apply(pts), moved, 0.1)
         assert np.array_equal(before, after)
 

@@ -1,13 +1,79 @@
+import json
 import math
+import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dynlo.geometry import DetectionBox, Pose, point_in_box
+from dynlo.cli import main as cli_main
+from dynlo.geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
+                            point_in_box, rot_z, wrap_angle)
+from dynlo.removal import dynamic_point_mask
 from dynlo.simulate import (Mover, RectPatch, SensorModel, SimScene,
                             classification_scene, line_ego_path,
                             reference_dynamic_scene, scene_from_json,
                             scene_to_json, simulate)
+
+
+def ref_faces(box):
+    """(origin, u, v) of the five visible faces of a box, bottom omitted."""
+    l, w, h = box.dims
+    R = rot_z(box.yaw)
+
+    def face(origin, u, v):
+        return (box.center + R @ np.asarray(origin, dtype=float),
+                R @ np.asarray(u, dtype=float), R @ np.asarray(v, dtype=float))
+
+    return [face((l / 2, -w / 2, -h / 2), (0, w, 0), (0, 0, h)),
+            face((-l / 2, -w / 2, -h / 2), (0, w, 0), (0, 0, h)),
+            face((-l / 2, w / 2, -h / 2), (l, 0, 0), (0, 0, h)),
+            face((-l / 2, -w / 2, -h / 2), (l, 0, 0), (0, 0, h)),
+            face((-l / 2, -w / 2, h / 2), (l, 0, 0), (0, w, 0))]
+
+
+def ref_box_in(pose, box):
+    """A box re-expressed under a pose: its centre moved, its yaw turned."""
+    return replace(box, center=pose.apply(box.center),
+                   yaw=wrap_angle(box.yaw + euler_zyx(pose.rotation)[0]))
+
+
+def ref_simulate(scene, seed):
+    """Per-scan reference simulator: every scan rebuilds each surface, its
+    area and its ray share, moves each mover's box and samples surface by
+    surface. Returns per scan the body points, labels, box rows, classes."""
+    rng = np.random.default_rng(seed)
+    sensor = scene.sensor
+    out = []
+    for k, ego in enumerate(scene.ego_poses):
+        boxes = [m.box_at(k * scene.dt) for m in scene.movers]
+        patches = [(r.origin, r.u, r.v) for r in scene.rects]
+        for b in scene.boxes + boxes:
+            patches.extend(ref_faces(b))
+        areas = np.array([float(np.linalg.norm(np.cross(u, v)))
+                          for _, u, v in patches])
+        total = float(np.sum(areas))
+        counts = (np.round(sensor.rays_per_scan * areas / total).astype(int)
+                  if total > 0.0 else np.zeros(len(areas), dtype=int))
+        pieces = []
+        for (origin, u, v), n in zip(patches, counts):
+            if n > 0:
+                ab = rng.random((n, 2))
+                pieces.append(origin + ab[:, :1] * u + ab[:, 1:] * v)
+        world = np.concatenate(pieces) if pieces else np.empty((0, 3))
+        world = world[np.linalg.norm(world - ego.translation, axis=1)
+                      <= sensor.max_range]
+        labels = dynamic_point_mask(world, np.array(boxes).reshape(-1, 7), 0.0)
+        body = ego.inverse().apply(world)
+        if sensor.noise_sigma > 0.0 and len(body):
+            body = body + rng.normal(0.0, sensor.noise_sigma, body.shape)
+        body_boxes = [ref_box_in(ego.inverse(), b) for b in boxes]
+        out.append((body, labels, np.array(body_boxes).reshape(-1, 7),
+                    [b.cls for b in body_boxes]))
+    return out
 
 
 def wall_scene(n_scans=3, sigma=0.0, movers=()):
@@ -88,6 +154,91 @@ class TestSimulate:
         assert box[3] == pytest.approx(0.0, abs=1e-12)
 
 
+@st.composite
+def scenes(draw):
+    """Small scenes: hypothesis picks the structure (how many rects, boxes,
+    movers and scans, which yaws sit at the +-pi wrap, whether there is
+    noise) and a seeded generator the coordinates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def yaw():
+        wrap = draw(st.sampled_from([None, math.pi, -math.pi]))
+        if wrap is None:
+            return rng.uniform(-math.pi, math.pi)
+        return wrap + draw(st.sampled_from([0.0, 1.0, -1.0])) * rng.uniform(0, 1e-9)
+
+    def box():
+        return DetectionBox(rng.uniform(-15, 15, 3), yaw(),
+                            rng.uniform(0.2, 5.0, 3),
+                            draw(st.sampled_from(["car", "cyclist"])))
+
+    rects = [RectPatch(rng.uniform(-15, 15, 3), rng.uniform(-10, 10, 3),
+                       rng.uniform(-10, 10, 3))
+             for _ in range(draw(st.integers(0, 2)))]
+    # a degenerate rect (u parallel to v) has zero area and gets no rays
+    v = rng.uniform(-10, 10, 3)
+    rects.insert(draw(st.integers(0, len(rects))),
+                 RectPatch(rng.uniform(-15, 15, 3), 2.0 * v, v))
+    # tilted ego poses: roll and pitch up to 0.3 rad
+    ego = [Pose(from_euler_zyx(yaw(), *rng.uniform(-0.3, 0.3, 2)),
+                rng.uniform(-5, 5, 3)) for _ in range(draw(st.integers(1, 4)))]
+    sensor = SensorModel(draw(st.integers(0, 400)), rng.uniform(5.0, 40.0),
+                         draw(st.sampled_from([0.0, 0.03])))
+    return SimScene(dt=rng.uniform(0.05, 0.2), ego_poses=ego, sensor=sensor,
+                    rects=rects,
+                    boxes=[box() for _ in range(draw(st.integers(0, 3)))],
+                    movers=[Mover(box(), rng.uniform(-6, 6, 3))
+                            for _ in range(draw(st.integers(0, 3)))])
+
+
+class TestMatchesPerScanReference:
+    @given(scenes(), st.integers(0, 2**32 - 1))
+    def test_bit_equal(self, scene, seed):
+        res = simulate(scene, seed)
+        ref = ref_simulate(scene, seed)
+        assert len(res.scans) == len(ref) == scene.n_scans
+        for cloud, frame, pose, want, (points, labels, rows, classes) in zip(
+                res.scans, res.detections, res.gt_poses, scene.ego_poses, ref):
+            assert cloud.points.tobytes() == points.tobytes()
+            assert cloud.points.shape == points.shape
+            assert np.array_equal(cloud.labels, labels)
+            assert frame.boxes.dtype == rows.dtype
+            assert frame.boxes.shape == rows.shape
+            assert frame.boxes.tobytes() == rows.tobytes()
+            assert list(frame.classes) == classes
+            assert np.array_equal(frame.scores, np.ones(len(rows)))
+            assert pose.rotation.tobytes() == want.rotation.tobytes()
+            assert pose.translation.tobytes() == want.translation.tobytes()
+
+    def test_reference_scene_bit_equal(self):
+        scene = reference_dynamic_scene(n_scans=6)
+        res = simulate(scene, 5)
+        for cloud, frame, (points, labels, rows, _) in zip(
+                res.scans, res.detections, ref_simulate(scene, 5)):
+            assert cloud.points.tobytes() == points.tobytes()
+            assert np.array_equal(cloud.labels, labels)
+            assert frame.boxes.tobytes() == rows.tobytes()
+
+
+class TestSensorModel:
+    @pytest.mark.parametrize("key, value, message", [
+        ("rays_per_scan", -5, "rays_per_scan must be >= 0"),
+        ("max_range", 0.0, "max_range must be > 0"),
+        ("max_range", -1.0, "max_range must be > 0"),
+        ("noise_sigma", -1.0, "noise_sigma must be >= 0"),
+        ("rays_per_scan", math.inf, "rays_per_scan must be finite"),
+        ("max_range", math.inf, "max_range must be finite"),
+        ("noise_sigma", math.nan, "noise_sigma must be finite"),
+    ])
+    def test_rejects_out_of_range(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            SensorModel(**{key: value})
+
+    def test_accepts_bounds(self):
+        sensor = SensorModel(rays_per_scan=0, max_range=1e-3, noise_sigma=0.0)
+        assert sensor.rays_per_scan == 0
+
+
 class TestReferenceScene:
     def test_shape(self):
         scene = reference_dynamic_scene(n_scans=50)
@@ -134,3 +285,78 @@ class TestSceneJson:
     def test_unknown_ego_kind(self):
         with pytest.raises(ValueError, match="ego path kind"):
             scene_from_json('{"dt": 0.1, "ego": {"kind": "spline"}}')
+
+
+def line_scene_payload():
+    return {"dt": 0.1,
+            "sensor": {"rays_per_scan": 50, "max_range": 10.0,
+                       "noise_sigma": 0.0},
+            "ego": {"kind": "line", "start": [0, 0, 1.5], "speed": 1.0,
+                    "n_scans": 2},
+            "rects": [{"origin": [3, -1, 0], "u": [0, 2, 0], "v": [0, 0, 2]}],
+            "movers": [{"center": [5, 0, 1], "yaw": 0.0, "dims": [2, 2, 2],
+                        "velocity": [0, 1, 0]}]}
+
+
+def edited(path, value=None):
+    """The line scene with ``value`` set at ``path``, or the key at ``path``
+    removed when ``value`` is None."""
+    payload = line_scene_payload()
+    *head, last = path
+    item = payload
+    for key in head:
+        item = item[key]
+    if value is None:
+        del item[last]
+    else:
+        item[last] = value
+    return payload
+
+
+class TestMalformedSceneCli:
+    """``dynlo simulate`` ends a bad scene file with one error line, exit 1."""
+
+    def run(self, tmp_path, capsys, payload):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(payload))
+        rc = cli_main(["simulate", "--scene", str(scene), "--seed", "0",
+                       "--out", str(tmp_path / "out")])
+        return rc, capsys.readouterr()
+
+    def test_valid_scene_simulates(self, tmp_path, capsys):
+        rc, out = self.run(tmp_path, capsys, line_scene_payload())
+        assert rc == 0 and out.err == ""
+        assert len(os.listdir(tmp_path / "out" / "scans")) == 2
+
+    @pytest.mark.parametrize("payload, message", [
+        (edited(["dt"]), "scene file: missing key 'dt'"),
+        (edited(["rects", 0, "v"]), "scene rects[0]: missing key 'v'"),
+        (edited(["movers", 0, "velocity"]),
+         "scene movers[0]: missing key 'velocity'"),
+        (edited(["ego"]), "scene file: missing key 'ego_matrices' or 'ego'"),
+        (edited(["ego", "speed"]), "scene ego: missing key 'speed'"),
+        (edited(["sensor", "rays"], 100), "scene sensor: unknown key 'rays'"),
+        (edited(["name"], "x"), "scene file: unknown key 'name'"),
+        (edited(["rects", 0, "w"], [1, 0, 0]),
+         "scene rects[0]: unknown key 'w'"),
+        (edited(["boxes"], [[0, 0, 0]]), "scene boxes[0]: expected an object"),
+    ])
+    def test_missing_or_unknown_key(self, tmp_path, capsys, payload, message):
+        rc, out = self.run(tmp_path, capsys, payload)
+        assert rc == 1
+        assert out.err == f"error: {message}\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scene_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("rays_per_scan", -5, "sensor rays_per_scan must be >= 0"),
+        ("max_range", 0.0, "sensor max_range must be > 0"),
+        ("noise_sigma", -1.0, "sensor noise_sigma must be >= 0"),
+        ("max_range", math.inf, "sensor max_range must be finite"),
+        ("noise_sigma", math.nan, "sensor noise_sigma must be finite"),
+    ])
+    def test_out_of_range_sensor(self, tmp_path, capsys, key, value, message):
+        rc, out = self.run(tmp_path, capsys,
+                           edited(["sensor", key], value))
+        assert rc == 1
+        assert out.err == f"error: {message}\n"
