@@ -213,8 +213,10 @@ class PointCloud:
     def transformed(self, pose: Pose) -> "PointCloud":
         covs = None
         if self.covariances is not None:
+            # row-major vec(R C R^T) = kron(R, R) vec(C): one GEMM per stack
             R = pose.rotation
-            covs = R @ self.covariances @ R.T
+            covs = self.covariances.reshape(-1, 9) @ np.kron(R, R).T
+            covs = covs.reshape(-1, 3, 3)
         labels = None if self.labels is None else self.labels.copy()
         return PointCloud(pose.apply(self.points), covs, labels)
 

@@ -40,17 +40,31 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     summed in input order, so a permuted input can move a centroid by
     round-off. Per-point covariances and labels do not survive aggregation
     and are dropped.
+
+    The sort runs on one int64 key, the voxel's row-major offset in the
+    bounding box of the occupied voxels; a box of 2^63 voxels or more (far
+    outliers) is sorted on the three indices instead.
     """
     if leaf <= 0.0:
         raise ValueError("leaf must be positive")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)))
     idx = np.floor(cloud.points / leaf).astype(np.int64)
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    idx = idx[order]
-    new_voxel = np.empty(len(order), dtype=bool)
+    lo = idx.min(axis=0)
+    # Python ints: the spans of extreme indices overflow int64
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, idx.max(axis=0))]
+    new_voxel = np.empty(len(idx), dtype=bool)
     new_voxel[0] = True
-    np.any(idx[1:] != idx[:-1], axis=1, out=new_voxel[1:])
+    if spans[0] * spans[1] * spans[2] <= np.iinfo(np.int64).max:
+        idx -= lo
+        key = (idx[:, 0] * spans[1] + idx[:, 1]) * spans[2] + idx[:, 2]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=new_voxel[1:])
+    else:
+        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+        idx = idx[order]
+        np.any(idx[1:] != idx[:-1], axis=1, out=new_voxel[1:])
     group = np.cumsum(new_voxel) - 1
     n_voxels = int(group[-1]) + 1
     counts = np.bincount(group, minlength=n_voxels).astype(float)
@@ -82,17 +96,27 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     if n < k:
         raise ValueError("insufficient points for covariance estimation")
     points = cloud.points.copy()
-    tree = cKDTree(points)
+    # the layout of the submap trees: it builds in half the time, and a
+    # query returns the same neighbours in the same order, up to exact
+    # distance ties
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     _, nn = query_neighbors(tree, points, k)
     if k == 1:
         nn = nn[:, None]
-    # the (n, k, 3) neighbor array sets this stage's memory peak: release it
+    # the (k, n, 3) neighbor array sets this stage's memory peak: release it
     # (and the indices) as soon as the scatter matrices are formed
-    neigh = points[nn]
+    neigh = points.take(nn.T, axis=0)
     del nn
-    neigh -= neigh.mean(axis=1, keepdims=True)
-    scatter = np.matmul(neigh.transpose(0, 2, 1), neigh)
-    del neigh
+    # its k contiguous slices are summed in order, as a mean over the
+    # neighbour axis sums them
+    centre = neigh[0].copy()
+    for j in range(1, k):
+        centre += neigh[j]
+    centre /= k
+    neigh -= centre
+    rows = neigh.transpose(1, 0, 2)  # (n, k, 3) view
+    scatter = np.matmul(rows.transpose(0, 2, 1), rows)
+    del neigh, rows
     scatter /= float(k)
     normals = _normals(scatter)
     del scatter

@@ -11,17 +11,19 @@ and second-nearest target (or the gate), since that answer cannot have
 changed; an exact tie has no gap and is searched every iteration. The local
 step is a right-multiplied 6-DoF increment.
 
-Symmetric 3x3 matrices are packed into their upper triangles, (n, 6) rows
-``[00, 01, 02, 11, 12, 22]``. ``gicp_align`` packs the source covariances
-once per call and the target covariances of each iteration's pairs.
-Conjugation by a rotation is then one 6x6 linear map,
-``packed(R C R^T) = packed(C) @ K(R)``, and the fused covariances are
-inverted by a packed adjugate. The Gauss-Newton system
+The per-pair arithmetic runs on contiguous columns, one row per entry:
+points and residuals are (3, n), and symmetric 3x3 matrices are packed into
+their upper triangles, (6, n) with rows ``[00, 01, 02, 11, 12, 22]``.
+``gicp_align`` packs the source covariances once per call and the target
+covariances of each iteration's pairs. Conjugation by a rotation is then one
+6x6 linear map, ``packed(R C R^T) = K(R)^T packed(C)``, and the fused
+covariances are inverted by a packed adjugate. The Gauss-Newton system
 ``A = sum_i G_i^T B_i G_i`` with ``G_i = [-I | skew(p_i)]`` and
-``B_i = R^T W_i R`` is assembled from moments: one GEMM of the source basis
-``[1, x, y, z, xx, xy, xz, yy, yz, zz]`` with the packed information gives
-every weighted moment ``sum_i W_i m_i``; each is rotated to ``R^T . R`` and
-contracted with the three skew generators. No per-point Jacobian is formed.
+``B_i = R^T W_i R`` is assembled from moments: one GEMM of the packed
+information with the (10, n) source basis ``[1, x, y, z, xx, xy, xz, yy, yz,
+zz]`` gives every weighted moment ``sum_i W_i m_i``; each is rotated to
+``R^T . R`` and contracted with the three skew generators. No per-point
+Jacobian is formed.
 """
 
 from __future__ import annotations
@@ -68,16 +70,17 @@ class GicpResult:
 
 
 def _pack(C: np.ndarray) -> np.ndarray:
-    """(n, 6) upper triangles of a stack of symmetric 3x3 matrices."""
-    return C.reshape(-1, 9)[:, _PACKED]
+    """(6, n) upper triangles of an (n, 3, 3) stack of symmetric matrices."""
+    return C.reshape(-1, 9).T[_PACKED]
 
 
 def _unpack(S: np.ndarray) -> np.ndarray:
-    return S[..., _UNPACK].reshape(S.shape[:-1] + (3, 3))
+    """(n, 3, 3) matrices of (6, n) packed columns."""
+    return S[_UNPACK].T.reshape(-1, 3, 3)
 
 
 def _conjugation_map(R: np.ndarray) -> np.ndarray:
-    """The 6x6 K with packed(R C R^T) = packed(C) @ K for symmetric C."""
+    """The 6x6 K with packed(R C R^T) = K^T packed(C) for symmetric C."""
     a, b = R[:, _ROWS], R[:, _COLS]
     K = np.einsum("ip,jp->pij", a, b)
     K += K.transpose(0, 2, 1)  # an off-diagonal entry stands for C_kl and C_lk
@@ -86,26 +89,27 @@ def _conjugation_map(R: np.ndarray) -> np.ndarray:
 
 
 def _sym_matvec(S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows S_i v_i for packed symmetric S_i."""
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    """Columns S_i v_i for packed symmetric S_i."""
+    x, y, z = v
     out = np.empty_like(v)
-    out[:, 0] = S[:, 0] * x + S[:, 1] * y + S[:, 2] * z
-    out[:, 1] = S[:, 1] * x + S[:, 3] * y + S[:, 4] * z
-    out[:, 2] = S[:, 2] * x + S[:, 4] * y + S[:, 5] * z
+    for row, (p, q, s) in zip(out, _UNPACK.reshape(3, 3)):
+        np.multiply(S[p], x, out=row)
+        row += S[q] * y
+        row += S[s] * z
     return out
 
 
 def _sym_adjugate_det(M: np.ndarray):
     """Packed adjugates and determinants of packed symmetric 3x3 matrices."""
-    a, b, c, d, e, f = M.T
+    a, b, c, d, e, f = M
     adj = np.empty_like(M)
-    adj[:, 0] = d * f - e * e
-    adj[:, 1] = c * e - b * f
-    adj[:, 2] = b * e - c * d
-    adj[:, 3] = a * f - c * c
-    adj[:, 4] = b * c - a * e
-    adj[:, 5] = a * d - b * b
-    return adj, a * adj[:, 0] + b * adj[:, 1] + c * adj[:, 2]
+    np.subtract(d * f, e * e, out=adj[0])
+    np.subtract(c * e, b * f, out=adj[1])
+    np.subtract(b * e, c * d, out=adj[2])
+    np.subtract(a * f, c * c, out=adj[3])
+    np.subtract(b * c, a * e, out=adj[4])
+    np.subtract(a * d, b * b, out=adj[5])
+    return adj, a * adj[0] + b * adj[1] + c * adj[2]
 
 
 def _singular(det: np.ndarray) -> bool:
@@ -116,14 +120,15 @@ def _fused_information(R: np.ndarray, cs: np.ndarray,
                        ct: np.ndarray) -> np.ndarray:
     """Packed (C^tgt + R C^src R^T)^-1 from packed covariances; a singular
     stack is retried once with a small diagonal jitter."""
-    M = ct + cs @ _conjugation_map(R)
+    M = _conjugation_map(R).T @ cs
+    M += ct
     adj, det = _sym_adjugate_det(M)
     if _singular(det):
-        M[:, _DIAG] += _JITTER
+        M[_DIAG] += _JITTER
         adj, det = _sym_adjugate_det(M)
         if _singular(det):
             raise ValueError("fused covariance singular")
-    adj /= det[:, None]
+    adj /= det
     return adj
 
 
@@ -132,17 +137,22 @@ def _require_covariances(cloud: PointCloud, name: str) -> None:
         raise ValueError(f"{name} cloud has no covariances")
 
 
+def _apply(T: Pose, p: np.ndarray) -> np.ndarray:
+    """T applied to the columns of p."""
+    return T.rotation @ p + T.translation[:, None]
+
+
 def _pair_terms(T: Pose, source: PointCloud, target: PointCloud,
                 correspondences: np.ndarray):
     """Source points, packed source covariances, residuals and packed fused
-    information of explicit (source, target) index pairs."""
+    information of explicit (source, target) index pairs, as columns."""
     _require_covariances(source, "source")
     _require_covariances(target, "target")
     corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
     s_idx, t_idx = corr[:, 0], corr[:, 1]
-    ps = source.points[s_idx]
+    ps = source.points[s_idx].T
     cs = _pack(source.covariances[s_idx])
-    d = target.points[t_idx] - T.apply(ps)
+    d = target.points[t_idx].T - _apply(T, ps)
     W = _fused_information(T.rotation, cs, _pack(target.covariances[t_idx]))
     return ps, cs, d, W
 
@@ -162,10 +172,10 @@ def gicp_gradient(T: Pose, source: PointCloud, target: PointCloud,
     matches finite differences of :func:`gicp_residual` exactly to first order.
     """
     ps, cs, d, W = _pair_terms(T, source, target, correspondences)
-    u = _sym_matvec(W, d) @ T.rotation  # rows are R^T W d
+    u = T.rotation.T @ _sym_matvec(W, d)  # columns R^T W d
     w = _sym_matvec(cs, u)
-    g_v = -2.0 * u.sum(axis=0)
-    g_w = -2.0 * (np.cross(ps, u) + np.cross(w, u)).sum(axis=0)
+    g_v = -2.0 * u.sum(axis=1)
+    g_w = -2.0 * (np.cross(ps, u, axis=0) + np.cross(w, u, axis=0)).sum(axis=1)
     return np.concatenate([g_v, g_w])
 
 
@@ -223,24 +233,31 @@ class _NearestTargets:
 
 
 def _moment_basis(points: np.ndarray) -> np.ndarray:
-    """Rows [1, x, y, z, xx, xy, xz, yy, yz, zz] per point."""
-    return np.column_stack([np.ones(points.shape[0]), points,
-                            points[:, _ROWS] * points[:, _COLS]])
+    """Columns [1, x, y, z, xx, xy, xz, yy, yz, zz] of (n, 3) points."""
+    basis = np.empty((10, points.shape[0]))
+    basis[0] = 1.0
+    basis[1:4] = points.T
+    # products written in place: fancy-indexed rows make three (6, n)
+    # temporaries, which took ten times as long at 15k points
+    for p in range(6):
+        np.multiply(basis[1 + _ROWS[p]], basis[1 + _COLS[p]], out=basis[4 + p])
+    return basis
 
 
 def _normal_equations(T: Pose, basis, cs, pt, ct):
     """Gauss-Newton system (A, c), error and packed fused information at T.
 
-    ``basis`` holds the :func:`_moment_basis` rows of the source points and
-    ``cs``, ``ct`` the packed covariances of each pair.
+    ``basis`` holds the :func:`_moment_basis` columns of the source points,
+    ``pt`` the target points and ``cs``, ``ct`` the packed covariances of
+    each pair.
     """
     R = T.rotation
     W = _fused_information(R, cs, ct)
-    d = pt - T.apply(basis[:, 1:4])
+    d = pt - _apply(T, basis[1:4])
     Wd = _sym_matvec(W, d)
     err = float(np.sum(d * Wd))
     # sum_i B_i m_i per basis moment m, with B_i = R^T W_i R
-    B = _unpack((basis.T @ W) @ _conjugation_map(R.T))
+    B = _unpack(_conjugation_map(R.T).T @ (W @ basis.T))
     A = np.empty((6, 6))
     A[:3, :3] = B[0]
     A[:3, 3:] = -np.einsum("kij,kjl->il", B[1:4], _GENERATORS)
@@ -248,14 +265,14 @@ def _normal_equations(T: Pose, basis, cs, pt, ct):
     A[3:, 3:] = -np.einsum("kab,klbc,lcd->ad", _GENERATORS, B[_SECOND],
                            _GENERATORS)
     # sum_i m_i u_i for m in [1, x, y, z], with u_i = R^T W_i d_i
-    U = (basis[:, :4].T @ Wd) @ R
+    U = (basis[:4] @ Wd.T) @ R
     c = np.concatenate([-U[0], -np.einsum("kij,kj->i", _GENERATORS, U[1:])])
     return A, c, err, W
 
 
 def _model_error(T: Pose, ps, pt, W) -> float:
     """Cost at T with the fused information frozen at the linearization point."""
-    d = pt - T.apply(ps)
+    d = pt - _apply(T, ps)
     return float(np.sum(d * _sym_matvec(W, d)))
 
 
@@ -298,13 +315,13 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
                 raise ValueError("insufficient overlap")
             converged = False
             break
-        basis = src_basis.take(s_idx, axis=0)
-        ps = basis[:, 1:4]
-        pt = target.points.take(t_idx, axis=0)
+        basis = src_basis.take(s_idx, axis=1)
+        ps = basis[1:4]
+        pt = target.points.take(t_idx, axis=0).T.copy()
         # the target's rows are packed per iteration: packing a whole submap
         # per call costs more memory than the pairs use
         A, c, err, W = _normal_equations(
-            T, basis, src_cov.take(s_idx, axis=0), pt,
+            T, basis, src_cov.take(s_idx, axis=1), pt,
             _pack(target.covariances.take(t_idx, axis=0)))
         try:
             xi = np.linalg.solve(A, -c)

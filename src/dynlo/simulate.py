@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List
@@ -27,6 +28,11 @@ from .metrics import Trajectory
 from .removal import dynamic_point_mask
 
 
+def _is_number(value) -> bool:
+    # bool is an int to Python, but not a number in a scene file
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SensorModel:
     rays_per_scan: int = 4000
@@ -35,7 +41,10 @@ class SensorModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if not _is_number(value):
+                raise ValueError(f"sensor {f.name} must be a number")
+            if not math.isfinite(value):
                 raise ValueError(f"sensor {f.name} must be finite")
         if self.rays_per_scan < 0:
             raise ValueError("sensor rays_per_scan must be >= 0")
@@ -282,6 +291,14 @@ def scene_to_json(scene: SimScene) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _list(payload: dict, key: str) -> list:
+    """The JSON list under ``key``, empty if the key is absent."""
+    items = payload.get(key, [])
+    if not isinstance(items, list):
+        raise ValueError(f"scene {key}: expected a list")
+    return items
+
+
 def _keys(item, where: str, required=(), optional=()) -> dict:
     """``item``, a JSON object that holds every ``required`` key and no key
     outside ``required`` and ``optional``."""
@@ -299,7 +316,7 @@ def _keys(item, where: str, required=(), optional=()) -> dict:
 def _ego_from_payload(payload: dict) -> List[Pose]:
     if "ego_matrices" in payload:
         poses = []
-        for row in payload["ego_matrices"]:
+        for row in _list(payload, "ego_matrices"):
             row = np.asarray(row, dtype=float)
             poses.append(Pose(row[:9].reshape(3, 3), row[9:12]))
         return poses
@@ -328,13 +345,15 @@ def scene_from_json(text: str) -> SimScene:
     """Parse a scene file; a missing or unknown key raises ``ValueError``."""
     payload = _keys(json.loads(text), "file", ("dt",),
                     ("sensor", "ego_matrices", "ego", "rects", "boxes", "movers"))
+    if not _is_number(payload["dt"]):
+        raise ValueError("scene file: 'dt' must be a number")
     sensor = SensorModel(**_keys(payload.get("sensor", {}), "sensor", (),
                                  [f.name for f in fields(SensorModel)]))
     rects = [RectPatch(**_keys(r, f"rects[{i}]", ("origin", "u", "v")))
-             for i, r in enumerate(payload.get("rects", []))]
-    boxes = [_box(b, f"boxes[{i}]") for i, b in enumerate(payload.get("boxes", []))]
+             for i, r in enumerate(_list(payload, "rects"))]
+    boxes = [_box(b, f"boxes[{i}]") for i, b in enumerate(_list(payload, "boxes"))]
     movers = [Mover(_box(m, f"movers[{i}]", ("velocity",)), m["velocity"])
-              for i, m in enumerate(payload.get("movers", []))]
+              for i, m in enumerate(_list(payload, "movers"))]
     return SimScene(dt=float(payload["dt"]), ego_poses=_ego_from_payload(payload),
                     sensor=sensor, rects=rects, boxes=boxes, movers=movers)
 

@@ -64,6 +64,15 @@ class TestPose:
 
 
 class TestApply:
+    def test_transformed_covariances_match_conjugation(self, rng):
+        A = rng.normal(size=(300, 3, 3))
+        C = A @ A.transpose(0, 2, 1)
+        pose = random_pose(rng)
+        out = PointCloud(rng.normal(size=(300, 3)), C).transformed(pose)
+        R = pose.rotation
+        np.testing.assert_allclose(out.covariances, R @ C @ R.T, rtol=1e-12,
+                                   atol=1e-12)
+
     def test_identity_keeps_cloud(self, rng):
         cloud = PointCloud(rng.normal(size=(50, 3)),
                            labels=rng.random(50) > 0.5)

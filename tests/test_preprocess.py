@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from dynlo.geometry import PointCloud
-from dynlo.preprocess import (crop_self_returns, estimate_point_covariances,
-                              voxel_downsample)
+from dynlo.preprocess import (_normals, crop_self_returns,
+                              estimate_point_covariances, voxel_downsample)
 
 
 def brute_force_crop(points, half_extent):
@@ -38,6 +38,49 @@ def eigh_covariance(points, plane_epsilon):
 _coordinate = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
     st.sampled_from([-1e6, -2.5, -0.25, -1e-9, 0.0, 0.1, 0.2499, 0.25, 1e6]))
+
+
+def lexsort_voxel_downsample(points, leaf):
+    """Centroids grouped by a stable three-key lexsort of the voxel indices."""
+    idx = np.floor(points / leaf).astype(np.int64)
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    idx = idx[order]
+    new_voxel = np.empty(len(order), dtype=bool)
+    new_voxel[0] = True
+    np.any(idx[1:] != idx[:-1], axis=1, out=new_voxel[1:])
+    group = np.cumsum(new_voxel) - 1
+    n_voxels = int(group[-1]) + 1
+    counts = np.bincount(group, minlength=n_voxels).astype(float)
+    centroids = np.empty((n_voxels, 3))
+    for axis in range(3):
+        sums = np.bincount(group, weights=points[order, axis],
+                           minlength=n_voxels)
+        centroids[:, axis] = sums / counts
+    return centroids
+
+
+# small coordinates of either sign, and outliers whose voxel box would
+# overflow an int64 key
+_near = st.one_of(st.floats(-20.0, 20.0, allow_nan=False),
+                  st.sampled_from([-2.5, -0.25, -1e-9, 0.0, 0.2499, 0.25]))
+_outlier = st.sampled_from([-1e7, 1e7])
+
+
+def mean_centred_covariances(points, k, plane_epsilon):
+    """Covariances as first written: neighbours from a default cKDTree,
+    centred by ``mean(axis=1)`` over the (n, k, 3) neighbourhoods."""
+    _, nn = cKDTree(points).query(points, k=k)
+    if k == 1:
+        nn = nn[:, None]
+    neigh = points[nn]
+    neigh -= neigh.mean(axis=1, keepdims=True)
+    scatter = np.matmul(neigh.transpose(0, 2, 1), neigh)
+    scatter /= float(k)
+    normals = _normals(scatter)
+    covariances = normals[:, :, None] * normals[:, None, :]
+    covariances *= -(1.0 - plane_epsilon)
+    covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    return covariances
 
 
 def brute_force_voxel(points, leaf):
@@ -110,6 +153,28 @@ class TestVoxel:
         out = voxel_downsample(PointCloud(pts), leaf)
         assert np.array_equal(out.points, unique_voxel_reference(pts, leaf))
 
+    @given(st.lists(st.tuples(_near, _near, _near), min_size=1, max_size=60),
+           st.lists(st.tuples(_outlier, _outlier, _outlier), max_size=2),
+           st.floats(0.05, 2.0))
+    def test_bit_identical_to_lexsort(self, rows, outliers, leaf):
+        pts = np.array(rows + outliers, dtype=float)
+        out = voxel_downsample(PointCloud(pts), leaf)
+        assert np.array_equal(out.points, lexsort_voxel_downsample(pts, leaf))
+
+    @pytest.mark.parametrize("corner", [
+        # voxel boxes from the origin of 2^63 - 2^42 voxels (an int64 key)
+        # and of 2^63 voxels (sorted on the three indices)
+        (2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 2),
+        (2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 1),
+        (2.0**21, 2.0**21, 2.0**21),
+        (1e7, -1e7, 1e7),
+    ])
+    def test_widest_voxel_boxes(self, rng, corner):
+        pts = np.concatenate([rng.uniform(0.0, 3.0, (50, 3)),
+                              [[0.0, 0.0, 0.0], corner, corner]])
+        out = voxel_downsample(PointCloud(pts), 1.0)
+        assert np.array_equal(out.points, lexsort_voxel_downsample(pts, 1.0))
+
     def test_translation_by_leaf_multiples_commutes(self, rng):
         # grid anchoring: shifting by whole voxels shifts the output likewise
         leaf = 0.25
@@ -165,6 +230,24 @@ class TestCovariances:
         assert out.tree is not None
         _, nn = out.tree.query(out.points, k=6)
         assert np.array_equal(nn, cKDTree(pts).query(pts, k=6)[1])
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_bit_identical_to_mean_centring(self, n, k):
+        # a floor, a wall and a blob; random coordinates, so no two
+        # neighbours of a point are at exactly the same distance
+        rng = np.random.default_rng(100 * k + n)
+        m = n // 3
+        pts = np.concatenate([
+            np.column_stack([rng.uniform(-5, 5, (m, 2)), rng.normal(0, 0.01, m)]),
+            np.column_stack([rng.uniform(-5, 5, m), rng.normal(5, 0.01, m),
+                             rng.uniform(0, 3, m)]),
+            rng.normal(0.0, 1.0, (n - 2 * m, 3))])
+        dist, _ = cKDTree(pts).query(pts, k=k + 1)
+        assert np.all(np.diff(dist, axis=1) > 0.0)
+        out = estimate_point_covariances(PointCloud(pts), k, 1e-3)
+        assert np.array_equal(out.covariances,
+                              mean_centred_covariances(pts, k, 1e-3))
 
     def test_insufficient_points_error(self):
         with pytest.raises(ValueError, match="insufficient points"):

@@ -108,11 +108,13 @@ def random_spd(rng, n, scale=1.0):
 
 
 class TestPackedKernels:
+    """The kernels take packed (6, n) and point (3, n) columns."""
+
     def test_conjugation_matches_dense(self, rng):
         C = random_spd(rng, 50)
         for _ in range(5):
             R = so3_exp(rng.normal(size=3))
-            got = registration._pack(C) @ registration._conjugation_map(R)
+            got = registration._conjugation_map(R).T @ registration._pack(C)
             want = registration._pack(R @ C @ R.T)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -130,7 +132,7 @@ class TestPackedKernels:
         # until the jitter is added to the diagonal
         eps = registration._JITTER
         cs = registration._pack(np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
-        W = registration._fused_information(np.eye(3), cs, np.zeros((2, 6)))
+        W = registration._fused_information(np.eye(3), cs, np.zeros((6, 2)))
         want = np.array([np.diag([1.0 / (1.0 + eps)] * 3),
                          np.diag([1.0 / (1.0 + eps), 1.0 / (1.0 + eps), 1.0 / eps])])
         np.testing.assert_allclose(registration._unpack(W), want, rtol=1e-12)
@@ -142,7 +144,7 @@ class TestPackedKernels:
         cs = registration._pack(np.array([np.diag([1.0, 1.0, 0.0]),
                                           np.diag([1.0, 1.0, -eps])]))
         with pytest.raises(ValueError, match="fused covariance singular"):
-            registration._fused_information(np.eye(3), cs, np.zeros((2, 6)))
+            registration._fused_information(np.eye(3), cs, np.zeros((6, 2)))
 
     def test_normal_equations_match_dense_reference(self, rng):
         n = 300
@@ -152,8 +154,8 @@ class TestPackedKernels:
             pt = T.apply(ps) + rng.normal(0.0, 0.1, (n, 3))
             cs, ct = random_spd(rng, n, 0.01), random_spd(rng, n, 0.01)
             A, c, err, W = registration._normal_equations(
-                T, registration._moment_basis(ps), registration._pack(cs), pt,
-                registration._pack(ct))
+                T, registration._moment_basis(ps), registration._pack(cs),
+                pt.T.copy(), registration._pack(ct))
             # dense reference: sum_i G_i^T B_i G_i with G_i = [-I | skew(p_i)]
             R = T.rotation
             minv = np.linalg.inv(ct + R @ cs @ R.T)
@@ -262,8 +264,11 @@ def grid_room(step=0.25, extent=2.0):
 
 
 def brute_force_pairs(T, source, target, max_distance):
-    """(source, target) indices of a plain k = 1 search of every point."""
-    dist, idx = cKDTree(target.points).query(
+    """(source, target) indices of a plain k = 1 search of every point, in
+    the tree gicp_align searches: an exact tie is answered by the tree's
+    layout."""
+    tree = target.tree if target.tree is not None else cKDTree(target.points)
+    dist, idx = tree.query(
         T.apply(source.points), k=1, distance_upper_bound=max_distance)
     found = np.isfinite(dist)
     return np.flatnonzero(found), idx[found]
@@ -278,7 +283,7 @@ class TestCorrespondenceReuse:
         original = registration._normal_equations
 
         def recording(T, basis, cs, pt, ct):
-            calls.append((T, basis[:, 1:4].copy(), pt.copy()))
+            calls.append((T, basis[1:4].T.copy(), pt.T.copy()))
             return original(T, basis, cs, pt, ct)
 
         monkeypatch.setattr(registration, "_normal_equations", recording)

@@ -298,15 +298,18 @@ def line_scene_payload():
                         "velocity": [0, 1, 0]}]}
 
 
-def edited(path, value=None):
+_REMOVE = object()
+
+
+def edited(path, value=_REMOVE):
     """The line scene with ``value`` set at ``path``, or the key at ``path``
-    removed when ``value`` is None."""
+    removed when no value is given."""
     payload = line_scene_payload()
     *head, last = path
     item = payload
     for key in head:
         item = item[key]
-    if value is None:
+    if value is _REMOVE:
         del item[last]
     else:
         item[last] = value
@@ -340,6 +343,15 @@ class TestMalformedSceneCli:
         (edited(["rects", 0, "w"], [1, 0, 0]),
          "scene rects[0]: unknown key 'w'"),
         (edited(["boxes"], [[0, 0, 0]]), "scene boxes[0]: expected an object"),
+        # values of the wrong JSON type
+        (edited(["dt"], None), "scene file: 'dt' must be a number"),
+        (edited(["dt"], "0.1"), "scene file: 'dt' must be a number"),
+        (edited(["sensor", "rays_per_scan"], "100"),
+         "sensor rays_per_scan must be a number"),
+        (edited(["sensor", "noise_sigma"], True),
+         "sensor noise_sigma must be a number"),
+        (edited(["rects"], {"a": 1}), "scene rects: expected a list"),
+        (edited(["movers"], 3), "scene movers: expected a list"),
     ])
     def test_missing_or_unknown_key(self, tmp_path, capsys, payload, message):
         rc, out = self.run(tmp_path, capsys, payload)
