@@ -7,7 +7,7 @@ from .config import PipelineConfig, dump_config, load_config, parse_config_text
 from .detections import DetectionFrame, filter_detections, load_detection_frame
 from .geometry import DetectionBox, PointCloud, Pose, point_in_box
 from .metrics import Trajectory, ape_rmse, map_pr_rr_f1, rpe_rmse
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import Odometry, PipelineResult, run_pipeline
 from .simulate import SimScene, reference_dynamic_scene, simulate
 from .tracking import Tracker, UkfParams
 
@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectionBox",
     "DetectionFrame",
+    "Odometry",
     "PipelineConfig",
     "PipelineResult",
     "PointCloud",

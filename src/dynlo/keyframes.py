@@ -1,16 +1,16 @@
-"""Hash-indexed keyframe database with adaptive insertion and submap selection.
+"""Keyframe database with adaptive insertion and submap selection.
 
-Keyframes live in a list indexed by id and in a hash map from voxel cell to
-id set. Insertion distance adapts to the environment's spaciousness (smoothed
-median point range); the scan-to-map submap unions the K nearest keyframes
-with the L nearest convex-hull and J nearest concave-hull keyframes. Keyframe
-poses never change (there is no loop closure), so each keyframe's cloud is
-moved into the world frame once, at insert, and a submap is a concatenation.
+Keyframes live in a list indexed by id, beside an array of their
+translations that nearest queries rank. Insertion distance adapts to the
+environment's spaciousness (smoothed median point range); the scan-to-map
+submap unions the K nearest keyframes with the L nearest convex-hull and J
+nearest concave-hull keyframes. Keyframe poses never change (there is no
+loop closure), so each keyframe's cloud is moved into the world frame once,
+at insert, and a submap is a concatenation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -85,10 +85,11 @@ def _convex_hull_indices(xy: np.ndarray) -> List[int]:
 
 
 class KeyframeDB:
-    """Keyframe store over a spatial hash of ``cell_size`` cube cells.
+    """Keyframe store; nearest queries rank every keyframe's translation.
 
     Ids count inserts from 0, so keyframe i is ``by_id[i]`` and its
-    translation is ``positions[i]``.
+    translation is ``positions[i]``. ``cell_size`` is checked but not used;
+    it stays so that configs setting ``keyframes.cell_size`` still load.
     """
 
     def __init__(self, cell_size: float):
@@ -96,7 +97,6 @@ class KeyframeDB:
             raise ValueError("cell_size must be positive")
         self.cell_size = cell_size
         self.by_id: List[Keyframe] = []
-        self.spatial_index: Dict[Tuple[int, int, int], Set[int]] = {}
         self.positions = np.empty((0, 3))
         self.spaciousness = 0.0
         self._submap_cache: Dict[Tuple[int, ...], PointCloud] = {}
@@ -109,10 +109,6 @@ class KeyframeDB:
     def ids(self) -> List[int]:
         return list(range(len(self)))
 
-    def _cell(self, position: np.ndarray) -> Tuple[int, int, int]:
-        c = np.floor(np.asarray(position, dtype=float) / self.cell_size).astype(int)
-        return (int(c[0]), int(c[1]), int(c[2]))
-
     def insert(self, pose: Pose, cloud: PointCloud) -> int:
         if len(cloud) == 0:
             raise ValueError("keyframe cloud must be non-empty")
@@ -123,7 +119,6 @@ class KeyframeDB:
             pose=pose, cloud=PointCloud(cloud.points, labels=cloud.labels),
             world=PointCloud(world.points, world.covariances)))
         self.positions = np.vstack([self.positions, pose.translation])
-        self.spatial_index.setdefault(self._cell(pose.translation), set()).add(kid)
         self._submap_cache.clear()
         self._hull_cache.clear()
         return kid
@@ -143,41 +138,11 @@ class KeyframeDB:
         return False
 
     def query_nearest(self, position, k: int) -> List[int]:
-        """K nearest keyframe ids by translation distance, ties by ascending id.
-
-        Expanding-ring search over the spatial hash: rings widen until all
-        keyframes are held, or k are and the next ring cannot beat the worst.
-        """
+        """K nearest keyframe ids by translation distance, ties by ascending id."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not self.by_id:
-            return []
         position = np.asarray(position, dtype=float)
-        center = self._cell(position)
-        found: List[int] = []
-        for radius in itertools.count():
-            for cell in self._ring_cells(center, radius):
-                found.extend(self.spatial_index.get(cell, ()))
-            nearest, dist = self._nearest(found, position, k)
-            # points in ring r+1 are at least r*cell_size away
-            if len(found) == len(self) or (
-                    len(nearest) == k and radius * self.cell_size > dist[-1]):
-                return nearest.tolist()
-
-    @staticmethod
-    def _ring_cells(center: Tuple[int, int, int], radius: int):
-        """Cells at Chebyshev distance ``radius`` from ``center``."""
-        cx, cy, cz = center
-        if radius == 0:
-            yield center
-            return
-        span = range(-radius, radius + 1)
-        for dx in span:
-            for dy in span:
-                # inside the shell's x-y square only its top and bottom cells
-                edge = max(abs(dx), abs(dy)) == radius
-                for dz in span if edge else (-radius, radius):
-                    yield (cx + dx, cy + dy, cz + dz)
+        return self._nearest(np.arange(len(self)), position, k)[0].tolist()
 
     def _nearest(self, ids: Sequence[int], position: np.ndarray, count: int
                  ) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
-"""End-to-end odometry loop: preprocess, track, remove, register, constrain, map.
+"""The per-scan odometry: preprocess, track, remove, register, constrain, map.
 
-Per scan: crop + voxel filter, detection filtering, tracker step, dynamic-point
-removal, covariance estimation, scan-to-scan GICP, world propagation, submap
-selection, scan-to-map GICP, posture consistency correction, and adaptive
-keyframe insertion. A registration failure on a scan falls back to the
-propagated prediction; the stats count it and keep its reason.
+``Odometry.step`` runs one scan: crop + voxel filter, detection filtering,
+tracker step, dynamic-point removal, covariance estimation, scan-to-scan
+GICP, submap selection, scan-to-map GICP, posture consistency correction and
+adaptive keyframe insertion. A registration failure falls back to the
+propagated prediction; the scan's record keeps its reason.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from .tracking import Tracker, track_table
 
 @dataclass
 class ScanStats:
+    """The record of one scan: its pose, tracks, counts, timers, registration."""
+
     scan_index: int
+    pose: Pose  # after registration and the posture constraint
+    tracks: np.ndarray  # the (n, 10) ``track_table`` after this scan
     n_raw: int
     n_static: int
     n_tracks: int
@@ -47,6 +51,9 @@ class ScanStats:
     s2m_iterations: int = 0
     # why the scan fell back, e.g. "s2m:solver diverged"; "" if it did not
     fallback_reason: str = ""
+    # on a labelled scan: (scan, static_total, dynamic_total,
+    # static_preserved, dynamic_removed)
+    provenance: Optional[Tuple[int, int, int, int, int]] = None
 
     @property
     def fallback(self) -> bool:
@@ -58,8 +65,7 @@ class PipelineResult:
     trajectory: Trajectory
     map_cloud: PointCloud
     stats: List[ScanStats]
-    # per labelled scan: (scan, static_total, dynamic_total, static_preserved,
-    # dynamic_removed)
+    # the ``provenance`` of each labelled scan, in scan order
     provenance_rows: List[Tuple[int, int, int, int, int]]
     db: KeyframeDB
     # per scan, the (n, 10) ``track_table`` that ``format_track_rows`` prints
@@ -72,47 +78,50 @@ class PipelineResult:
                 if self.provenance_rows else None)
 
 
-def run_pipeline(scans: Iterable[PointCloud],
-                 detections: Iterable[DetectionFrame],
-                 config: PipelineConfig | None = None) -> PipelineResult:
-    cfg = config if config is not None else PipelineConfig()
-    check_config(cfg)  # before the first scan is pulled
-    pre = cfg.preprocess
-    det, rem, kf = cfg.detections, cfg.removal, cfg.keyframes
-    tracker = Tracker(cfg.tracker)
-    db = KeyframeDB(cell_size=kf.cell_size)
-    window = SlidingBoxWindow(cfg.constraint.window_scans)
+class Odometry:
+    """The pipeline between scans; ``step(raw, frame)`` runs one scan.
 
-    poses: List[Pose] = []
-    stats: List[ScanStats] = []
-    track_tables: List[np.ndarray] = []
-    provenance_rows: List[Tuple[int, int, int, int, int]] = []
+    Beside the tracker, keyframe database and box window, it holds what a
+    scan hands the next: the scan-to-scan target cloud and its scan's pose,
+    the last pose and motion, and each track's world z after the last scan.
+    """
 
-    prev_cloud: Optional[PointCloud] = None
-    cloud_pose = Pose.identity()  # pose of the scan prev_cloud came from
-    prev_pose = Pose.identity()
-    prev_rel = Pose.identity()  # motion over the last scan
-    # world z of each track after the previous scan, by ascending track id
-    prev_ids, prev_z = np.empty(0, dtype=np.int64), np.empty(0)
+    def __init__(self, config: PipelineConfig | None = None):
+        self.cfg = config if config is not None else PipelineConfig()
+        check_config(self.cfg)  # before the first scan is pulled
+        self.tracker = Tracker(self.cfg.tracker)
+        self.db = KeyframeDB(cell_size=self.cfg.keyframes.cell_size)
+        self.window = SlidingBoxWindow(self.cfg.constraint.window_scans)
+        self.scans = 0  # scans stepped, so the next scan's index
+        self.prev_cloud: Optional[PointCloud] = None
+        self.cloud_pose = Pose.identity()  # pose of prev_cloud's scan
+        self.prev_pose = Pose.identity()
+        self.prev_rel = Pose.identity()  # motion over the last scan
+        # world z of each track after the last scan, by ascending track id
+        self.prev_ids, self.prev_z = np.empty(0, dtype=np.int64), np.empty(0)
 
-    for k, (raw, frame) in enumerate(zip(scans, detections)):
+    def step(self, raw: PointCloud, frame: DetectionFrame) -> ScanStats:
+        """Run one scan with its detections and return the scan's record."""
+        cfg, k = self.cfg, self.scans
+        pre = cfg.preprocess
+        det, rem, kf = cfg.detections, cfg.removal, cfg.keyframes
         t_start = time.perf_counter()
         cropped = crop_self_returns(raw, pre.self_crop_half_extent)
         downsampled = voxel_downsample(cropped, pre.voxel_leaf)
         t_pre = time.perf_counter()
 
         frame_f = filter_detections(frame, det.min_score, det.classes)
-        step = tracker.step(frame_f, cfg.dt)
-        dyn_boxes = step.dynamic_boxes if rem.enabled else np.empty((0, 7))
+        tracked = self.tracker.step(frame_f, cfg.dt)
+        dyn_boxes = tracked.dynamic_boxes if rem.enabled else np.empty((0, 7))
         static, _removed = remove_dynamic_points(downsampled, dyn_boxes,
                                                  rem.margin)
+        provenance = None
         if raw.labels is not None:
             removed_raw = dynamic_point_mask(raw.points, dyn_boxes, rem.margin)
             labels = raw.labels
-            provenance_rows.append((k,
-                                    int(np.sum(~labels)), int(np.sum(labels)),
-                                    int(np.sum(~labels & ~removed_raw)),
-                                    int(np.sum(labels & removed_raw))))
+            provenance = (k, int(np.sum(~labels)), int(np.sum(labels)),
+                          int(np.sum(~labels & ~removed_raw)),
+                          int(np.sum(labels & removed_raw)))
         t_track = time.perf_counter()
 
         reasons: List[str] = []
@@ -120,84 +129,86 @@ def run_pipeline(scans: Iterable[PointCloud],
         s2m_ok = True
         s2s_iterations = 0
         s2m_iterations = 0
+        # constant velocity: one more scan of the last motion. A degenerate
+        # scan coasts on it; scan-to-scan GICP starts from it
+        pose = self.prev_pose.compose(self.prev_rel)
+        rel = self.prev_rel
         if len(static) < pre.covariance_knn:
-            # degenerate scan: coast on the previous relative motion
-            pose = prev_pose.compose(prev_rel)
-            rel = prev_rel
             cov_cloud = None
             reasons.append("degenerate:too few static points")
         else:
             cov_cloud = estimate_point_covariances(static, pre.covariance_knn,
                                                    pre.plane_epsilon)
-            if prev_cloud is None:
+            if self.prev_cloud is None:
                 pose = Pose.identity()
                 rel = Pose.identity()
             else:
-                # constant velocity: s2s starts from one more scan of the last
-                # motion, expressed in the frame of prev_cloud's scan (earlier
-                # than the last one if that fell back as degenerate)
-                world_init = prev_pose.compose(prev_rel)
-                rel = prev_rel
+                # in the frame of prev_cloud's scan, which is earlier than the
+                # last one if that fell back as degenerate
                 try:
-                    res = gicp_align(cov_cloud, prev_cloud,
-                                     cloud_pose.inverse().compose(world_init),
+                    res = gicp_align(cov_cloud, self.prev_cloud,
+                                     self.cloud_pose.inverse().compose(pose),
                                      cfg.gicp)
-                    world_init = cloud_pose.compose(res.pose)
-                    rel = prev_pose.inverse().compose(world_init)
+                    pose = self.cloud_pose.compose(res.pose)
+                    rel = self.prev_pose.inverse().compose(pose)
                     s2s_ok = res.converged
                     s2s_iterations = res.iterations
                 except ValueError as exc:
                     s2s_ok = False
                     reasons.append(f"s2s:{exc}")
-                ids, submap = db.select_submap(world_init, kf.k_nearest,
-                                               kf.l_hull, kf.j_concave,
-                                               kf.concave_alpha)
+                _, submap = self.db.select_submap(pose, kf.k_nearest,
+                                                  kf.l_hull, kf.j_concave,
+                                                  kf.concave_alpha)
                 # the same ids give the same cloud until the next insert
                 if submap.tree is None:
                     submap.tree = cKDTree(submap.points, balanced_tree=False,
                                           compact_nodes=False)
-                try:
-                    res = gicp_align(cov_cloud, submap, world_init, cfg.gicp,
+                try:  # on failure the pose stays scan-to-scan's
+                    res = gicp_align(cov_cloud, submap, pose, cfg.gicp,
                                      target_tree=submap.tree)
                     pose = res.pose
                     s2m_ok = res.converged
                     s2m_iterations = res.iterations
                 except ValueError as exc:
-                    pose = world_init
                     s2m_ok = False
                     reasons.append(f"s2m:{exc}")
 
         if cfg.constraint.enabled:
-            if poses:
-                window.advance(pose.inverse().compose(prev_pose))
-            window.push(frame_f.boxes)
-            ground = fit_ground_from_boxes(window.footprints(), cfg.constraint)
-            # matched tracks already seen last scan, in tracker order
-            ids = tracker.ids
-            seen = np.isin(ids, step.matched_ids) & np.isin(ids, prev_ids)
-            dzs = (pose.apply(tracker.means[seen, :3])[:, 2]
-                   - prev_z[np.searchsorted(prev_ids, ids[seen])])
+            if k:
+                self.window.advance(pose.inverse().compose(self.prev_pose))
+            self.window.push(frame_f.boxes)
+            ground = fit_ground_from_boxes(self.window.footprints(),
+                                           cfg.constraint)
+            # the tracks matched this scan, in tracker order; each was live
+            # after the last scan, so prev_ids holds it
+            ids, means = self.tracker.ids, self.tracker.means
+            seen = np.isin(ids, tracked.matched_ids)
+            dzs = (pose.apply(means[seen, :3])[:, 2]
+                   - self.prev_z[np.searchsorted(self.prev_ids, ids[seen])])
             mean_dz = float(np.mean(dzs)) if dzs.size else None
-            pose = apply_consistency_constraint(pose, prev_pose, ground,
+            pose = apply_consistency_constraint(pose, self.prev_pose, ground,
                                                 mean_dz, cfg.constraint)
-            prev_ids, prev_z = ids, pose.apply(tracker.means[:, :3])[:, 2]
+            self.prev_ids, self.prev_z = ids, pose.apply(means[:, :3])[:, 2]
 
         inserted = False
         if cov_cloud is not None:
-            db.spaciousness = compute_spaciousness(static, db.spaciousness)
-            inserted = db.maybe_insert(pose, cov_cloud)
-            prev_cloud = cov_cloud
-            cloud_pose = pose
-        prev_rel = rel
-        prev_pose = pose
-        poses.append(pose)
-        track_tables.append(track_table(tracker))
+            self.db.spaciousness = compute_spaciousness(static,
+                                                        self.db.spaciousness)
+            inserted = self.db.maybe_insert(pose, cov_cloud)
+            self.prev_cloud = cov_cloud
+            self.cloud_pose = pose
+        self.prev_rel = rel
+        self.prev_pose = pose
+        self.scans += 1
+        tracks = track_table(self.tracker)
         t_end = time.perf_counter()
-        stats.append(ScanStats(
+        return ScanStats(
             scan_index=k,
+            pose=pose,
+            tracks=tracks,
             n_raw=len(raw),
             n_static=len(static),
-            n_tracks=len(tracker.tracks),
+            n_tracks=len(self.tracker.tracks),
             n_dynamic_boxes=len(dyn_boxes),
             preprocess_ms=(t_pre - t_start) * 1e3,
             tracker_ms=(t_track - t_pre) * 1e3,
@@ -209,26 +220,38 @@ def run_pipeline(scans: Iterable[PointCloud],
             s2s_iterations=s2s_iterations,
             s2m_iterations=s2m_iterations,
             fallback_reason=";".join(reasons),
-        ))
+            provenance=provenance,
+        )
 
-    return PipelineResult(trajectory=Trajectory.from_poses(poses, cfg.dt),
-                          map_cloud=db.world_map(),
-                          stats=stats, provenance_rows=provenance_rows, db=db,
-                          track_tables=track_tables)
+
+def run_pipeline(scans: Iterable[PointCloud],
+                 detections: Iterable[DetectionFrame],
+                 config: PipelineConfig | None = None) -> PipelineResult:
+    """Run ``Odometry.step`` per (scan, frame) pair, until either runs out."""
+    odometry = Odometry(config)
+    stats = [odometry.step(raw, frame)
+             for raw, frame in zip(scans, detections)]
+    return PipelineResult(
+        trajectory=Trajectory.from_poses([s.pose for s in stats],
+                                         odometry.cfg.dt),
+        map_cloud=odometry.db.world_map(),
+        stats=stats,
+        provenance_rows=[s.provenance for s in stats if s.provenance],
+        db=odometry.db,
+        track_tables=[s.tracks for s in stats],
+    )
+
+
+# the per-stage wall times of a record, in milliseconds
+_TIMERS = ("preprocess_ms", "tracker_ms", "odometry_ms", "total_ms")
 
 
 def stats_summary(stats: List[ScanStats]) -> dict:
     """Mean per-stage wall times in milliseconds plus fallback count."""
-    if not stats:
-        return {"preprocess_ms": 0.0, "tracker_ms": 0.0, "odometry_ms": 0.0,
-                "total_ms": 0.0, "fallbacks": 0}
-    return {
-        "preprocess_ms": float(np.mean([s.preprocess_ms for s in stats])),
-        "tracker_ms": float(np.mean([s.tracker_ms for s in stats])),
-        "odometry_ms": float(np.mean([s.odometry_ms for s in stats])),
-        "total_ms": float(np.mean([s.total_ms for s in stats])),
-        "fallbacks": int(sum(1 for s in stats if s.fallback)),
-    }
+    summary = {name: float(np.mean([getattr(s, name) for s in stats]))
+               if stats else 0.0 for name in _TIMERS}
+    summary["fallbacks"] = sum(1 for s in stats if s.fallback)
+    return summary
 
 
 def write_stats_file(path: str, stats: List[ScanStats]) -> None:
@@ -248,8 +271,6 @@ def write_stats_file(path: str, stats: List[ScanStats]) -> None:
                         int(s.keyframe_inserted), s.s2s_iterations,
                         s.s2m_iterations,
                         "_".join(s.fallback_reason.split()) or "-"))
-        fh.write("# mean preprocess_ms=%.3f tracker_ms=%.3f odometry_ms=%.3f "
-                 "total_ms=%.3f fallbacks=%d\n" % (
-                     summary["preprocess_ms"], summary["tracker_ms"],
-                     summary["odometry_ms"], summary["total_ms"],
-                     summary["fallbacks"]))
+        fh.write("# mean %s fallbacks=%d\n" % (
+            " ".join("%s=%.3f" % (name, summary[name]) for name in _TIMERS),
+            summary["fallbacks"]))

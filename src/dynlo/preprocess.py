@@ -43,13 +43,21 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 
     The sort runs on one int64 key, the voxel's row-major offset in the
     bounding box of the occupied voxels; a box of 2^63 voxels or more (far
-    outliers) is sorted on the three indices instead.
+    outliers) is sorted on the three indices instead. A point with a
+    coordinate of 2^63 leaves or more has no int64 voxel index and raises
+    ``ValueError``.
     """
     if leaf <= 0.0:
         raise ValueError("leaf must be positive")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)))
-    idx = np.floor(cloud.points / leaf).astype(np.int64)
+    scaled = cloud.points / leaf
+    # the int64 cast would wrap such indices, merging far points into one
+    # voxel; ``not <`` rejects NaN as well
+    if not np.abs(scaled).max() < 2.0 ** 63:
+        raise ValueError("point too far from the origin for a voxel index: "
+                         "|coordinate| / leaf must be < 2^63")
+    idx = np.floor(scaled).astype(np.int64)
     lo = idx.min(axis=0)
     # Python ints: the spans of extreme indices overflow int64
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, idx.max(axis=0))]

@@ -12,6 +12,9 @@ tests also pin, fallbacks included. Keyframes are moved into the world frame
 once, at insert, so a submap is a concatenation of stored arrays.
 """
 
+import os
+from collections import Counter
+
 import numpy as np
 
 from dynlo import pipeline
@@ -20,6 +23,9 @@ from dynlo.ground import SlidingBoxWindow
 from dynlo.keyframes import KeyframeDB
 from dynlo.simulate import reference_config, reference_dynamic_scene, simulate
 from dynlo.tracking import Tracker
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
 
 
 def _record(monkeypatch, owner, name, log):
@@ -236,3 +242,46 @@ def test_keyframes_transformed_once_at_insert(monkeypatch):
         assert np.shares_memory(world.points, out.db.by_id[i].world.points)
     assert len(selections) == n_scans - 1
     assert all(before == after for _, before, after in selections)
+
+
+def test_tracer_spans_fire_through_step(monkeypatch):
+    """Every stage span the benchmark's tracer wraps fires as often as the
+    pipeline calls that stage. A stage function bound outside
+    ``dynlo.pipeline``'s module globals would escape the wrapper and read as
+    a zero in its per-layer metric."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    n_scans = 6
+    res = simulate(reference_dynamic_scene(n_scans=n_scans, rays_per_scan=1200,
+                                           ego_speed=2.0), 0)
+    assert all(scan.labels is not None for scan in res.scans)
+    with tracing.instrumented(tracing.Tracer()) as tracer:
+        out = pipeline.run_pipeline(res.scans, res.detections,
+                                    reference_config())
+    assert not any(s.fallback for s in out.stats)
+    # a submap's tree is built once: anew after an insert or for new ids
+    trees, cached = 0, set()
+    for span in tracer.spans:  # in call order
+        if span.name == "keyframes.insert" and span.counts["inserted"]:
+            cached.clear()
+        elif span.name == "keyframes.select_submap":
+            trees += tuple(span.counts["ids"]) not in cached
+            cached.add(tuple(span.counts["ids"]))
+    every = ("preprocess.crop", "preprocess.voxel", "preprocess.covariance",
+             "detections.filter", "tracking.step", "removal.remove",
+             "removal.label_mask", "ground.fit", "ground.constraint",
+             "keyframes.spaciousness", "keyframes.insert")
+    after_first = ("registration.s2s", "registration.s2m",
+                   "keyframes.select_submap", "ground.window_advance")
+    expected = {**{name: n_scans for name in every},
+                **{name: n_scans - 1 for name in after_first},
+                "registration.kdtree": trees}
+    # every span name the tracer wraps outside file I/O, and scan-to-map,
+    # which its observer tells from scan-to-scan
+    file_io = ("fileio.", "detections.load_detection_frame")
+    assert set(expected) == {name for _, _, name, _ in tracing._TARGETS
+                             if not name.startswith(file_io)} | {
+                                 "registration.s2m"}
+    assert Counter(span.name for span in tracer.spans) == expected
+    assert trees >= 2

@@ -104,17 +104,17 @@ class TestInsertion:
         assert all(e == g for e, g in decisions)
 
     def test_index_consistency_invariant(self, rng):
+        # nearest queries rank ``positions``: row i is keyframe i's translation
         db = KeyframeDB(cell_size=2.0)
         for _ in range(60):
             pose = Pose.from_yaw(rng.uniform(-3, 3),
                                  rng.uniform(-20, 20, size=3))
             db.maybe_insert(pose, tiny_cloud(rng))
             db.query_nearest(rng.uniform(-20, 20, size=3), 3)
-            indexed = sorted(i for ids in db.spatial_index.values() for i in ids)
-            assert indexed == db.ids()
-            for cell, ids in db.spatial_index.items():
-                for i in ids:
-                    assert db._cell(db.by_id[i].pose.translation) == cell
+            assert db.positions.shape == (len(db), 3)
+            for i in db.ids():
+                assert np.array_equal(db.positions[i],
+                                      db.by_id[i].pose.translation)
 
 
 class TestNearestQuery:
@@ -137,6 +137,19 @@ class TestNearestQuery:
             d = np.linalg.norm(positions - q, axis=1)
             expected = [int(i) for i in np.lexsort((np.arange(200), d))[:k]]
             assert got == expected
+
+    @pytest.mark.parametrize("cell_size, q", [
+        (5.0, (1e4, 0.0, 0.0)), (5.0, (-3e3, 7e3, 40.0)),
+        (0.1, (19.0, 5.0, 0.0))])
+    def test_far_query_equals_brute_force(self, rng, cell_size, q):
+        # 20 keyframes on a line, queried 10 km away and 5 m off the line on
+        # 0.1 m cells: far from every keyframe in cells of any size
+        positions = np.column_stack([2.0 * np.arange(20), np.zeros((20, 2))])
+        db = db_with_positions(rng, positions, cell_size)
+        d = np.linalg.norm(positions - np.asarray(q), axis=1)
+        for k in (1, 3, 20, 25):
+            expected = [int(i) for i in np.lexsort((np.arange(20), d))[:k]]
+            assert db.query_nearest(q, k) == expected
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

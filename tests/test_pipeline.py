@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dynlo.cli import main as cli_main
 from dynlo import geometry, pipeline
 from dynlo.config import dump_config
-from dynlo.fileio import write_trajectory
+from dynlo.fileio import read_scan_bin, write_scan_bin, write_trajectory
 from dynlo.geometry import PointCloud, Pose
 from dynlo.keyframes import KeyframeDB
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
@@ -123,6 +124,38 @@ class TestRunPipeline:
         assert any(s.n_dynamic_boxes > 0 for s in out.stats[2:])
         assert all(s.total_ms > 0 for s in out.stats)
         assert len(out.track_tables) == 10
+
+    def test_odometry_steps_one_scan_at_a_time(self):
+        res = simulate(small_scene(6), 0)
+        odometry = pipeline.Odometry(reference_config())
+        records = [odometry.step(raw, frame)
+                   for raw, frame in zip(res.scans, res.detections)]
+        out = run_pipeline(res.scans, res.detections, reference_config())
+        assert [r.scan_index for r in records] == list(range(6))
+        np.testing.assert_array_equal(
+            [r.pose.matrix() for r in records],
+            [p.matrix() for p in out.trajectory.poses])
+        assert [r.provenance for r in records] == out.provenance_rows
+        assert len(out.track_tables) == 6
+        for r, table in zip(records, out.track_tables):
+            np.testing.assert_array_equal(r.tracks, table)
+            assert len(table) == r.n_tracks
+        np.testing.assert_array_equal(odometry.db.world_map().points,
+                                      out.map_cloud.points)
+
+    def test_timers_cover_the_track_table(self, monkeypatch):
+        # the track table is built inside odometry_ms and total_ms
+        res = simulate(small_scene(3), 0)
+        table = pipeline.track_table
+
+        def slow_table(tracker):
+            time.sleep(0.02)
+            return table(tracker)
+
+        monkeypatch.setattr(pipeline, "track_table", slow_table)
+        out = run_pipeline(res.scans, res.detections, reference_config())
+        assert all(s.odometry_ms >= 20.0 for s in out.stats)
+        assert all(s.total_ms >= s.odometry_ms for s in out.stats)
 
     def test_constraint_gets_mean_z_change_of_matched_tracks(self,
                                                             monkeypatch):
@@ -382,6 +415,22 @@ class TestCli:
                        "--out-map", str(tmp_path / "m.txt")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_point_too_far_for_a_voxel_index_is_an_error(self, tmp_path,
+                                                          dataset, capsys):
+        out_dir, _ = dataset
+        path = os.path.join(out_dir, "scans", "000003.bin")
+        points = read_scan_bin(path).points
+        points[0] = (3e18, 0.0, 0.0)  # finite in float32
+        write_scan_bin(path, PointCloud(points))
+        rc = cli_main(["run", "--scans", os.path.join(out_dir, "scans"),
+                       "--detections", os.path.join(out_dir, "detections"),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: point too far from the origin")
 
     def test_out_tracks_match_the_row_formatter(self, tmp_path, dataset,
                                                 monkeypatch):

@@ -168,12 +168,22 @@ class TestVoxel:
         (2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 1),
         (2.0**21, 2.0**21, 2.0**21),
         (1e7, -1e7, 1e7),
+        # the largest voxel index below 2^63
+        (2.0**63 - 1024, 0.0, 0.0),
     ])
     def test_widest_voxel_boxes(self, rng, corner):
         pts = np.concatenate([rng.uniform(0.0, 3.0, (50, 3)),
                               [[0.0, 0.0, 0.0], corner, corner]])
         out = voxel_downsample(PointCloud(pts), 1.0)
         assert np.array_equal(out.points, lexsort_voxel_downsample(pts, 1.0))
+
+    @pytest.mark.parametrize("far", [3e18, -3e18, 2.0**63 * 0.25])
+    def test_point_without_an_int64_voxel_index_raises(self, far):
+        # cast to int64, both far indices became INT64_MIN, and their
+        # centroid a phantom voxel at the origin
+        pts = [[far, 0.0, 0.0], [-3e18, 0.0, 0.0], [5.0, 5.0, 5.0]]
+        with pytest.raises(ValueError, match="too far from the origin"):
+            voxel_downsample(PointCloud(pts), 0.25)
 
     def test_translation_by_leaf_multiples_commutes(self, rng):
         # grid anchoring: shifting by whole voxels shifts the output likewise

@@ -424,6 +424,21 @@ class TestTrackerLifecycle:
                 seen.add(t.id)
         assert tracker.next_id == len(seen)
 
+    @pytest.mark.parametrize("kind", ["ukf", "ekf"])
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_matched_ids_were_live_after_the_previous_step(self, kind, seed):
+        # the posture constraint takes a matched track's z change from its z
+        # after the previous scan, which it keeps for the ids live then
+        tracker = Tracker(replace(reference_config().tracker, kind=kind))
+        live, matched, pruned = set(), 0, 0
+        for frame in lane_frames(np.random.default_rng(seed), n_scans=40):
+            step = tracker.step(frame, 0.1)
+            assert set(step.matched_ids) <= live
+            matched += len(step.matched_ids)
+            pruned += len(live - set(tracker.ids.tolist()))
+            live = set(tracker.ids.tolist())
+        assert matched > 0 and pruned > 0
+
     def test_deterministic(self):
         def run():
             tracker = Tracker()
