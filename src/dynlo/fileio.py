@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -10,6 +11,17 @@ from scipy.spatial.transform import Rotation
 
 from .geometry import PointCloud, Pose
 from .metrics import RemovalCounts, Trajectory
+
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _data_lines(path: str, comments: bool = True):
+    """("<path> line <n>", fields) per non-blank line; '#' lines skipped if ``comments``."""
+    with open(path, "r") as fh:
+        for n, line in enumerate(fh, 1):
+            fields = line.split()
+            if fields and not (comments and fields[0].startswith("#")):
+                yield f"{path} line {n}", fields
 
 
 # --- scans -------------------------------------------------------------------
@@ -51,10 +63,18 @@ def read_labels(path: str) -> np.ndarray:
     with open(path, "r") as fh:
         if not fh.read().strip():  # loadtxt warns on a file without data
             return np.zeros(0, dtype=bool)
-    table = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
-    if table.shape[1] != 1:
-        raise ValueError(f"{path}: {table.shape[1]} values on a label line")
-    return table[:, 0].astype(bool)
+    try:
+        table = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+        if table.shape[1] == 1:
+            return table[:, 0].astype(bool)
+    except ValueError:
+        pass
+    # loadtxt's row numbers skip blank lines, so find the line of the file
+    for where, fields in _data_lines(path, comments=False):
+        if not (len(fields) == 1 and _INT.fullmatch(fields[0])
+                and -2**63 <= int(fields[0]) < 2**63):
+            raise ValueError(f"{where}: expected one 64-bit integer")
+    raise ValueError(f"{path}: expected one 64-bit integer a line")
 
 
 def write_labels(path: str, labels: Optional[np.ndarray]) -> None:
@@ -91,26 +111,23 @@ def read_trajectory(path: str) -> Trajectory:
     """Auto-detects the two trajectory formats by column count (12 vs 8)."""
     poses: List[Pose] = []
     stamps: List[float] = []
-    with open(path, "r") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            vals = [float(v) for v in text.split()]
-            if len(vals) == 12:
-                M = np.array(vals).reshape(3, 4)
-                poses.append(Pose(M[:, :3], M[:, 3]))
-                stamps.append(float(len(stamps)))
-            elif len(vals) == 8:
-                ts, tx, ty, tz, qx, qy, qz, qw = vals
-                R = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
-                poses.append(Pose(R, (tx, ty, tz)))
-                stamps.append(ts)
-            else:
-                raise ValueError(
-                    f"{path}: unrecognized trajectory line with {len(vals)} columns")
-    n = len(poses)
-    return Trajectory(np.arange(n), np.array(stamps), poses)
+    for where, fields in _data_lines(path):
+        try:
+            vals = [float(v) for v in fields]
+        except ValueError:
+            vals = []
+        if len(vals) == 12:
+            M = np.array(vals).reshape(3, 4)
+            poses.append(Pose(M[:, :3], M[:, 3]))
+            stamps.append(float(len(stamps)))
+        elif len(vals) == 8:
+            ts, tx, ty, tz, qx, qy, qz, qw = vals
+            R = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
+            poses.append(Pose(R, (tx, ty, tz)))
+            stamps.append(ts)
+        else:
+            raise ValueError(f"{where}: expected 8 or 12 columns of numbers")
+    return Trajectory(np.arange(len(poses)), np.array(stamps), poses)
 
 
 # --- maps --------------------------------------------------------------------
@@ -144,8 +161,9 @@ def write_removal_provenance(path: str,
 
 
 def read_removal_provenance(path: str) -> RemovalCounts:
-    with open(path, "r") as fh:
-        lines = [line.split() for line in fh]
-    return RemovalCounts.from_rows([
-        [int(v) for v in fields] for fields in lines
-        if fields and not fields[0].startswith("#")])
+    rows = []
+    for where, fields in _data_lines(path):
+        if len(fields) != 5 or not all(_INT.fullmatch(v) for v in fields):
+            raise ValueError(f"{where}: expected 5 integers")
+        rows.append([int(v) for v in fields])
+    return RemovalCounts.from_rows(rows)

@@ -27,14 +27,13 @@ class KeyframeParams:
     l_hull: int = field(default=10, metadata={"bound": ">= 0"})
     j_concave: int = field(default=10, metadata={"bound": ">= 0"})
     concave_alpha: float = field(default=25.0, metadata={"bound": None})
-    cell_size: float = field(default=5.0, metadata={"bound": "> 0"})
 
 
 @dataclass
 class Keyframe:
     pose: Pose
-    cloud: PointCloud  # body frame at capture: points and labels
-    world: PointCloud  # world-frame points and covariances
+    cloud: PointCloud  # the inserted points, body frame, for dump_keyframes
+    world: PointCloud  # world-frame points and covariances, no tree
 
 
 def compute_spaciousness(cloud: PointCloud, prev: float) -> float:
@@ -88,40 +87,29 @@ class KeyframeDB:
     """Keyframe store; nearest queries rank every keyframe's translation.
 
     Ids count inserts from 0, so keyframe i is ``by_id[i]`` and its
-    translation is ``positions[i]``. ``cell_size`` is checked but not used;
-    it stays so that configs setting ``keyframes.cell_size`` still load.
+    translation is ``positions[i]``.
     """
 
-    def __init__(self, cell_size: float):
-        if cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
-        self.cell_size = cell_size
+    def __init__(self):
         self.by_id: List[Keyframe] = []
         self.positions = np.empty((0, 3))
         self.spaciousness = 0.0
         self._submap_cache: Dict[Tuple[int, ...], PointCloud] = {}
-        # hull ids change only on insert: "convex" or a concave alpha -> ids
-        self._hull_cache: Dict[object, List[int]] = {}
+        # hull ids change only on insert: concave alpha -> ids
+        self._hull_cache: Dict[float, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self.by_id)
 
-    def ids(self) -> List[int]:
-        return list(range(len(self)))
-
     def insert(self, pose: Pose, cloud: PointCloud) -> int:
         if len(cloud) == 0:
             raise ValueError("keyframe cloud must be non-empty")
-        kid = len(self)
-        # keep the scan's points and labels, not its covariances or caches
-        world = cloud.transformed(pose)
-        self.by_id.append(Keyframe(
-            pose=pose, cloud=PointCloud(cloud.points, labels=cloud.labels),
-            world=PointCloud(world.points, world.covariances)))
+        self.by_id.append(Keyframe(pose, PointCloud(cloud.points),
+                                   cloud.transformed(pose)))
         self.positions = np.vstack([self.positions, pose.translation])
         self._submap_cache.clear()
         self._hull_cache.clear()
-        return kid
+        return len(self) - 1  # ids count inserts from 0
 
     def maybe_insert(self, pose: Pose, cloud: PointCloud) -> bool:
         """Insert when motion since the nearest keyframe exceeds the adaptive threshold."""
@@ -141,28 +129,17 @@ class KeyframeDB:
         """K nearest keyframe ids by translation distance, ties by ascending id."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        position = np.asarray(position, dtype=float)
-        return self._nearest(np.arange(len(self)), position, k)[0].tolist()
+        return self._nearest(np.arange(len(self)), position, k).tolist()
 
-    def _nearest(self, ids: Sequence[int], position: np.ndarray, count: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``count`` of ``ids`` nearest ``position`` (ties by ascending id)
-        and their distances."""
+    def _nearest(self, ids: Sequence[int], position, count: int) -> np.ndarray:
+        """The ``count`` of ``ids`` nearest ``position``, ties by ascending id."""
         ids = np.asarray(ids, dtype=np.int64)
         dist = np.linalg.norm(self.positions[ids] - position, axis=1)
-        order = np.lexsort((ids, dist))[:count]
-        return ids[order], dist[order]
+        return ids[np.lexsort((ids, dist))[:count]]
 
     def convex_hull_ids(self) -> List[int]:
-        """Ids whose (x, y) translations are convex hull vertices; all ids if < 3."""
-        if "convex" not in self._hull_cache:
-            self._hull_cache["convex"] = self._convex_hull_ids()
-        return list(self._hull_cache["convex"])
-
-    def _convex_hull_ids(self) -> List[int]:
-        if len(self) < 3:
-            return self.ids()
-        return sorted(_convex_hull_indices(self.positions[:, :2]))
+        """Convex hull vertex ids (all if < 3): a concave hull with no split."""
+        return self.concave_hull_ids(math.inf)
 
     def concave_hull_ids(self, alpha: float) -> List[int]:
         """Concave boundary ids: convex hull edges longer than alpha are split
@@ -173,7 +150,7 @@ class KeyframeDB:
 
     def _concave_hull_ids(self, alpha: float) -> List[int]:
         if len(self) < 3:
-            return self.ids()
+            return list(range(len(self)))
         xy = self.positions[:, :2]
         polygon = _convex_hull_indices(xy)  # ids, CCW order
         interior = np.ones(len(xy), dtype=bool)
@@ -184,8 +161,8 @@ class KeyframeDB:
         while e < len(polygon):
             a, b = polygon[e], polygon[(e + 1) % len(polygon)]
             edge_len = float(np.linalg.norm(xy[a] - xy[b]))
-            inner = np.flatnonzero(interior)
-            if edge_len > alpha and inner.size:
+            inner = np.flatnonzero(interior) if edge_len > alpha else []
+            if len(inner):
                 longer = np.maximum(np.linalg.norm(xy[a] - xy[inner], axis=1),
                                     np.linalg.norm(xy[inner] - xy[b], axis=1))
                 j = int(np.argmin(longer))  # ties: the lowest id
@@ -208,7 +185,7 @@ class KeyframeDB:
         selected: Set[int] = set(self.query_nearest(position, k_nearest))
         for pool, count in ((self.convex_hull_ids(), l_hull),
                             (self.concave_hull_ids(concave_alpha), j_concave)):
-            selected.update(self._nearest(pool, position, count)[0].tolist())
+            selected.update(self._nearest(pool, position, count).tolist())
         ids = sorted(selected)
         key = tuple(ids)
         if key not in self._submap_cache:

@@ -90,7 +90,7 @@ class Odometry:
         self.cfg = config if config is not None else PipelineConfig()
         check_config(self.cfg)  # before the first scan is pulled
         self.tracker = Tracker(self.cfg.tracker)
-        self.db = KeyframeDB(cell_size=self.cfg.keyframes.cell_size)
+        self.db = KeyframeDB()
         self.window = SlidingBoxWindow(self.cfg.constraint.window_scans)
         self.scans = 0  # scans stepped, so the next scan's index
         self.prev_cloud: Optional[PointCloud] = None
@@ -229,8 +229,12 @@ def run_pipeline(scans: Iterable[PointCloud],
                  config: PipelineConfig | None = None) -> PipelineResult:
     """Run ``Odometry.step`` per (scan, frame) pair, until either runs out."""
     odometry = Odometry(config)
-    stats = [odometry.step(raw, frame)
-             for raw, frame in zip(scans, detections)]
+    stats = []
+    for raw, frame in zip(scans, detections):
+        try:
+            stats.append(odometry.step(raw, frame))
+        except ValueError as exc:
+            raise ValueError(f"scan {len(stats)}: {exc}") from exc
     return PipelineResult(
         trajectory=Trajectory.from_poses([s.pose for s in stats],
                                          odometry.cfg.dt),

@@ -241,7 +241,8 @@ class TestCriterion5OracleEquivalence:
         for _ in range(self.N):
             n = int(rng.integers(1, 60))
             positions = rng.uniform(-40, 40, size=(n, 3))
-            db = KeyframeDB(cell_size=float(rng.uniform(2.0, 8.0)))
+            rng.uniform(2.0, 8.0)  # the former cell size: same draws as before
+            db = KeyframeDB()
             for p in positions:
                 db.insert(Pose.from_yaw(0.0, p),
                           PointCloud(rng.normal(size=(3, 3))))
@@ -265,7 +266,7 @@ class TestCriterion5OracleEquivalence:
                 hull = ConvexHull(xy)
             except QhullError:
                 continue
-            db = KeyframeDB(cell_size=5.0)
+            db = KeyframeDB()
             for p in xy:
                 db.insert(Pose.from_yaw(0.0, (p[0], p[1], 0.0)),
                           PointCloud(rng.normal(size=(3, 3))))
@@ -280,7 +281,7 @@ class TestCriterion5OracleEquivalence:
         for _ in range(self.N):
             n = int(rng.integers(1, 40))
             positions = rng.uniform(-40, 40, size=(n, 3))
-            db = KeyframeDB(cell_size=5.0)
+            db = KeyframeDB()
             for p in positions:
                 db.insert(Pose.from_yaw(0.0, p),
                           PointCloud(rng.normal(size=(3, 3))))
@@ -301,7 +302,7 @@ class TestCriterion5OracleEquivalence:
                         | nearest_of(db.convex_hull_ids(), L)
                         | nearest_of(db.concave_hull_ids(alpha), J))
             assert ids == sorted(expected)
-            assert len(submap) == sum(len(db.by_id[i].cloud) for i in ids)
+            assert len(submap) == sum(len(db.by_id[i].world) for i in ids)
         report("criterion 5g (submap set algebra oracle)", True,
                f"{self.N} randomized instances")
 

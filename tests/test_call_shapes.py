@@ -236,7 +236,7 @@ def test_keyframes_transformed_once_at_insert(monkeypatch):
     assert len(inserts) == len(out.db) >= 3
     assert [after - before for _, before, after in inserts] == [1] * len(inserts)
     assert len(transformed) == len(inserts)
-    for (args, before, _), i in zip(inserts, out.db.ids()):
+    for (args, before, _), i in zip(inserts, range(len(out.db))):
         (cloud, pose), _, world = transformed[before]
         assert cloud is args[2] and pose is args[1] is out.db.by_id[i].pose
         assert np.shares_memory(world.points, out.db.by_id[i].world.points)

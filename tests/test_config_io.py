@@ -240,6 +240,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2.*unknown key"):
             parse_config_text("dt = 0.1\nbogus.key = 3\n")
 
+    def test_removed_cell_size_key_rejected_with_line(self):
+        # keyframe queries no longer use a spatial hash: delete that line
+        with pytest.raises(ValueError, match="^config line 2: unknown key "
+                           "'keyframes.cell_size'$"):
+            parse_config_text("dt = 0.1\nkeyframes.cell_size = 5\n")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("removal.enabled = maybe\n")

@@ -18,8 +18,8 @@ def tiny_cloud(rng, n=12):
     return PointCloud(pts, covariances=covs)
 
 
-def db_with_positions(rng, positions, cell_size=5.0):
-    db = KeyframeDB(cell_size=cell_size)
+def db_with_positions(rng, positions):
+    db = KeyframeDB()
     for p in positions:
         db.insert(Pose.from_yaw(0.0, p), tiny_cloud(rng))
     return db
@@ -59,25 +59,25 @@ class TestThresholdBands:
 
 class TestInsertion:
     def test_empty_db_always_inserts(self, rng):
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         assert db.maybe_insert(Pose.identity(), tiny_cloud(rng))
         assert len(db) == 1
 
     def test_repeat_pose_not_inserted(self, rng):
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         pose = Pose.from_yaw(0.1, (1.0, 2.0, 0.0))
         db.maybe_insert(pose, tiny_cloud(rng))
         assert not db.maybe_insert(pose, tiny_cloud(rng))
         assert len(db) == 1
 
     def test_rotation_alone_can_trigger(self, rng):
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         db.maybe_insert(Pose.identity(), tiny_cloud(rng))
         turned = Pose.from_yaw(math.radians(31.0))
         assert db.maybe_insert(turned, tiny_cloud(rng))
 
     def test_random_walk_matches_linear_scan_oracle(self, rng):
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         inserted_poses = []
         decisions = []
         pos = np.zeros(3)
@@ -105,14 +105,14 @@ class TestInsertion:
 
     def test_index_consistency_invariant(self, rng):
         # nearest queries rank ``positions``: row i is keyframe i's translation
-        db = KeyframeDB(cell_size=2.0)
+        db = KeyframeDB()
         for _ in range(60):
             pose = Pose.from_yaw(rng.uniform(-3, 3),
                                  rng.uniform(-20, 20, size=3))
             db.maybe_insert(pose, tiny_cloud(rng))
             db.query_nearest(rng.uniform(-20, 20, size=3), 3)
             assert db.positions.shape == (len(db), 3)
-            for i in db.ids():
+            for i in range(len(db)):
                 assert np.array_equal(db.positions[i],
                                       db.by_id[i].pose.translation)
 
@@ -138,14 +138,12 @@ class TestNearestQuery:
             expected = [int(i) for i in np.lexsort((np.arange(200), d))[:k]]
             assert got == expected
 
-    @pytest.mark.parametrize("cell_size, q", [
-        (5.0, (1e4, 0.0, 0.0)), (5.0, (-3e3, 7e3, 40.0)),
-        (0.1, (19.0, 5.0, 0.0))])
-    def test_far_query_equals_brute_force(self, rng, cell_size, q):
-        # 20 keyframes on a line, queried 10 km away and 5 m off the line on
-        # 0.1 m cells: far from every keyframe in cells of any size
+    @pytest.mark.parametrize("q", [
+        (1e4, 0.0, 0.0), (-3e3, 7e3, 40.0), (19.0, 5.0, 0.0)])
+    def test_far_query_equals_brute_force(self, rng, q):
+        # 20 keyframes on a line, queried 10 km away and 5 m off the line
         positions = np.column_stack([2.0 * np.arange(20), np.zeros((20, 2))])
-        db = db_with_positions(rng, positions, cell_size)
+        db = db_with_positions(rng, positions)
         d = np.linalg.norm(positions - np.asarray(q), axis=1)
         for k in (1, 3, 20, 25):
             expected = [int(i) for i in np.lexsort((np.arange(20), d))[:k]]
@@ -157,7 +155,7 @@ class TestNearestQuery:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
         positions = rng.uniform(-30, 30, size=(n, 3))
-        db = db_with_positions(rng, positions, cell_size=4.0)
+        db = db_with_positions(rng, positions)
         q = rng.uniform(-35, 35, size=3)
         k = int(rng.integers(1, n + 3))
         got = db.query_nearest(q, k)
@@ -224,18 +222,18 @@ class TestHulls:
     @settings(max_examples=20)
     def test_cached_ids_equal_fresh_computation_after_each_insert(self, seed):
         rng = np.random.default_rng(seed)
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         alpha = float(rng.uniform(2.0, 20.0))
         for p in rng.uniform(-30, 30, size=(int(rng.integers(1, 25)), 3)):
             db.insert(Pose.from_yaw(0.0, p), tiny_cloud(rng))
             db.select_submap(Pose.identity(), 3, 2, 2, alpha)  # fills the cache
-            assert db.convex_hull_ids() == db._convex_hull_ids()
+            assert db.convex_hull_ids() == db._concave_hull_ids(math.inf)
             assert db.concave_hull_ids(alpha) == db._concave_hull_ids(alpha)
 
 
 class TestSubmap:
     def test_single_keyframe_world_cloud(self, rng):
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         pose = Pose.from_yaw(0.5, (3.0, -1.0, 0.2))
         cloud = tiny_cloud(rng)
         db.insert(pose, cloud)
@@ -250,7 +248,7 @@ class TestSubmap:
         db = db_with_positions(rng, positions)
         ids, submap = db.select_submap(Pose.identity(), 12, 12, 12, np.inf)
         assert ids == list(range(12))
-        total = sum(len(db.by_id[i].cloud) for i in ids)
+        total = sum(len(db.by_id[i].world) for i in ids)
         assert len(submap) == total
 
     def test_matches_set_algebra_oracle(self, rng):
@@ -285,7 +283,7 @@ class TestSubmap:
         db.insert(Pose.from_yaw(0, (20, 0, 0)), tiny_cloud(rng))
         ids2, sub2 = db.select_submap(Pose.identity(), 10, 10, 10, np.inf)
         assert ids2 == [0, 1, 2]
-        assert len(sub2) == len(sub1) + len(db.by_id[2].cloud)
+        assert len(sub2) == len(sub1) + len(db.by_id[2].world)
 
     def test_same_ids_return_the_same_cloud(self, rng):
         # the pipeline hangs the submap's k-d tree on this cloud
@@ -303,20 +301,21 @@ class TestSubmap:
 
     def test_empty_db_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            KeyframeDB(cell_size=5.0).select_submap(Pose.identity(), 1, 1, 1,
-                                                    np.inf)
+            KeyframeDB().select_submap(Pose.identity(), 1, 1, 1, np.inf)
 
     def test_keyframe_keeps_no_tree(self, rng):
         cloud = tiny_cloud(rng)
         cloud.tree = cKDTree(cloud.points)
-        db = KeyframeDB(cell_size=5.0)
+        db = KeyframeDB()
         db.insert(Pose.identity(), cloud)
         stored = db.by_id[0].cloud
         assert stored.tree is None
         assert np.shares_memory(stored.points, cloud.points)
         # the world-frame copy holds the covariances, rotated at insert
-        assert stored.covariances is None
-        assert db.by_id[0].world.tree is None
+        assert stored.covariances is None and stored.labels is None
+        world = db.by_id[0].world
+        assert world.tree is None
+        assert np.array_equal(world.covariances, cloud.covariances)
 
 
 # --- oracle: the keyframe database before world-frame storage ----------------
@@ -454,7 +453,7 @@ class TestMatchesFormerImplementation:
             alpha = float(rng.uniform(2.0, 25.0))
             cell_size = float(rng.choice([4.0, 8.0]))
         K, L, J = (int(rng.integers(1, 12)) for _ in range(3))
-        db = KeyframeDB(cell_size=cell_size)
+        db = KeyframeDB()
         poses, clouds = [], []
         for i, p in enumerate(positions):
             pose = Pose(from_euler_zyx(*rng.uniform(-math.pi, math.pi, size=3)),

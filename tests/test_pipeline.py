@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dynlo.cli import main as cli_main
-from dynlo import geometry, pipeline
+from dynlo import cli, geometry, pipeline
 from dynlo.config import dump_config
-from dynlo.fileio import read_scan_bin, write_scan_bin, write_trajectory
+from dynlo.fileio import (read_scan_bin, read_trajectory, write_scan_bin,
+                          write_trajectory)
 from dynlo.geometry import PointCloud, Pose
 from dynlo.keyframes import KeyframeDB
 from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
@@ -105,17 +106,24 @@ class TestRunPipeline:
         off = run_pipeline(res.scans, res.detections, cfg)
         assert max_z_drift(on.trajectory, gt) <= max_z_drift(off.trajectory, gt)
 
-    def test_keyframes_inserted_along_path(self):
+    def test_keyframes_inserted_along_path(self, monkeypatch):
         res = simulate(small_scene(120, movers=False), 0)
+        inserted = []
+        original = vars(KeyframeDB)["insert"]
+
+        def insert(db, pose, cloud):
+            inserted.append((pose, cloud))
+            return original(db, pose, cloud)
+
+        monkeypatch.setattr(KeyframeDB, "insert", insert)
         out = run_pipeline(res.scans, res.detections, reference_config())
         assert len(out.db) >= 2
-        inserted = [s.keyframe_inserted for s in out.stats]
-        assert inserted[0]
-        assert sum(inserted) == len(out.db)
-        # the map is every keyframe's body-frame cloud moved into the world
+        flags = [s.keyframe_inserted for s in out.stats]
+        assert flags[0]
+        assert sum(flags) == len(out.db) == len(inserted)
+        # the map is every inserted cloud moved into the world by its pose
         assert np.array_equal(out.map_cloud.points, np.concatenate(
-            [out.db.by_id[i].pose.apply(out.db.by_id[i].cloud.points)
-             for i in out.db.ids()]))
+            [pose.apply(cloud.points) for pose, cloud in inserted]))
 
     def test_stats_track_counts(self):
         res = simulate(small_scene(10), 0)
@@ -204,6 +212,25 @@ class TestRunPipeline:
         out = run_pipeline(scans, res.detections, reference_config())
         assert out.provenance_rows == []
         assert out.counts is None
+
+    def test_step_error_names_its_scan(self):
+        res = simulate(small_scene(5), 0)
+        scans = list(res.scans)
+        scans[2] = PointCloud(np.vstack([scans[2].points, [3e18, 0.0, 0.0]]),
+                              labels=np.append(scans[2].labels, False))
+        with pytest.raises(ValueError, match="^scan 2: point too far from "
+                           "the origin") as info:
+            run_pipeline(scans, res.detections, reference_config())
+        assert isinstance(info.value.__cause__, ValueError)
+        assert not str(info.value.__cause__).startswith("scan")
+
+        def failing_source():
+            yield scans[0]
+            raise ValueError("000001.bin: 1 non-finite points")
+
+        # an error pulling a scan already names its file; it passes unchanged
+        with pytest.raises(ValueError, match="^000001.bin: 1 non-finite"):
+            run_pipeline(failing_source(), res.detections, reference_config())
 
     def test_source_exhaustion_ends_run(self):
         res = simulate(small_scene(8), 0)
@@ -395,6 +422,62 @@ class TestCli:
                 open(os.path.join(kf_dir, "keyframe_poses.txt"), "rb") as got:
             assert got.read() == want.read()
 
+    def test_out_keyframes_move_back_onto_the_world_clouds(self, tmp_path,
+                                                           dataset,
+                                                           monkeypatch):
+        """Each keyframe file, moved by its manifest pose, holds the
+        keyframe's world-frame points to float32 precision."""
+        out_dir, _ = dataset
+        results = []
+
+        def recording_run(*args):
+            results.append(run_pipeline(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_pipeline", recording_run)
+        kf_dir = str(tmp_path / "keyframes")
+        rc = cli_main(["run", "--scans", os.path.join(out_dir, "scans"),
+                       "--detections", os.path.join(out_dir, "detections"),
+                       "--out-traj", str(tmp_path / "traj.txt"),
+                       "--out-map", str(tmp_path / "map.txt"),
+                       "--out-keyframes", kf_dir])
+        assert rc == 0
+        db = results[0].db
+        poses = read_trajectory(os.path.join(kf_dir, "keyframe_poses.txt")).poses
+        assert len(db) >= 2 and len(poses) == len(db)
+        for i, pose in enumerate(poses):
+            body = read_scan_bin(os.path.join(kf_dir, "%06d.bin" % i)).points
+            world = db.by_id[i].world.points
+            atol = 4 * np.finfo(np.float32).eps * np.abs(body).max()
+            np.testing.assert_allclose(pose.apply(body), world, rtol=0,
+                                       atol=atol)
+
+    @pytest.mark.parametrize("command, name, text", [
+        ("run", "labels/000000.txt", "0\n1\n\nx\n"),
+        ("run", "labels/000000.txt", "0\n1\n\n9223372036854775808\n"),
+        ("eval traj", "est.txt", "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n\n"
+                                 "0.1 abc 0 0 0 0 0 1\n"),
+        ("eval map", "removal_provenance.txt", "# scan ...\n0 100 20 99 18\n"
+                                               "\n1 120 15 118\n")])
+    def test_malformed_line_names_its_file(self, dataset, capsys, command,
+                                           name, text):
+        # line 4 is malformed; the blank line 3 counts
+        out_dir, _ = dataset
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        args = {"run": ["run", "--scans", os.path.join(out_dir, "scans"),
+                        "--detections", os.path.join(out_dir, "detections"),
+                        "--out-traj", os.path.join(out_dir, "t.txt"),
+                        "--out-map", os.path.join(out_dir, "m.txt")],
+                "eval traj": ["eval", "traj", "--est", path,
+                              "--gt", os.path.join(out_dir, "gt_traj.txt")],
+                "eval map": ["eval", "map", "--run-dir", out_dir]}[command]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path} line 4: expected ")
+
     def test_simulate_command(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")
         with open(scene_path, "w") as fh:
@@ -430,7 +513,7 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: point too far from the origin")
+        assert err[0].startswith("error: scan 3: point too far from the origin")
 
     def test_out_tracks_match_the_row_formatter(self, tmp_path, dataset,
                                                 monkeypatch):

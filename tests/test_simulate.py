@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dynlo.cli import main as cli_main
+from dynlo.config import dump_config, load_config
 from dynlo.geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
                             point_in_box, rot_z, wrap_angle)
 from dynlo.removal import dynamic_point_mask
 from dynlo.simulate import (Mover, RectPatch, SensorModel, SimScene,
-                            classification_scene, line_ego_path,
-                            reference_dynamic_scene, scene_from_json,
-                            scene_to_json, simulate)
+                            classification_scene, line_ego_path, load_scene,
+                            reference_config, reference_dynamic_scene,
+                            scene_from_json, scene_to_json, simulate)
 
 
 def ref_faces(box):
@@ -251,6 +254,17 @@ class TestReferenceScene:
         parked = classification_scene(0.0, 10)
         assert np.linalg.norm(moving.movers[0].velocity) == pytest.approx(5.0)
         assert np.linalg.norm(parked.movers[0].velocity) == 0.0
+
+    def test_make_reference_scene_script(self, tmp_path):
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "make_reference_scene.py")
+        subprocess.run([sys.executable, script, str(tmp_path)], check=True,
+                       capture_output=True)
+        config = load_config(str(tmp_path / "reference_config.txt"))
+        assert dump_config(config) == dump_config(reference_config())
+        scene_path = str(tmp_path / "reference_scene.json")
+        with open(scene_path) as fh:
+            assert scene_to_json(load_scene(scene_path)) == fh.read()
 
 
 class TestSceneJson:
