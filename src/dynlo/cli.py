@@ -64,8 +64,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_stats_file(args.stats, result.stats)
     if args.out_tracks:
         os.makedirs(args.out_tracks, exist_ok=True)
-        for k, table in enumerate(result.track_tables):
-            rows = format_track_rows(table)
+        for k, s in enumerate(result.stats):
+            rows = format_track_rows(s.tracks)
             with open(os.path.join(args.out_tracks, "%06d.txt" % k), "w") as fh:
                 fh.write("\n".join(rows))
                 if rows:

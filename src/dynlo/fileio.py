@@ -15,6 +15,10 @@ from .metrics import RemovalCounts, Trajectory
 _INT = re.compile(r"[+-]?[0-9]+")
 
 
+def _is_int64(text: str) -> bool:
+    return bool(_INT.fullmatch(text)) and -2**63 <= int(text) < 2**63
+
+
 def _data_lines(path: str, comments: bool = True):
     """("<path> line <n>", fields) per non-blank line; '#' lines skipped if ``comments``."""
     with open(path, "r") as fh:
@@ -71,8 +75,7 @@ def read_labels(path: str) -> np.ndarray:
         pass
     # loadtxt's row numbers skip blank lines, so find the line of the file
     for where, fields in _data_lines(path, comments=False):
-        if not (len(fields) == 1 and _INT.fullmatch(fields[0])
-                and -2**63 <= int(fields[0]) < 2**63):
+        if not (len(fields) == 1 and _is_int64(fields[0])):
             raise ValueError(f"{where}: expected one 64-bit integer")
     raise ValueError(f"{path}: expected one 64-bit integer a line")
 
@@ -121,10 +124,14 @@ def read_trajectory(path: str) -> Trajectory:
             poses.append(Pose(M[:, :3], M[:, 3]))
             stamps.append(float(len(stamps)))
         elif len(vals) == 8:
-            ts, tx, ty, tz, qx, qy, qz, qw = vals
-            R = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
-            poses.append(Pose(R, (tx, ty, tz)))
-            stamps.append(ts)
+            quat = np.array(vals[4:])  # qx qy qz qw
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(quat)  # as Rotation.from_quat divides by it
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"{where}: expected a quaternion of finite, "
+                                 "nonzero norm")
+            poses.append(Pose(Rotation.from_quat(quat).as_matrix(), vals[1:4]))
+            stamps.append(vals[0])
         else:
             raise ValueError(f"{where}: expected 8 or 12 columns of numbers")
     return Trajectory(np.arange(len(poses)), np.array(stamps), poses)
@@ -136,15 +143,11 @@ _MAP_CHUNK = 1024  # rows per write: a larger block raises the peak memory
 
 
 def write_map_ascii(path: str, cloud: PointCloud) -> None:
-    """Plain point list ``x y z`` with an optional trailing label column."""
-    fmt = "%.6f %.6f %.6f\n" if cloud.labels is None else "%.6f %.6f %.6f %d\n"
+    """Plain point list, one ``x y z`` line per point."""
     with open(path, "w") as fh:
         for start in range(0, len(cloud), _MAP_CHUNK):
             rows = cloud.points[start:start + _MAP_CHUNK]
-            if cloud.labels is not None:
-                # the labels are bool, so "%d" of their float value is 0 or 1
-                rows = np.column_stack([rows, cloud.labels[start:start + _MAP_CHUNK]])
-            fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
+            fh.write(("%.6f %.6f %.6f\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # --- run records -------------------------------------------------------------
@@ -163,7 +166,7 @@ def write_removal_provenance(path: str,
 def read_removal_provenance(path: str) -> RemovalCounts:
     rows = []
     for where, fields in _data_lines(path):
-        if len(fields) != 5 or not all(_INT.fullmatch(v) for v in fields):
-            raise ValueError(f"{where}: expected 5 integers")
+        if len(fields) != 5 or not all(_is_int64(v) for v in fields):
+            raise ValueError(f"{where}: expected 5 64-bit integers")
         rows.append([int(v) for v in fields])
     return RemovalCounts.from_rows(rows)

@@ -176,6 +176,7 @@ class PointCloud:
     """3D points with optional per-point covariances and dynamic labels.
 
     ``labels`` is a boolean array where True marks a return on a moving object.
+    Only raw scans carry them: ``subset`` keeps them, ``transformed`` does not.
 
     ``tree`` caches a k-d tree over ``points`` (kept by
     ``estimate_point_covariances``, and by the pipeline on a cached submap).
@@ -217,8 +218,7 @@ class PointCloud:
             R = pose.rotation
             covs = self.covariances.reshape(-1, 9) @ np.kron(R, R).T
             covs = covs.reshape(-1, 3, 3)
-        labels = None if self.labels is None else self.labels.copy()
-        return PointCloud(pose.apply(self.points), covs, labels)
+        return PointCloud(pose.apply(self.points), covs)
 
 
 def query_neighbors(tree: "cKDTree", points: np.ndarray, k: int,

@@ -27,13 +27,6 @@ class ConstraintParams:
     blend_weight: float = field(default=0.5, metadata={"bound": "in [0, 1]"})
 
 
-@dataclass
-class GroundFit:
-    normal: np.ndarray
-    offset: float
-    inlier_count: int
-
-
 def _fit_plane(points: np.ndarray):
     centroid = points.mean(axis=0)
     centered = points - centroid
@@ -47,8 +40,9 @@ def _fit_plane(points: np.ndarray):
 
 def fit_ground_from_boxes(footprints: np.ndarray,
                           params: ConstraintParams | None = None
-                          ) -> Optional[GroundFit]:
-    """Least-squares ground plane from box footprints; None when under-supported.
+                          ) -> Optional[np.ndarray]:
+    """Unit normal (z >= 0) of the least-squares ground plane through box
+    footprints; None when under-supported.
 
     ``footprints`` is (n, 3), one row per box (``SlidingBoxWindow.footprints``).
     Fits once, keeps points within the inlier distance, refits once on the
@@ -65,29 +59,29 @@ def fit_ground_from_boxes(footprints: np.ndarray,
         return None
     normal, centroid = _fit_plane(inliers)
     dist = np.abs((pts - centroid) @ normal)
-    count = int(np.sum(dist <= params.plane_inlier_distance))
-    if count < params.min_inliers:
+    if np.sum(dist <= params.plane_inlier_distance) < params.min_inliers:
         return None
-    return GroundFit(normal=normal, offset=float(normal @ centroid),
-                     inlier_count=count)
+    return normal
 
 
 def apply_consistency_constraint(pose: Pose, prev_pose: Pose,
-                                 ground: Optional[GroundFit],
+                                 ground_normal: Optional[np.ndarray],
                                  mean_box_dz: Optional[float],
                                  params: ConstraintParams | None = None) -> Pose:
     """Blend roll/pitch toward a level ground normal and t_z toward the previous pose.
 
-    Yaw and t_x/t_y are never modified. With no ground fit and no small
-    box-height change the input pose is returned unchanged.
+    ``ground_normal`` is the body-frame ground normal of
+    ``fit_ground_from_boxes``. Yaw and t_x/t_y are never modified. With no
+    ground normal and no small box-height change the input pose is returned
+    unchanged.
     """
     params = params if params is not None else ConstraintParams()
     w = params.blend_weight
     rotation = pose.rotation
     translation = pose.translation
     changed = False
-    if ground is not None:
-        world_normal = rotation @ ground.normal
+    if ground_normal is not None:
+        world_normal = rotation @ ground_normal
         align = rotation_aligning(world_normal, np.array([0.0, 0.0, 1.0]))
         constrained = align @ rotation
         yaw_e, pitch_e, roll_e = euler_zyx(rotation)

@@ -10,7 +10,7 @@ propagated prediction; the scan's record keeps its reason.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .metrics import RemovalCounts, Trajectory
 from .preprocess import crop_self_returns, estimate_point_covariances, voxel_downsample
 from .removal import dynamic_point_mask, remove_dynamic_points
 from .registration import gicp_align
-from .tracking import Tracker, track_table
+from .tracking import Tracker
 
 
 @dataclass
@@ -34,10 +34,9 @@ class ScanStats:
 
     scan_index: int
     pose: Pose  # after registration and the posture constraint
-    tracks: np.ndarray  # the (n, 10) ``track_table`` after this scan
+    tracks: np.ndarray  # the (n, 10) ``Tracker.tracks`` after this scan
     n_raw: int
     n_static: int
-    n_tracks: int
     n_dynamic_boxes: int
     preprocess_ms: float
     tracker_ms: float
@@ -68,8 +67,6 @@ class PipelineResult:
     # the ``provenance`` of each labelled scan, in scan order
     provenance_rows: List[Tuple[int, int, int, int, int]]
     db: KeyframeDB
-    # per scan, the (n, 10) ``track_table`` that ``format_track_rows`` prints
-    track_tables: List[np.ndarray] = field(default_factory=list)
 
     @property
     def counts(self) -> Optional[RemovalCounts]:
@@ -177,7 +174,7 @@ class Odometry:
             if k:
                 self.window.advance(pose.inverse().compose(self.prev_pose))
             self.window.push(frame_f.boxes)
-            ground = fit_ground_from_boxes(self.window.footprints(),
+            normal = fit_ground_from_boxes(self.window.footprints(),
                                            cfg.constraint)
             # the tracks matched this scan, in tracker order; each was live
             # after the last scan, so prev_ids holds it
@@ -186,7 +183,7 @@ class Odometry:
             dzs = (pose.apply(means[seen, :3])[:, 2]
                    - self.prev_z[np.searchsorted(self.prev_ids, ids[seen])])
             mean_dz = float(np.mean(dzs)) if dzs.size else None
-            pose = apply_consistency_constraint(pose, self.prev_pose, ground,
+            pose = apply_consistency_constraint(pose, self.prev_pose, normal,
                                                 mean_dz, cfg.constraint)
             self.prev_ids, self.prev_z = ids, pose.apply(means[:, :3])[:, 2]
 
@@ -200,7 +197,7 @@ class Odometry:
         self.prev_rel = rel
         self.prev_pose = pose
         self.scans += 1
-        tracks = track_table(self.tracker)
+        tracks = self.tracker.tracks
         t_end = time.perf_counter()
         return ScanStats(
             scan_index=k,
@@ -208,7 +205,6 @@ class Odometry:
             tracks=tracks,
             n_raw=len(raw),
             n_static=len(static),
-            n_tracks=len(self.tracker.tracks),
             n_dynamic_boxes=len(dyn_boxes),
             preprocess_ms=(t_pre - t_start) * 1e3,
             tracker_ms=(t_track - t_pre) * 1e3,
@@ -242,7 +238,6 @@ def run_pipeline(scans: Iterable[PointCloud],
         stats=stats,
         provenance_rows=[s.provenance for s in stats if s.provenance],
         db=odometry.db,
-        track_tables=[s.tracks for s in stats],
     )
 
 
@@ -268,7 +263,7 @@ def write_stats_file(path: str, stats: List[ScanStats]) -> None:
         for s in stats:
             # spaces in the reason become "_", so every column is one token
             fh.write("%d %d %d %d %d %.3f %.3f %.3f %.3f %d %d %d %d %d %d %s\n"
-                     % (s.scan_index, s.n_raw, s.n_static, s.n_tracks,
+                     % (s.scan_index, s.n_raw, s.n_static, len(s.tracks),
                         s.n_dynamic_boxes, s.preprocess_ms, s.tracker_ms,
                         s.odometry_ms, s.total_ms, int(s.s2s_converged),
                         int(s.s2m_converged), int(s.fallback),

@@ -131,8 +131,7 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     covariances = normals[:, :, None] * normals[:, None, :]
     covariances *= -(1.0 - plane_epsilon)
     covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
-    labels = None if cloud.labels is None else cloud.labels.copy()
-    return PointCloud(points, covariances, labels, tree=tree)
+    return PointCloud(points, covariances, tree=tree)
 
 
 def _normals(cov: np.ndarray) -> np.ndarray:

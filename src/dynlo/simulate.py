@@ -313,12 +313,21 @@ def _keys(item, where: str, required=(), optional=()) -> dict:
     return item
 
 
+def _numbers(value, n: int, message: str) -> np.ndarray:
+    """``value``, a JSON list of ``n`` numbers, as floats; else ValueError(message)."""
+    if not (isinstance(value, list) and len(value) == n
+            and all(_is_number(v) for v in value)):
+        raise ValueError(message)
+    return np.array(value, dtype=float)
+
+
 def _ego_from_payload(payload: dict) -> List[Pose]:
     if "ego_matrices" in payload:
         poses = []
-        for row in _list(payload, "ego_matrices"):
-            row = np.asarray(row, dtype=float)
-            poses.append(Pose(row[:9].reshape(3, 3), row[9:12]))
+        for i, row in enumerate(_list(payload, "ego_matrices")):
+            row = _numbers(row, 12, f"scene ego_matrices[{i}]: expected a list "
+                           "of 12 numbers")
+            poses.append(Pose(row[:9].reshape(3, 3), row[9:]))
         return poses
     if "ego" not in payload:
         raise ValueError("scene file: missing key 'ego_matrices' or 'ego'")
@@ -326,12 +335,14 @@ def _ego_from_payload(payload: dict) -> List[Pose]:
     kind = ego.get("kind") if isinstance(ego, dict) else None
     if kind == "line":
         _keys(ego, "ego", ("kind", "start", "speed", "n_scans"), ("yaw",))
-        return line_ego_path(ego["start"], float(ego.get("yaw", 0.0)),
-                             float(ego["speed"]), int(ego["n_scans"]),
-                             float(payload["dt"]))
-    if kind == "waypoints":
-        _keys(ego, "ego", ("kind", "poses"))
-        return [Pose.from_yaw(float(p[3]), p[:3]) for p in ego["poses"]]
+        ego = {"yaw": 0.0, **ego}
+        for key in ("yaw", "speed", "n_scans"):
+            if not _is_number(ego[key]):
+                raise ValueError(f"scene ego: '{key}' must be a number")
+        start = _numbers(ego["start"], 3,
+                         "scene ego: 'start' must be a list of 3 numbers")
+        return line_ego_path(start, float(ego["yaw"]), float(ego["speed"]),
+                             int(ego["n_scans"]), float(payload["dt"]))
     raise ValueError(f"unknown ego path kind '{kind}'")
 
 

@@ -12,8 +12,6 @@ share one Kalman update. The tracker filters its stacked tracks at once.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
@@ -55,12 +53,6 @@ class UkfParams:
                                            metadata={"bound": ">= 0"})
     gate_distance: float = field(default=2.0, metadata={"bound": "> 0"})
     age_max: int = field(default=3, metadata={"bound": ">= 0"})
-
-
-# one row of a Tracker, as ``Tracker.tracks`` hands it out
-TrackState = namedtuple("TrackState", "mean covariance")
-Track = namedtuple("Track", "id state age_since_update hits dynamic",
-                   defaults=(0, 1, False))
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -212,7 +204,7 @@ class TrackerStep:
     matched_ids: List[int]
 
 
-_ROW_FIELDS = ("means", "covariances", "ids", "ages", "hits", "dynamic")
+_ROW_FIELDS = ("means", "covariances", "ids", "ages", "dynamic")
 
 
 class Tracker:
@@ -220,7 +212,7 @@ class Tracker:
 
     Row i of each array in ``_ROW_FIELDS`` is one track; ``ages`` counts scans
     since its last update. Rows are appended with growing ids, so ``ids``
-    ascends. ``tracks`` reads the rows as ``Track`` records.
+    ascends. ``tracks`` stacks the rows into the track table.
     """
 
     def __init__(self, params: UkfParams | None = None):
@@ -238,8 +230,9 @@ class Tracker:
             setattr(self, name, rows)
 
     @property
-    def tracks(self) -> "TrackList":
-        return TrackList(self)
+    def tracks(self) -> np.ndarray:
+        """Rows ``track_id dynamic x y z yaw v l w h``, one per track: (n, 10)."""
+        return np.column_stack([self.ids, self.dynamic, self.means])
 
     def predict(self, dt: float) -> None:
         self.means, self.covariances = _predict(
@@ -251,7 +244,6 @@ class Tracker:
         self.means[rows], self.covariances[rows] = _correct(
             self.means[rows], self.covariances[rows], boxes, self.params)
         self.ages[rows] = 0
-        self.hits[rows] += 1
         self.dynamic[rows] = (np.abs(self.means[rows, 4])
                               > self.params.dynamic_speed_threshold)
 
@@ -265,8 +257,7 @@ class Tracker:
         means[:, _OBS_IDX] = boxes
         return (means, np.tile(cov, (n, 1, 1)),
                 np.arange(self.next_id, self.next_id + n),
-                np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
-                np.zeros(n, dtype=bool))
+                np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
 
     def step(self, frame: DetectionFrame, dt: float) -> TrackerStep:
         self.predict(dt)
@@ -286,31 +277,7 @@ class Tracker:
                            matched_ids=matched_ids)
 
 
-@dataclass(eq=False)
-class TrackList(SequenceABC):
-    """A tracker's rows as ``Track`` records, built on access (``len`` is O(1))."""
-
-    tracker: Tracker
-
-    def __len__(self) -> int:
-        return len(self.tracker.ids)
-
-    def __getitem__(self, i: int) -> Track:
-        t, i = self.tracker, range(len(self))[i]
-        state = TrackState(t.means[i].copy(), t.covariances[i].copy())
-        return Track(int(t.ids[i]), state, int(t.ages[i]), int(t.hits[i]),
-                     bool(t.dynamic[i]))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other)
-
-
-def track_table(tracker: Tracker) -> np.ndarray:
-    """Rows ``track_id dynamic x y z yaw v l w h``, one per track: (n, 10)."""
-    return np.column_stack([tracker.ids, tracker.dynamic, tracker.means])
-
-
 def format_track_rows(table: np.ndarray) -> List[str]:
-    """Dump rows ``track_id dynamic x y z yaw v l w h`` of a ``track_table``."""
+    """Dump rows ``track_id dynamic x y z yaw v l w h`` of ``Tracker.tracks``."""
     return ["%d %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f" % tuple(row)
             for row in table]

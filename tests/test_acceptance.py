@@ -37,11 +37,10 @@ from dynlo.registration import gicp_align, gicp_gradient, gicp_residual
 from dynlo.simulate import (SensorModel, SimScene, classification_scene,
                             reference_config, reference_dynamic_scene,
                             simulate, write_sim_dir)
-from dynlo.tracking import (Track, TrackState, Tracker, UkfParams,
-                            associate_nn, sigma_points)
+from dynlo.tracking import Tracker, UkfParams, associate_nn, sigma_points
 
 from test_registration import structured_cloud
-from test_tracking import (LinearKalman, detection_from_obs,
+from test_tracking import (LinearKalman, Track, TrackState, detection_from_obs,
                            linear_regime_params, nn_inputs, ukf_predict,
                            ukf_update)
 
@@ -111,7 +110,7 @@ def test_criterion_3_dynamic_classification():
     for k in range(8):
         tracker.step(filter_detections(res.detections[k], det.min_score,
                                        det.classes), scene.dt)
-        if flagged_at is None and any(t.dynamic for t in tracker.tracks):
+        if flagged_at is None and tracker.dynamic.any():
             flagged_at = k
     fast_ok = flagged_at is not None and flagged_at < 5
 
@@ -124,7 +123,7 @@ def test_criterion_3_dynamic_classification():
     for k in range(100):
         tracker.step(filter_detections(res.detections[k], det.min_score,
                                        det.classes), scene.dt)
-        ever_flagged |= any(t.dynamic for t in tracker.tracks)
+        ever_flagged |= bool(tracker.dynamic.any())
     report("criterion 3 (dynamic classification)",
            fast_ok and not ever_flagged,
            f"5 m/s flagged at frame {flagged_at}; parked flagged: {ever_flagged}")

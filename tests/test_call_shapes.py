@@ -93,8 +93,8 @@ def test_pipeline_call_shapes(monkeypatch):
 
     def step_shim(tracker, *args):
         result = original_step(tracker, *args)
-        steps.append((len(tracker.tracks), len(list(tracker.tracks)),
-                      sum(t.dynamic for t in tracker.tracks),
+        steps.append((len(tracker.tracks), len(tracker.ids),
+                      int(tracker.dynamic.sum()),
                       len(result.dynamic_boxes)))
         # the dynamic tracks' rows cx cy cz yaw l w h, in tracker order
         dynamic_rows.append(np.array_equal(
@@ -184,7 +184,7 @@ def test_pipeline_call_shapes(monkeypatch):
     # the tracker steps once per scan; len(tracker.tracks) is the live track
     # count and len(step.dynamic_boxes) the number of dynamic tracks
     assert len(steps) == n_scans
-    assert [live for live, _, _, _ in steps] == [len(t) for t in out.track_tables]
+    assert [live for live, _, _, _ in steps] == [len(s.tracks) for s in out.stats]
     assert all(live == listed for live, listed, _, _ in steps)
     assert all(dynamic == boxes for _, _, dynamic, boxes in steps)
     assert sum(boxes for _, _, _, boxes in steps) > 0

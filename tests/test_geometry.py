@@ -78,7 +78,7 @@ class TestApply:
                            labels=rng.random(50) > 0.5)
         out = cloud.transformed(Pose.identity())
         assert np.allclose(out.points, cloud.points)
-        assert np.array_equal(out.labels, cloud.labels)
+        assert out.labels is None  # only raw scans carry labels
 
     def test_pure_translation(self):
         out = Pose(np.eye(3), (0.0, 0.0, 1.0)).apply([1.0, 2.0, 3.0])

@@ -42,11 +42,13 @@ def boxes_on_plane(rng, n, normal=(0.0, 0.0, 1.0), offset=0.0, spread=8.0):
 class TestGroundFit:
     def test_flat_ground_exact(self, rng):
         boxes = boxes_on_plane(rng, 10)
-        fit = fit_ground_from_boxes(footprints(boxes), ConstraintParams())
-        assert fit is not None
-        assert np.allclose(fit.normal, [0, 0, 1], atol=1e-9)
-        assert fit.offset == pytest.approx(0.0, abs=1e-9)
-        assert fit.inlier_count == 10
+        normal = fit_ground_from_boxes(footprints(boxes),
+                                       ConstraintParams(min_inliers=10))
+        assert normal is not None
+        assert np.allclose(normal, [0, 0, 1], atol=1e-9)
+        # all ten footprints are inliers
+        assert fit_ground_from_boxes(footprints(boxes),
+                                     ConstraintParams(min_inliers=11)) is None
 
     def test_ground_points_drop_half_height(self):
         box = DetectionBox((1.0, 2.0, 0.75), 0.0, (4.0, 1.8, 1.5))
@@ -63,12 +65,12 @@ class TestGroundFit:
         normal = np.array([math.sin(angle), 0.0, math.cos(angle)])
         boxes = boxes_on_plane(rng, 12, normal=normal, offset=0.3)
         outlier = DetectionBox((0.0, 0.0, 5.0), 0.0, (2.0, 2.0, 2.0))
-        fit = fit_ground_from_boxes(footprints(boxes + [outlier]),
-                                    ConstraintParams())
-        assert fit is not None
-        err = math.degrees(math.acos(min(1.0, abs(float(fit.normal @ normal)))))
+        # at least the twelve boxes on the plane are inliers
+        got = fit_ground_from_boxes(footprints(boxes + [outlier]),
+                                    ConstraintParams(min_inliers=12))
+        assert got is not None
+        err = math.degrees(math.acos(min(1.0, abs(float(got @ normal)))))
         assert err < 0.5
-        assert fit.inlier_count >= 12
 
     def test_empty_window(self):
         assert fit_ground_from_boxes([], ConstraintParams()) is None
@@ -89,10 +91,9 @@ class TestConstraint:
         # detections live in the true body frame, so the measured ground
         # normal reflects the true attitude, not the estimated one
         normal_body = true_pose.rotation.T @ np.array([0.0, 0.0, 1.0])
-        from dynlo.ground import GroundFit
-        fit = GroundFit(normal=normal_body, offset=-1.6, inlier_count=10)
         params = ConstraintParams(blend_weight=1.0)
-        out = apply_consistency_constraint(est, true_pose, fit, None, params)
+        out = apply_consistency_constraint(est, true_pose, normal_body, None,
+                                           params)
         y, p, r = euler_zyx(out.rotation)
         assert abs(r) < 1e-6
         assert abs(p) < 1e-6
@@ -120,11 +121,9 @@ class TestConstraint:
                                    rng.uniform(-0.2, 0.2)), rng.normal(size=3))
         prev = random_pose(rng)
         normal = np.array([rng.normal(0, 0.05), rng.normal(0, 0.05), 1.0])
-        from dynlo.ground import GroundFit
-        fit = GroundFit(normal=normal / np.linalg.norm(normal), offset=0.0,
-                        inlier_count=9)
         dz = rng.uniform(-0.2, 0.2)
-        out = apply_consistency_constraint(pose, prev, fit, dz,
+        out = apply_consistency_constraint(pose, prev,
+                                           normal / np.linalg.norm(normal), dz,
                                            ConstraintParams())
         assert np.allclose(out.translation[:2], pose.translation[:2])
         assert euler_zyx(out.rotation)[0] == pytest.approx(

@@ -128,10 +128,10 @@ class TestRunPipeline:
     def test_stats_track_counts(self):
         res = simulate(small_scene(10), 0)
         out = run_pipeline(res.scans, res.detections, reference_config())
-        assert all(s.n_tracks >= 1 for s in out.stats)
+        assert len(out.stats) == 10
+        assert all(len(s.tracks) >= 1 for s in out.stats)
         assert any(s.n_dynamic_boxes > 0 for s in out.stats[2:])
         assert all(s.total_ms > 0 for s in out.stats)
-        assert len(out.track_tables) == 10
 
     def test_odometry_steps_one_scan_at_a_time(self):
         res = simulate(small_scene(6), 0)
@@ -144,23 +144,23 @@ class TestRunPipeline:
             [r.pose.matrix() for r in records],
             [p.matrix() for p in out.trajectory.poses])
         assert [r.provenance for r in records] == out.provenance_rows
-        assert len(out.track_tables) == 6
-        for r, table in zip(records, out.track_tables):
-            np.testing.assert_array_equal(r.tracks, table)
-            assert len(table) == r.n_tracks
+        assert len(out.stats) == 6
+        for r, s in zip(records, out.stats):
+            np.testing.assert_array_equal(r.tracks, s.tracks)
+        np.testing.assert_array_equal(records[-1].tracks, odometry.tracker.tracks)
         np.testing.assert_array_equal(odometry.db.world_map().points,
                                       out.map_cloud.points)
 
     def test_timers_cover_the_track_table(self, monkeypatch):
         # the track table is built inside odometry_ms and total_ms
         res = simulate(small_scene(3), 0)
-        table = pipeline.track_table
+        table = Tracker.tracks.fget
 
         def slow_table(tracker):
             time.sleep(0.02)
             return table(tracker)
 
-        monkeypatch.setattr(pipeline, "track_table", slow_table)
+        monkeypatch.setattr(Tracker, "tracks", property(slow_table))
         out = run_pipeline(res.scans, res.detections, reference_config())
         assert all(s.odometry_ms >= 20.0 for s in out.stats)
         assert all(s.total_ms >= s.odometry_ms for s in out.stats)
@@ -190,7 +190,7 @@ class TestRunPipeline:
         out = run_pipeline(res.scans, res.detections, reference_config())
         previous = {}
         used = 0
-        for k, table in enumerate(out.track_tables):
+        for k, table in enumerate(s.tracks for s in out.stats):
             pose = constraint[k][0]
             dzs = [float(pose.apply(row[2:5])[2]) - previous[int(row[0])]
                    for row in table
@@ -458,7 +458,13 @@ class TestCli:
         ("eval traj", "est.txt", "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n\n"
                                  "0.1 abc 0 0 0 0 0 1\n"),
         ("eval map", "removal_provenance.txt", "# scan ...\n0 100 20 99 18\n"
-                                               "\n1 120 15 118\n")])
+                                               "\n1 120 15 118\n"),
+        ("eval traj", "est.txt", "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n\n"
+                                 "0.1 0 0 0 0 0 0 0\n"),
+        ("eval traj", "est.txt", "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n\n"
+                                 "0.1 0 0 0 nan 0 0 1\n"),
+        ("eval map", "removal_provenance.txt", "# scan ...\n0 100 20 99 18\n"
+                                               "\n0 1 1 1 99999999999999999999\n")])
     def test_malformed_line_names_its_file(self, dataset, capsys, command,
                                            name, text):
         # line 4 is malformed; the blank line 3 counts
@@ -526,8 +532,8 @@ class TestCli:
             result = step(tracker, frame, dt)
             expected.append([
                 "%d %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f" % (
-                    t.id, int(t.dynamic), *t.state.mean)
-                for t in tracker.tracks])
+                    tid, int(dynamic), *mean) for tid, dynamic, mean
+                in zip(tracker.ids, tracker.dynamic, tracker.means)])
             return result
 
         monkeypatch.setattr(Tracker, "step", recording_step)

@@ -366,6 +366,16 @@ class TestMalformedSceneCli:
          "sensor noise_sigma must be a number"),
         (edited(["rects"], {"a": 1}), "scene rects: expected a list"),
         (edited(["movers"], 3), "scene movers: expected a list"),
+        (edited(["ego"], {"kind": "waypoints", "poses": [[0, 0, 1.5]]}),
+         "unknown ego path kind 'waypoints'"),
+        (edited(["ego", "speed"], [1]), "scene ego: 'speed' must be a number"),
+        (edited(["ego", "yaw"], None), "scene ego: 'yaw' must be a number"),
+        (edited(["ego", "n_scans"], "2"),
+         "scene ego: 'n_scans' must be a number"),
+        (edited(["ego", "start"], [0, 0]),
+         "scene ego: 'start' must be a list of 3 numbers"),
+        ({**edited(["ego"]), "ego_matrices": [list(range(12)), list(range(11))]},
+         "scene ego_matrices[1]: expected a list of 12 numbers"),
     ])
     def test_missing_or_unknown_key(self, tmp_path, capsys, payload, message):
         rc, out = self.run(tmp_path, capsys, payload)

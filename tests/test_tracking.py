@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,9 +12,14 @@ from dynlo import tracking
 from dynlo.detections import DetectionFrame
 from dynlo.geometry import DetectionBox, wrap_angle
 from dynlo.simulate import reference_config
-from dynlo.tracking import (STATE_DIM, Track, TrackState, Tracker, UkfParams,
-                            associate_nn, motion_model, observation_model,
-                            sigma_points)
+from dynlo.tracking import (STATE_DIM, Tracker, UkfParams, associate_nn,
+                            motion_model, observation_model, sigma_points)
+
+# one track as a record, for the single-track filter helpers and the
+# per-track reference trackers below
+TrackState = namedtuple("TrackState", "mean covariance")
+Track = namedtuple("Track", "id state age_since_update dynamic",
+                   defaults=(0, False))
 
 
 def random_psd(rng, n, scale=1.0):
@@ -33,10 +39,11 @@ def filter_one(track, params, kind, operate):
     tracker.covariances = np.array([track.state.covariance])
     tracker.ids = np.array([track.id])
     tracker.ages = np.array([track.age_since_update])
-    tracker.hits = np.array([track.hits])
     tracker.dynamic = np.array([track.dynamic])
     operate(tracker)
-    return tracker.tracks[0]
+    return Track(int(tracker.ids[0]),
+                 TrackState(tracker.means[0], tracker.covariances[0]),
+                 int(tracker.ages[0]), bool(tracker.dynamic[0]))
 
 
 def ukf_predict(track, dt, params):
@@ -242,7 +249,6 @@ class TestUkfUpdate:
         assert np.allclose(out.state.mean, mean, atol=1e-9)
         assert np.trace(out.state.covariance) < np.trace(cov)
         assert out.age_since_update == 0
-        assert out.hits == track.hits + 1
 
     def test_speed_decays_for_stationary_detections(self):
         params = UkfParams()
@@ -375,27 +381,26 @@ class TestTrackerLifecycle:
         step = tracker.step(self.frame(0, [(0, 0, 0), (5, 5, 0)]), 0.1)
         assert len(tracker.tracks) == 2
         assert step.dynamic_boxes.shape == (0, 7)
-        assert all(t.state.mean[4] == 0.0 for t in tracker.tracks)
-        assert all(np.isclose(t.state.covariance[4, 4],
-                              tracker.params.initial_velocity_variance)
-                   for t in tracker.tracks)
+        assert np.all(tracker.means[:, 4] == 0.0)
+        assert np.allclose(tracker.covariances[:, 4, 4],
+                           tracker.params.initial_velocity_variance)
 
     def test_fast_object_flagged_within_five_frames(self):
         tracker = Tracker()
         for k in range(5):
             step = tracker.step(self.frame(k, [(2.0 * k, 0, 0)]), 0.1)
         assert len(tracker.tracks) == 1
-        assert tracker.tracks[0].dynamic
+        assert tracker.dynamic[0]
         assert len(step.dynamic_boxes) == 1
         # 2 m per 0.1 s scan
-        assert tracker.tracks[0].state.mean[4] > 10.0
+        assert tracker.means[0, 4] > 10.0
 
     def test_occlusion_keeps_track_id(self):
         tracker = Tracker()
         speed, dt = 2.0, 0.1
         for k in range(5):
             tracker.step(self.frame(k, [(speed * dt * k, 0, 0)]), dt)
-        tid = tracker.tracks[0].id
+        tid = tracker.ids[0]
         age_max = tracker.params.age_max
         for k in range(5, 5 + age_max):  # occluded: prediction only
             tracker.step(self.frame(k, []), dt)
@@ -403,15 +408,15 @@ class TestTrackerLifecycle:
         k = 5 + age_max
         tracker.step(self.frame(k, [(speed * dt * k, 0, 0)]), dt)
         assert len(tracker.tracks) == 1
-        assert tracker.tracks[0].id == tid
-        assert tracker.tracks[0].age_since_update == 0
+        assert tracker.ids[0] == tid
+        assert tracker.ages[0] == 0
 
     def test_track_deleted_after_age_max(self):
         tracker = Tracker()
         tracker.step(self.frame(0, [(0, 0, 0)]), 0.1)
         for k in range(1, 2 + tracker.params.age_max):
             tracker.step(self.frame(k, []), 0.1)
-        assert tracker.tracks == []
+        assert tracker.tracks.shape == (0, 10)
 
     def test_ids_never_reused(self):
         tracker = Tracker()
@@ -420,8 +425,7 @@ class TestTrackerLifecycle:
             centers = [(10.0 * j + k * 0.01, 0, 0)
                        for j in range(1 + k % 3)]
             tracker.step(self.frame(k, centers), 0.1)
-            for t in tracker.tracks:
-                seen.add(t.id)
+            seen.update(tracker.ids.tolist())
         assert tracker.next_id == len(seen)
 
     @pytest.mark.parametrize("kind", ["ukf", "ekf"])
@@ -448,7 +452,7 @@ class TestTrackerLifecycle:
                 centers = rng.uniform(-10, 10, size=(3, 3))
                 step = tracker.step(self.frame(k, centers), 0.1)
                 out.append(step.dynamic_boxes.tolist())
-            return out, [(t.id, t.state.mean.tolist()) for t in tracker.tracks]
+            return out, tracker.tracks.tolist()
 
         assert run() == run()
 
@@ -457,9 +461,9 @@ class TestTrackerLifecycle:
         for k in range(4):
             step = tracker.step(self.frame(k, [(2.0 * k, 0, 0)]), 0.1)
         box = step.dynamic_boxes[0]  # cx cy cz yaw l w h
-        t = tracker.tracks[0]
-        assert np.allclose(box[:3], t.state.mean[:3])
-        assert np.allclose(box[4:], t.state.mean[5:8])
+        mean = tracker.means[0]
+        assert np.allclose(box[:3], mean[:3])
+        assert np.allclose(box[4:], mean[5:8])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -614,7 +618,6 @@ class ReferenceTracker:
             mean, cov = self.update(t.state.mean, t.state.covariance, b)
             self.tracks[ti] = t._replace(
                 state=TrackState(mean, cov), age_since_update=0,
-                hits=t.hits + 1,
                 dynamic=bool(abs(mean[4]) > p.dynamic_speed_threshold))
             matched.append(t.id)
         for di, b in enumerate(boxes):  # rows cx cy cz yaw l w h
@@ -685,16 +688,14 @@ class TestStackedTrackerEquivalence:
         for frame in lane_frames(np.random.default_rng(5)):
             step = stacked.step(frame, 0.1)
             assert step.matched_ids == ref.step(frame, 0.1)
-            rows = list(stacked.tracks)
-            assert [t.id for t in rows] == [t.id for t in ref.tracks]
-            assert [t.dynamic for t in rows] == [t.dynamic for t in ref.tracks]
-            assert ([t.age_since_update for t in rows]
+            assert stacked.ids.tolist() == [t.id for t in ref.tracks]
+            assert stacked.dynamic.tolist() == [t.dynamic for t in ref.tracks]
+            assert (stacked.ages.tolist()
                     == [t.age_since_update for t in ref.tracks])
-            assert [t.hits for t in rows] == [t.hits for t in ref.tracks]
-            for got, want in zip(rows, ref.tracks):
-                assert np.allclose(got.state.mean, want.state.mean,
-                                   rtol=0.0, atol=1e-9)
-                assert np.allclose(got.state.covariance, want.state.covariance,
+            for mean, cov, want in zip(stacked.means, stacked.covariances,
+                                       ref.tracks):
+                assert np.allclose(mean, want.state.mean, rtol=0.0, atol=1e-9)
+                assert np.allclose(cov, want.state.covariance,
                                    rtol=0.0, atol=1e-9)
             dynamic = [t for t in ref.tracks if t.dynamic]
             assert len(step.dynamic_boxes) == len(dynamic)
@@ -711,14 +712,14 @@ class TestStackedTrackerEquivalence:
         stacked, former = Tracker(params), FormerSigmaPointTracker(params)
         for frame in lane_frames(np.random.default_rng(seed), n_scans=60):
             assert stacked.step(frame, 0.1).matched_ids == former.step(frame, 0.1)
-            rows = list(stacked.tracks)
-            assert ([(t.id, t.dynamic, t.age_since_update, t.hits) for t in rows]
-                    == [(t.id, t.dynamic, t.age_since_update, t.hits)
+            assert (list(zip(stacked.ids.tolist(), stacked.dynamic.tolist(),
+                             stacked.ages.tolist()))
+                    == [(t.id, t.dynamic, t.age_since_update)
                         for t in former.tracks])
-            for got, want in zip(rows, former.tracks):
-                assert np.allclose(got.state.mean, want.state.mean,
-                                   rtol=0.0, atol=1e-6)
-                assert np.allclose(got.state.covariance, want.state.covariance,
+            for mean, cov, want in zip(stacked.means, stacked.covariances,
+                                       former.tracks):
+                assert np.allclose(mean, want.state.mean, rtol=0.0, atol=1e-6)
+                assert np.allclose(cov, want.state.covariance,
                                    rtol=0.0, atol=1e-6)
 
     def test_prediction_matches_exact_sigma_sums(self):
@@ -752,17 +753,20 @@ class TestStackedTrackerEquivalence:
             assert np.allclose(got_mean[t], want_mean, rtol=0.0, atol=1e-12)
             assert np.allclose(got_cov[t], want_cov, rtol=0.0, atol=1e-10)
 
-    def test_len_of_tracks_builds_no_records(self, monkeypatch):
+    def test_tracks_is_the_track_table(self):
+        # one row ``track_id dynamic x y z yaw v l w h`` per live track
         tracker = Tracker()
-        tracker.step(frame_of(0, [DetectionBox((0, 0, 0), 0.0, (4, 2, 1.5)),
-                                  DetectionBox((9, 0, 0), 0.0, (4, 2, 1.5))]),
-                     0.1)
-
-        def no_records(*args, **kwargs):
-            raise AssertionError("len() built a Track record")
-
-        monkeypatch.setattr(tracking, "Track", no_records)
-        assert len(tracker.tracks) == 2
+        for k in range(4):
+            tracker.step(frame_of(k, [
+                DetectionBox((2.0 * k, 0, 0), 0.0, (4, 2, 1.5)),
+                DetectionBox((9, 9, 0), 0.0, (4, 2, 1.5))]), 0.1)
+        table = tracker.tracks
+        assert table.shape == (len(tracker.ids), 10) == (2, 10)
+        assert table.dtype == np.float64
+        np.testing.assert_array_equal(table[:, 0], tracker.ids)
+        np.testing.assert_array_equal(table[:, 1], tracker.dynamic)
+        np.testing.assert_array_equal(table[:, 2:], tracker.means)
+        assert table[:, 1].tolist() == [1.0, 0.0]
 
 
 class TestBatchedFactorization:
