@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fileio import _data_lines
 from .geometry import wrap_angle
 
 VALID_CLASSES = ("car", "cyclist")
@@ -38,47 +39,36 @@ class DetectionFrame:
     scores: np.ndarray
 
 
-def _scan_index_from_path(path: str) -> int:
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return int(stem) if stem.isdigit() else 0
-
-
 def load_detection_frame(path: str, scan_index: int | None = None) -> DetectionFrame:
     rows, classes = [], []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            where = f"{path}:{lineno}"
-            if len(parts) != 9:
-                raise ValueError(
-                    f"{where}: malformed detection line "
-                    f"(expected 9 fields, got {len(parts)})")
-            cls = parts[0]
-            if cls not in VALID_CLASSES:
-                raise ValueError(f"{where}: unknown class label '{cls}'")
-            try:
-                vals = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise ValueError(f"{where}: malformed detection line "
-                                 f"(non-numeric field)") from None
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{where}: non-finite detection field")
-            if min(vals[4:7]) <= 0.0:
-                raise ValueError(f"{where}: box dims must be strictly positive")
-            if not 0.0 <= vals[0] <= 1.0:
-                raise ValueError(f"{where}: box score must lie in [0, 1]")
-            # only out-of-range yaws: wrap_angle moves in-range ones by 2^-52
-            if not -math.pi < vals[7] <= math.pi:
-                vals[7] = wrap_angle(vals[7])
-            rows.append(vals)
-            classes.append(cls)
+    for where, parts in _data_lines(path):
+        if len(parts) != 9:
+            raise ValueError(f"{where}: expected 9 fields "
+                             f"(class score cx cy cz l w h yaw), got {len(parts)}")
+        cls = parts[0]
+        if cls not in VALID_CLASSES:
+            raise ValueError(f"{where}: unknown class label '{cls}'")
+        try:
+            vals = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise ValueError(f"{where}: malformed detection line "
+                             f"(non-numeric field)") from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{where}: non-finite detection field")
+        if min(vals[4:7]) <= 0.0:
+            raise ValueError(f"{where}: box dims must be strictly positive")
+        if not 0.0 <= vals[0] <= 1.0:
+            raise ValueError(f"{where}: box score must lie in [0, 1]")
+        # only out-of-range yaws: wrap_angle moves in-range ones by 2^-52
+        if not -math.pi < vals[7] <= math.pi:
+            vals[7] = wrap_angle(vals[7])
+        rows.append(vals)
+        classes.append(cls)
     fields = np.array(rows, dtype=float).reshape(-1, 8)  # score cx cy cz l w h yaw
     boxes = fields[:, [1, 2, 3, 7, 4, 5, 6]]
-    if scan_index is None:
-        scan_index = _scan_index_from_path(path)
+    if scan_index is None:  # from the file name NNNNNN.txt, else 0
+        stem = os.path.splitext(os.path.basename(path))[0]
+        scan_index = int(stem) if stem.isdigit() else 0
     return DetectionFrame(scan_index, boxes, np.array(classes, dtype=object),
                           fields[:, 0])
 

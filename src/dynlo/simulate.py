@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from .config import PipelineConfig
-from .detections import DetectionFrame, save_detection_frame
+from .detections import VALID_CLASSES, DetectionFrame, save_detection_frame
 from .fileio import write_labels, write_scan_bin, write_trajectory
 from .geometry import (DetectionBox, PointCloud, Pose, euler_zyx, rot_z,
                        wrap_angle)
@@ -33,6 +33,15 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _number(value, what: str):
+    """``value``, a finite JSON number; else ValueError naming ``what``."""
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
 @dataclass
 class SensorModel:
     rays_per_scan: int = 4000
@@ -41,11 +50,7 @@ class SensorModel:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_number(value):
-                raise ValueError(f"sensor {f.name} must be a number")
-            if not math.isfinite(value):
-                raise ValueError(f"sensor {f.name} must be finite")
+            _number(getattr(self, f.name), f"sensor {f.name}")
         if self.rays_per_scan < 0:
             raise ValueError("sensor rays_per_scan must be >= 0")
         if self.max_range <= 0.0:
@@ -313,11 +318,12 @@ def _keys(item, where: str, required=(), optional=()) -> dict:
     return item
 
 
-def _numbers(value, n: int, message: str) -> np.ndarray:
-    """``value``, a JSON list of ``n`` numbers, as floats; else ValueError(message)."""
+def _numbers(value, n: int, what: str) -> np.ndarray:
+    """``value``, a JSON list of ``n`` finite numbers, as floats; else
+    ValueError naming ``what``."""
     if not (isinstance(value, list) and len(value) == n
-            and all(_is_number(v) for v in value)):
-        raise ValueError(message)
+            and all(_is_number(v) and math.isfinite(v) for v in value)):
+        raise ValueError(f"{what} must be a list of {n} finite numbers")
     return np.array(value, dtype=float)
 
 
@@ -325,8 +331,7 @@ def _ego_from_payload(payload: dict) -> List[Pose]:
     if "ego_matrices" in payload:
         poses = []
         for i, row in enumerate(_list(payload, "ego_matrices")):
-            row = _numbers(row, 12, f"scene ego_matrices[{i}]: expected a list "
-                           "of 12 numbers")
+            row = _numbers(row, 12, f"scene ego_matrices[{i}]")
             poses.append(Pose(row[:9].reshape(3, 3), row[9:]))
         return poses
     if "ego" not in payload:
@@ -336,34 +341,47 @@ def _ego_from_payload(payload: dict) -> List[Pose]:
     if kind == "line":
         _keys(ego, "ego", ("kind", "start", "speed", "n_scans"), ("yaw",))
         ego = {"yaw": 0.0, **ego}
-        for key in ("yaw", "speed", "n_scans"):
-            if not _is_number(ego[key]):
-                raise ValueError(f"scene ego: '{key}' must be a number")
-        start = _numbers(ego["start"], 3,
-                         "scene ego: 'start' must be a list of 3 numbers")
-        return line_ego_path(start, float(ego["yaw"]), float(ego["speed"]),
-                             int(ego["n_scans"]), float(payload["dt"]))
+        yaw, speed, n_scans = (_number(ego[key], f"scene ego: '{key}'")
+                               for key in ("yaw", "speed", "n_scans"))
+        if not (isinstance(n_scans, int) and n_scans >= 0):
+            raise ValueError("scene ego: 'n_scans' must be an integer >= 0")
+        start = _numbers(ego["start"], 3, "scene ego: 'start'")
+        return line_ego_path(start, float(yaw), float(speed), n_scans,
+                             float(payload["dt"]))
     raise ValueError(f"unknown ego path kind '{kind}'")
+
+
+def _rect(item, where: str) -> RectPatch:
+    item = _keys(item, where, ("origin", "u", "v"))
+    return RectPatch(*(_numbers(item[key], 3, f"scene {where}: '{key}'")
+                       for key in ("origin", "u", "v")))
 
 
 def _box(item, where: str, extra=()) -> DetectionBox:
     item = _keys(item, where, ("center", "yaw", "dims") + extra, ("cls",))
-    return DetectionBox(item["center"], item["yaw"], item["dims"],
-                        cls=item.get("cls", "car"))
+    cls = item.get("cls", "car")
+    if cls not in VALID_CLASSES:
+        raise ValueError(f"scene {where}: 'cls' must be one of "
+                         + ", ".join(f"'{c}'" for c in VALID_CLASSES))
+    center, dims = (_numbers(item[key], 3, f"scene {where}: '{key}'")
+                    for key in ("center", "dims"))
+    return DetectionBox(center, _number(item["yaw"], f"scene {where}: 'yaw'"),
+                        dims, cls=cls)
 
 
 def scene_from_json(text: str) -> SimScene:
-    """Parse a scene file; a missing or unknown key raises ``ValueError``."""
+    """Parse a scene file; a missing or unknown key or a bad value raises
+    ``ValueError`` naming the key."""
     payload = _keys(json.loads(text), "file", ("dt",),
                     ("sensor", "ego_matrices", "ego", "rects", "boxes", "movers"))
-    if not _is_number(payload["dt"]):
-        raise ValueError("scene file: 'dt' must be a number")
+    if _number(payload["dt"], "scene file: 'dt'") <= 0:
+        raise ValueError("scene file: 'dt' must be > 0")
     sensor = SensorModel(**_keys(payload.get("sensor", {}), "sensor", (),
                                  [f.name for f in fields(SensorModel)]))
-    rects = [RectPatch(**_keys(r, f"rects[{i}]", ("origin", "u", "v")))
-             for i, r in enumerate(_list(payload, "rects"))]
+    rects = [_rect(r, f"rects[{i}]") for i, r in enumerate(_list(payload, "rects"))]
     boxes = [_box(b, f"boxes[{i}]") for i, b in enumerate(_list(payload, "boxes"))]
-    movers = [Mover(_box(m, f"movers[{i}]", ("velocity",)), m["velocity"])
+    movers = [Mover(_box(m, f"movers[{i}]", ("velocity",)),
+                    _numbers(m["velocity"], 3, f"scene movers[{i}]: 'velocity'"))
               for i, m in enumerate(_list(payload, "movers"))]
     return SimScene(dt=float(payload["dt"]), ego_poses=_ego_from_payload(payload),
                     sensor=sensor, rects=rects, boxes=boxes, movers=movers)

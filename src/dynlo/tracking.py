@@ -24,6 +24,9 @@ STATE_DIM = 8
 TRACKER_KINDS = ("ukf", "ekf")
 # observation keeps [x, y, z, yaw, l, w, h] and drops v
 _OBS_IDX = np.array([0, 1, 2, 3, 5, 6, 7])
+# sigma-point spread and prior (Wan & van der Merwe, 2000): the sigma spread
+# n + lambda = _ALPHA^2 (n + _KAPPA) is 8e-6 for the 8-dim state
+_ALPHA, _BETA, _KAPPA = 1e-3, 2.0, 0.0
 
 
 def _default_process_noise() -> np.ndarray:
@@ -39,10 +42,6 @@ def _default_measurement_noise() -> np.ndarray:
 class UkfParams:
     kind: str = field(default="ukf", metadata={"bound": TRACKER_KINDS,
                                                "noun": "tracker kind"})
-    alpha: float = field(default=1e-3, metadata={"bound": "> 0"})
-    beta: float = field(default=2.0, metadata={"bound": None})
-    # bounded with alpha: Tracker checks their sigma spread n + lambda
-    kappa: float = field(default=0.0, metadata={"bound": None})
     process_noise: np.ndarray = field(default_factory=_default_process_noise,
                                       metadata={"bound": ">= 0"})
     measurement_noise: np.ndarray = field(
@@ -75,16 +74,12 @@ def _per_row_retry(fn: Callable, a: np.ndarray, b: np.ndarray, message: str):
         raise ValueError(message) from None
 
 
-def _sigma_lambda(params: UkfParams, n: int) -> float:
-    return params.alpha ** 2 * (n + params.kappa) - n
-
-
-def sigma_points(mean, cov, params: UkfParams):
+def sigma_points(mean, cov):
     """Scaled symmetric sigma sets (..., 2n+1, n) of means (..., n) and
     covariances (..., n, n), by one batched Cholesky, plus the weights."""
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     n = mean.shape[-1]
-    lam = _sigma_lambda(params, n)
+    lam = _ALPHA ** 2 * (n + _KAPPA) - n
     scale = n + lam
     L = _per_row_retry(lambda c, _: np.linalg.cholesky(scale * c), cov, cov,
                        "covariance not decomposable")
@@ -95,7 +90,7 @@ def sigma_points(mean, cov, params: UkfParams):
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wm[0] = lam / scale
     wc = wm.copy()
-    wc[0] += 1.0 - params.alpha ** 2 + params.beta
+    wc[0] += 1.0 - _ALPHA ** 2 + _BETA
     return pts, wm, wc
 
 
@@ -134,14 +129,14 @@ def _predict(means, covs, dt: float, params: UkfParams):
     """Propagate stacked means (T, 8) and covariances (T, 8, 8) by ``dt``
     with the filter ``params.kind``."""
     if params.kind == "ukf":
-        pts, wm, _ = sigma_points(means, covs, params)
+        pts, wm, _ = sigma_points(means, covs)
         prop = _motion_model_raw(pts, dt)
         # sums about the centre point y0 (e_i = y_i - y0, so e_0 = 0): the
         # ~-1e6 centre weights drop out, and mean = y0 + mu, mu = w sum e_i
         e = prop[:, 1:] - prop[:, :1]
         mu = wm[1] * e.sum(axis=1)
         mean = prop[:, 0] + mu
-        cov = (wm[1] * (_swap(e) @ e) + (params.beta - params.alpha ** 2)
+        cov = (wm[1] * (_swap(e) @ e) + (_BETA - _ALPHA ** 2)
                * mu[:, :, None] * mu[:, None, :])
         mean[:, 3] = wrap_angle(mean[:, 3])
     else:
@@ -219,12 +214,6 @@ class Tracker:
         self.params = params if params is not None else UkfParams()
         if self.params.kind not in TRACKER_KINDS:
             raise ValueError(f"unknown tracker kind '{self.params.kind}'")
-        # the sigma spread n + lambda scales the Cholesky and divides the weights
-        scale = STATE_DIM + _sigma_lambda(self.params, STATE_DIM)
-        if self.params.kind == "ukf" and not 0.0 < scale < np.inf:
-            raise ValueError("tracker.alpha and tracker.kappa give a sigma "
-                             f"spread n + lambda = {scale:g}; it must be "
-                             "finite and > 0")
         self.next_id = 0
         for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)))):
             setattr(self, name, rows)

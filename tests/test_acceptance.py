@@ -37,7 +37,7 @@ from dynlo.registration import gicp_align, gicp_gradient, gicp_residual
 from dynlo.simulate import (SensorModel, SimScene, classification_scene,
                             reference_config, reference_dynamic_scene,
                             simulate, write_sim_dir)
-from dynlo.tracking import Tracker, UkfParams, associate_nn, sigma_points
+from dynlo.tracking import Tracker, associate_nn, sigma_points
 
 from test_registration import structured_cloud
 from test_tracking import (LinearKalman, Track, TrackState, detection_from_obs,
@@ -80,13 +80,12 @@ def test_criterion_1_ukf_matches_linear_kf():
 def test_criterion_2_sigma_moment_identity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
-    params = UkfParams()
     worst = 0.0
     for _ in range(1000):
         mean = rng.normal(size=8)
         A = rng.normal(size=(8, 8))
         cov = A @ A.T + 1e-6 * np.eye(8)
-        pts, wm, wc = sigma_points(mean, cov, params)
+        pts, wm, wc = sigma_points(mean, cov)
         rec_mean = wm @ pts
         diff = pts - rec_mean
         rec_cov = np.einsum("i,ij,ik->jk", wc, diff, diff)

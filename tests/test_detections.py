@@ -54,7 +54,7 @@ class TestLoad:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write(tmp_path, "car 0.9 1 2 3 4 5 6 0.1\ncar 0.9 1 2\n")
-        with pytest.raises(ValueError, match=":2"):
+        with pytest.raises(ValueError, match=" line 2: expected 9 fields"):
             load_detection_frame(path)
 
     def test_non_numeric_field(self, tmp_path):
@@ -169,7 +169,7 @@ class TestNonFinite:
             path = os.path.join(tmp, "000001.txt")
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-            message = f"{path}:{before + 1}: {error}"
+            message = f"{path} line {before + 1}: {error}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 load_detection_frame(path)
 

@@ -464,7 +464,10 @@ class TestCli:
         ("eval traj", "est.txt", "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n\n"
                                  "0.1 0 0 0 nan 0 0 1\n"),
         ("eval map", "removal_provenance.txt", "# scan ...\n0 100 20 99 18\n"
-                                               "\n0 1 1 1 99999999999999999999\n")])
+                                               "\n0 1 1 1 99999999999999999999\n"),
+        ("run", "detections/000000.txt", "# class score cx cy cz l w h yaw\n"
+                                         "car 0.9 1 2 3 4 2 1.5 0.1\n\n"
+                                         "car 0.9 1 2 3 4 2 1.5\n")])
     def test_malformed_line_names_its_file(self, dataset, capsys, command,
                                            name, text):
         # line 4 is malformed; the blank line 3 counts

@@ -373,9 +373,50 @@ class TestMalformedSceneCli:
         (edited(["ego", "n_scans"], "2"),
          "scene ego: 'n_scans' must be a number"),
         (edited(["ego", "start"], [0, 0]),
-         "scene ego: 'start' must be a list of 3 numbers"),
+         "scene ego: 'start' must be a list of 3 finite numbers"),
         ({**edited(["ego"]), "ego_matrices": [list(range(12)), list(range(11))]},
-         "scene ego_matrices[1]: expected a list of 12 numbers"),
+         "scene ego_matrices[1] must be a list of 12 finite numbers"),
+        # vectors of the wrong length, type or a non-finite entry
+        (edited(["rects", 0, "origin"], [3, -1]),
+         "scene rects[0]: 'origin' must be a list of 3 finite numbers"),
+        (edited(["rects", 0, "u"], [0, math.nan, 0]),
+         "scene rects[0]: 'u' must be a list of 3 finite numbers"),
+        (edited(["rects", 0, "v"], [0, 0, "2"]),
+         "scene rects[0]: 'v' must be a list of 3 finite numbers"),
+        (edited(["movers", 0, "center"], [5, math.inf, 1]),
+         "scene movers[0]: 'center' must be a list of 3 finite numbers"),
+        (edited(["movers", 0, "dims"], "x"),
+         "scene movers[0]: 'dims' must be a list of 3 finite numbers"),
+        (edited(["movers", 0, "velocity"], [0, 1]),
+         "scene movers[0]: 'velocity' must be a list of 3 finite numbers"),
+        (edited(["boxes"], [{"center": [1, 2, 0], "yaw": 0, "dims": [1, 1]}]),
+         "scene boxes[0]: 'dims' must be a list of 3 finite numbers"),
+        (edited(["ego", "start"], [0, math.nan, 1.5]),
+         "scene ego: 'start' must be a list of 3 finite numbers"),
+        ({**edited(["ego"]), "ego_matrices": [[math.nan] + list(range(11))]},
+         "scene ego_matrices[0] must be a list of 12 finite numbers"),
+        # yaws and scalars
+        (edited(["movers", 0, "yaw"], math.nan),
+         "scene movers[0]: 'yaw' must be finite"),
+        (edited(["boxes"], [{"center": [1, 2, 0], "yaw": "0", "dims": [1, 1, 1]}]),
+         "scene boxes[0]: 'yaw' must be a number"),
+        (edited(["ego", "yaw"], math.inf), "scene ego: 'yaw' must be finite"),
+        (edited(["ego", "speed"], math.nan), "scene ego: 'speed' must be finite"),
+        (edited(["dt"], math.nan), "scene file: 'dt' must be finite"),
+        (edited(["dt"], -0.1), "scene file: 'dt' must be > 0"),
+        (edited(["dt"], 0), "scene file: 'dt' must be > 0"),
+        (edited(["ego", "n_scans"], 2.7),
+         "scene ego: 'n_scans' must be an integer >= 0"),
+        (edited(["ego", "n_scans"], -3),
+         "scene ego: 'n_scans' must be an integer >= 0"),
+        # classes the detection files cannot hold
+        (edited(["movers", 0, "cls"], "truck"),
+         "scene movers[0]: 'cls' must be one of 'car', 'cyclist'"),
+        (edited(["movers", 0, "cls"], "car bus"),
+         "scene movers[0]: 'cls' must be one of 'car', 'cyclist'"),
+        (edited(["boxes"], [{"center": [1, 2, 0], "yaw": 0, "dims": [1, 1, 1],
+                             "cls": 7}]),
+         "scene boxes[0]: 'cls' must be one of 'car', 'cyclist'"),
     ])
     def test_missing_or_unknown_key(self, tmp_path, capsys, payload, message):
         rc, out = self.run(tmp_path, capsys, payload)

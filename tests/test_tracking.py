@@ -21,6 +21,10 @@ TrackState = namedtuple("TrackState", "mean covariance")
 Track = namedtuple("Track", "id state age_since_update dynamic",
                    defaults=(0, False))
 
+# the unscented transform's spread and prior, as the reference filters
+# below write them, independent of the module's constants
+ALPHA, BETA, KAPPA = 1e-3, 2.0, 0.0
+
 
 def random_psd(rng, n, scale=1.0):
     A = rng.normal(size=(n, n))
@@ -122,12 +126,11 @@ class LinearKalman:
 
 class TestSigmaPoints:
     def test_identity_covariance_columns(self):
-        params = UkfParams()
         n = 8
         mean = np.arange(n, dtype=float)
-        pts, wm, wc = sigma_points(mean, np.eye(n), params)
+        pts, wm, wc = sigma_points(mean, np.eye(n))
         assert pts.shape == (17, n)
-        lam = params.alpha ** 2 * (n + params.kappa) - n
+        lam = ALPHA ** 2 * (n + KAPPA) - n
         spread = math.sqrt(n + lam)
         for i in range(n):
             assert np.allclose(pts[1 + i] - mean, spread * np.eye(n)[i], atol=1e-9)
@@ -135,17 +138,14 @@ class TestSigmaPoints:
                                atol=1e-9)
 
     def test_mean_weights_sum_to_one(self):
-        for alpha, kappa in [(1e-3, 0.0), (0.5, 3.0), (1.0, 0.0)]:
-            params = UkfParams(alpha=alpha, kappa=kappa)
-            _, wm, _ = sigma_points(np.zeros(8), np.eye(8), params)
-            assert np.isclose(wm.sum(), 1.0, atol=1e-12)
+        _, wm, _ = sigma_points(np.zeros(8), np.eye(8))
+        assert np.isclose(wm.sum(), 1.0, atol=1e-12)
 
     def test_moment_identity(self, rng):
-        params = UkfParams()
         for _ in range(50):
             mean = rng.normal(size=8)
             cov = random_psd(rng, 8)
-            pts, wm, wc = sigma_points(mean, cov, params)
+            pts, wm, wc = sigma_points(mean, cov)
             rec_mean = wm @ pts
             diff = pts - rec_mean
             rec_cov = np.einsum("i,ij,ik->jk", wc, diff, diff)
@@ -155,7 +155,7 @@ class TestSigmaPoints:
     def test_non_decomposable_raises(self):
         bad = -np.eye(8)
         with pytest.raises(ValueError, match="not decomposable"):
-            sigma_points(np.zeros(8), bad, UkfParams())
+            sigma_points(np.zeros(8), bad)
 
 
 class TestModels:
@@ -469,25 +469,15 @@ class TestTrackerLifecycle:
         with pytest.raises(ValueError):
             Tracker(UkfParams(kind="pf"))
 
-    # n + lambda rounds to 0 (the first two) or is not finite
-    @pytest.mark.parametrize("alpha, kappa", [(1e-3, -8.0), (1e-9, 0.0),
-                                              (math.inf, 0.0)])
-    def test_degenerate_sigma_spread_rejected_at_construction(self, alpha,
-                                                               kappa):
-        params = UkfParams(alpha=alpha, kappa=kappa)
-        with pytest.raises(ValueError, match="tracker.alpha and tracker.kappa"):
-            Tracker(params)
-        Tracker(replace(params, kind="ekf"))  # the EKF takes no sigma points
-
 
 # --- the stacked tracker against the per-track one it replaced ----------------
 
 _OBS = [0, 1, 2, 3, 5, 6, 7]
 
 
-def ref_sigma_points(mean, cov, params):
+def ref_sigma_points(mean, cov):
     n = mean.shape[0]
-    lam = params.alpha ** 2 * (n + params.kappa) - n
+    lam = ALPHA ** 2 * (n + KAPPA) - n
     scale = n + lam
     try:
         L = np.linalg.cholesky(scale * cov)
@@ -500,7 +490,7 @@ def ref_sigma_points(mean, cov, params):
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wm[0] = lam / scale
     wc = wm.copy()
-    wc[0] += 1.0 - params.alpha ** 2 + params.beta
+    wc[0] += 1.0 - ALPHA ** 2 + BETA
     return pts, wm, wc
 
 
@@ -513,14 +503,14 @@ def ref_motion_raw(state, dt):
 
 def ref_predict(kind, mean, cov, dt, params):
     if kind == "ukf":
-        pts, wm, _ = ref_sigma_points(mean, cov, params)
+        pts, wm, _ = ref_sigma_points(mean, cov)
         prop = ref_motion_raw(pts, dt)
         e = prop[1:] - prop[0]
         mu = wm[1] * e.sum(axis=0)
         new = prop[0] + mu
         # rounded as the stacked filter rounds: w (~6e4) scales one ulp of a
         # sigma point, and the next scan's update carries it into the mean
-        P = (wm[1] * (e.T @ e) + (params.beta - params.alpha ** 2)
+        P = (wm[1] * (e.T @ e) + (BETA - ALPHA ** 2)
              * np.outer(mu, mu) + params.process_noise * dt)
     else:
         th, v = mean[3], mean[4]
@@ -560,7 +550,7 @@ def ref_gain_update(mean, cov, obs, params, yhat, pxy, pyy):
 
 def former_predict(mean, cov, dt, params):
     """The UKF prediction as plain weighted sums over all sigma points."""
-    pts, wm, wc = ref_sigma_points(mean, cov, params)
+    pts, wm, wc = ref_sigma_points(mean, cov)
     prop = ref_motion_raw(pts, dt)
     new = wm @ prop
     diff = prop - new
@@ -571,7 +561,7 @@ def former_predict(mean, cov, dt, params):
 
 def former_update(mean, cov, obs, params):
     """The UKF correction by the unscented transform of the observation."""
-    pts, wm, wc = ref_sigma_points(mean, cov, params)
+    pts, wm, wc = ref_sigma_points(mean, cov)
     ys = pts[:, _OBS]
     yhat = wm @ ys
     dy = ys - yhat
@@ -732,12 +722,12 @@ class TestStackedTrackerEquivalence:
         rows = np.arange(0, len(tracker.ids), len(tracker.ids) // 12)
         means, covs = tracker.means[rows], tracker.covariances[rows]
         got_mean, got_cov = tracking._predict(means, covs, dt, params)
-        pts, wm, _ = sigma_points(means, covs, params)
+        pts, wm, _ = sigma_points(means, covs)
         prop = tracking._motion_model_raw(pts, dt)
         # the weights sigma_points returns, the centre one chosen so that
         # they sum to one exactly
         w = [Fraction(1) - 2 * n * Fraction(wm[1])] + [Fraction(wm[1])] * 2 * n
-        c0 = 1 - Fraction(params.alpha) ** 2 + Fraction(params.beta)
+        c0 = 1 - Fraction(ALPHA) ** 2 + Fraction(BETA)
         wc = [w[0] + c0] + w[1:]
         q = [[Fraction(v) * Fraction(dt) for v in row]
              for row in params.process_noise]
@@ -771,20 +761,18 @@ class TestStackedTrackerEquivalence:
 
 class TestBatchedFactorization:
     def test_only_the_non_pd_row_is_jittered(self, rng):
-        params = UkfParams()
         n = 8
-        scale = n + (params.alpha ** 2 * (n + params.kappa) - n)
+        scale = n + (ALPHA ** 2 * (n + KAPPA) - n)
         good = random_psd(rng, n)
         # PSD with a zero eigenvalue: Cholesky fails until jittered
         singular = np.diag([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         covs = np.stack([good, singular, 2.0 * good])
         means = rng.normal(size=(3, n))
-        pts, _, _ = sigma_points(means, covs, params)
+        pts, _, _ = sigma_points(means, covs)
         for i in (0, 2):
             L = np.linalg.cholesky(scale * covs[i])
             assert np.array_equal(pts[i, 1:n + 1], means[i] + L.T)
-            assert np.array_equal(pts[i], sigma_points(means[i], covs[i],
-                                                       params)[0])
+            assert np.array_equal(pts[i], sigma_points(means[i], covs[i])[0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(scale * singular)
         L = np.linalg.cholesky(scale * (singular + 1e-9 * np.eye(n)))
@@ -794,7 +782,7 @@ class TestBatchedFactorization:
     def test_a_row_that_stays_singular_raises(self, rng):
         covs = np.stack([random_psd(rng, 8), -np.eye(8)])
         with pytest.raises(ValueError, match="not decomposable"):
-            sigma_points(np.zeros((2, 8)), covs, UkfParams())
+            sigma_points(np.zeros((2, 8)), covs)
 
     def ekf_tracker(self, obs_blocks, xs):
         """EKF tracker with noiseless measurements, one track at each x, whose
