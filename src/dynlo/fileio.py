@@ -45,13 +45,10 @@ def read_scan_bin(path: str) -> PointCloud:
     return PointCloud(points)
 
 
-def write_scan_bin(path: str, cloud: PointCloud,
-                   intensity: Optional[np.ndarray] = None) -> None:
-    n = len(cloud)
-    rec = np.zeros((n, 4), dtype="<f4")
+def write_scan_bin(path: str, cloud: PointCloud) -> None:
+    """Records of (x, y, z, 0): :func:`read_scan_bin`'s format."""
+    rec = np.zeros((len(cloud), 4), dtype="<f4")
     rec[:, :3] = cloud.points.astype("<f4")
-    if intensity is not None:
-        rec[:, 3] = np.asarray(intensity, dtype="<f4")
     rec.tofile(path)
 
 

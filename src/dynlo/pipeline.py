@@ -21,7 +21,7 @@ from .detections import DetectionFrame, filter_detections
 from .geometry import PointCloud, Pose
 from .ground import SlidingBoxWindow, apply_consistency_constraint, fit_ground_from_boxes
 from .keyframes import KeyframeDB, compute_spaciousness
-from .metrics import RemovalCounts, Trajectory
+from .metrics import Trajectory
 from .preprocess import crop_self_returns, estimate_point_covariances, voxel_downsample
 from .removal import dynamic_point_mask, remove_dynamic_points
 from .registration import gicp_align
@@ -67,12 +67,6 @@ class PipelineResult:
     # the ``provenance`` of each labelled scan, in scan order
     provenance_rows: List[Tuple[int, int, int, int, int]]
     db: KeyframeDB
-
-    @property
-    def counts(self) -> Optional[RemovalCounts]:
-        """Removal counts summed over the labelled scans; None without any."""
-        return (RemovalCounts.from_rows(self.provenance_rows)
-                if self.provenance_rows else None)
 
 
 class Odometry:

@@ -4,12 +4,14 @@ The cost for a transform T = (R, t) over correspondences (s, t) is
 
     sum_i d_i^T W_i d_i,   W_i = (C_i^tgt + R C_i^src R^T)^-1,   d_i = p_i^tgt - T p_i^src
 
-with plane-regularized per-point covariances. Each iteration pairs every
-source point with its nearest target inside the gate, but a point keeps its
-last answer while it has moved less than half the gap between its nearest
-and second-nearest target (or the gate), since that answer cannot have
-changed; an exact tie has no gap and is searched every iteration. The local
-step is a right-multiplied 6-DoF increment.
+with plane-regularized per-point covariances. Each Gauss-Newton iteration
+minimizes this cost with W_i frozen at its current rotation
+(``_model_error``). Each iteration pairs every source point with its nearest
+target inside the gate, but a point keeps its last answer while it has moved
+less than half the gap between its nearest and second-nearest target (or the
+gate), since that answer cannot have changed; an exact tie has no gap and is
+searched every iteration. The local step is a right-multiplied 6-DoF
+increment.
 
 The per-pair arithmetic runs on contiguous columns, one row per entry:
 points and residuals are (3, n), and symmetric 3x3 matrices are packed into
@@ -132,51 +134,9 @@ def _fused_information(R: np.ndarray, cs: np.ndarray,
     return adj
 
 
-def _require_covariances(cloud: PointCloud, name: str) -> None:
-    if cloud.covariances is None:
-        raise ValueError(f"{name} cloud has no covariances")
-
-
 def _apply(T: Pose, p: np.ndarray) -> np.ndarray:
     """T applied to the columns of p."""
     return T.rotation @ p + T.translation[:, None]
-
-
-def _pair_terms(T: Pose, source: PointCloud, target: PointCloud,
-                correspondences: np.ndarray):
-    """Source points, packed source covariances, residuals and packed fused
-    information of explicit (source, target) index pairs, as columns."""
-    _require_covariances(source, "source")
-    _require_covariances(target, "target")
-    corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
-    s_idx, t_idx = corr[:, 0], corr[:, 1]
-    ps = source.points[s_idx].T
-    cs = _pack(source.covariances[s_idx])
-    d = target.points[t_idx].T - _apply(T, ps)
-    W = _fused_information(T.rotation, cs, _pack(target.covariances[t_idx]))
-    return ps, cs, d, W
-
-
-def gicp_residual(T: Pose, source: PointCloud, target: PointCloud,
-                  correspondences: np.ndarray) -> float:
-    """Mahalanobis registration error over explicit (source, target) index pairs."""
-    _, _, d, W = _pair_terms(T, source, target, correspondences)
-    return float(np.sum(d * _sym_matvec(W, d)))
-
-
-def gicp_gradient(T: Pose, source: PointCloud, target: PointCloud,
-                  correspondences: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the residual wrt a right-multiplied twist [v, w].
-
-    Includes the dependence of the fused covariance on the rotation, so it
-    matches finite differences of :func:`gicp_residual` exactly to first order.
-    """
-    ps, cs, d, W = _pair_terms(T, source, target, correspondences)
-    u = T.rotation.T @ _sym_matvec(W, d)  # columns R^T W d
-    w = _sym_matvec(cs, u)
-    g_v = -2.0 * u.sum(axis=1)
-    g_w = -2.0 * (np.cross(ps, u, axis=0) + np.cross(w, u, axis=0)).sum(axis=1)
-    return np.concatenate([g_v, g_w])
 
 
 class _NearestTargets:
@@ -298,8 +258,9 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         raise ValueError("max_correspondence_distance must be positive")
     if len(source) < _MIN_CORRESPONDENCES or len(target) < _MIN_CORRESPONDENCES:
         raise ValueError("insufficient overlap")
-    _require_covariances(source, "source")
-    _require_covariances(target, "target")
+    for cloud, name in ((source, "source"), (target, "target")):
+        if cloud.covariances is None:
+            raise ValueError(f"{name} cloud has no covariances")
     tree = target_tree if target_tree is not None else target.tree
     if tree is None:
         tree = cKDTree(target.points)

@@ -332,7 +332,13 @@ def _ego_from_payload(payload: dict) -> List[Pose]:
         poses = []
         for i, row in enumerate(_list(payload, "ego_matrices")):
             row = _numbers(row, 12, f"scene ego_matrices[{i}]")
-            poses.append(Pose(row[:9].reshape(3, 3), row[9:]))
+            R = row[:9].reshape(3, 3)
+            # 1e-4 passes a rotation written with six decimals
+            if not (np.abs(R.T @ R - np.eye(3)).max() <= 1e-4
+                    and np.linalg.det(R) > 0.0):
+                raise ValueError(f"scene ego_matrices[{i}]: the first 9 numbers"
+                                 " must form a rotation matrix")
+            poses.append(Pose(R, row[9:]))
         return poses
     if "ego" not in payload:
         raise ValueError("scene file: missing key 'ego_matrices' or 'ego'")
@@ -365,6 +371,8 @@ def _box(item, where: str, extra=()) -> DetectionBox:
                          + ", ".join(f"'{c}'" for c in VALID_CLASSES))
     center, dims = (_numbers(item[key], 3, f"scene {where}: '{key}'")
                     for key in ("center", "dims"))
+    if not np.all(dims > 0.0):
+        raise ValueError(f"scene {where}: 'dims' must be strictly positive")
     return DetectionBox(center, _number(item["yaw"], f"scene {where}: 'yaw'"),
                         dims, cls=cls)
 

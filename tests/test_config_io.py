@@ -310,6 +310,11 @@ class TestConfig:
         assert cfg.dt == PipelineConfig().dt
 
 
+def write_xyzi(path, points, intensity):
+    """A scan file of little-endian float32 (x, y, z, i) records."""
+    np.column_stack([points, intensity]).astype("<f4").tofile(path)
+
+
 class TestScanIO:
     def test_round_trip(self, tmp_path, rng):
         cloud = PointCloud(rng.normal(size=(64, 3)).astype(np.float32))
@@ -321,9 +326,10 @@ class TestScanIO:
     def test_intensity_ignored(self, tmp_path, rng):
         pts = rng.normal(size=(10, 3))
         path = str(tmp_path / "000000.bin")
-        write_scan_bin(path, PointCloud(pts), intensity=rng.random(10))
+        write_xyzi(path, pts, rng.random(10))
         back = read_scan_bin(path)
         assert back.points.shape == (10, 3)
+        assert np.allclose(back.points, pts, atol=1e-6)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -341,8 +347,7 @@ class TestScanIO:
         n_bad = int(np.count_nonzero(hit.any(axis=1)))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "000000.bin")
-            write_scan_bin(path, PointCloud(pts),
-                           intensity=np.full(n, np.nan))
+            write_xyzi(path, pts, np.full(n, np.nan))
             if n_bad == 0:
                 assert np.allclose(read_scan_bin(path).points, pts, atol=1e-5)
             else:

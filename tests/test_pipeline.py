@@ -11,7 +11,8 @@ from dynlo.fileio import (read_scan_bin, read_trajectory, write_scan_bin,
                           write_trajectory)
 from dynlo.geometry import PointCloud, Pose
 from dynlo.keyframes import KeyframeDB
-from dynlo.metrics import Trajectory, ape_rmse, max_z_drift, rpe_rmse
+from dynlo.metrics import (RemovalCounts, Trajectory, ape_rmse, max_z_drift,
+                           rpe_rmse)
 from dynlo.pipeline import run_pipeline, stats_summary, write_stats_file
 from dynlo.simulate import (SimScene, reference_config,
                             reference_dynamic_scene, scene_to_json, simulate,
@@ -50,8 +51,8 @@ class TestRunPipeline:
         # resamplings put the cost minimum a few centimeters off
         for pose in out.trajectory.poses:
             assert np.linalg.norm(pose.translation) < 0.05
-        assert out.counts is not None
-        assert out.counts.dynamic_total == 0
+        assert out.provenance_rows
+        assert RemovalCounts.from_rows(out.provenance_rows).dynamic_total == 0
 
     def test_trajectory_tracks_ground_truth(self):
         res = simulate(small_scene(40), 0)
@@ -211,7 +212,6 @@ class TestRunPipeline:
         scans = [PointCloud(s.points) for s in res.scans]
         out = run_pipeline(scans, res.detections, reference_config())
         assert out.provenance_rows == []
-        assert out.counts is None
 
     def test_step_error_names_its_scan(self):
         res = simulate(small_scene(5), 0)

@@ -7,8 +7,7 @@ from scipy.spatial import cKDTree
 from dynlo import registration
 from dynlo.geometry import PointCloud, Pose, se3_exp, skew, so3_exp
 from dynlo.preprocess import estimate_point_covariances
-from dynlo.registration import (GicpParams, gicp_align, gicp_gradient,
-                                gicp_residual)
+from dynlo.registration import GicpParams, gicp_align
 
 
 def structured_cloud(rng, n_per_surface=700, extent=3.0):
@@ -30,6 +29,23 @@ def room(rng):
     return estimate_point_covariances(PointCloud(pts), 10, 1e-3)
 
 
+def pair_system(T: Pose, source: PointCloud, target: PointCloud, corr):
+    """The solver's terms over explicit (source, target) index pairs: the
+    source and target points as columns, then ``_normal_equations``'
+    (A, c, err, W) at T."""
+    s_idx, t_idx = np.asarray(corr, dtype=int).reshape(-1, 2).T
+    basis = registration._moment_basis(source.points[s_idx])
+    pt = target.points[t_idx].T.copy()
+    return (basis[1:4], pt) + registration._normal_equations(
+        T, basis, registration._pack(source.covariances[s_idx]), pt,
+        registration._pack(target.covariances[t_idx]))
+
+
+def gicp_cost(T: Pose, source: PointCloud, target: PointCloud, corr) -> float:
+    """The GICP cost the solver reads at T: sum d^T W d over the pairs."""
+    return pair_system(T, source, target, corr)[4]
+
+
 def rotation_error_deg(a: Pose, b: Pose) -> float:
     R = a.rotation.T @ b.rotation
     c = (np.trace(R) - 1.0) / 2.0
@@ -39,7 +55,7 @@ def rotation_error_deg(a: Pose, b: Pose) -> float:
 class TestResidual:
     def test_identity_on_identical_clouds_is_zero(self, room):
         corr = np.column_stack([np.arange(len(room)), np.arange(len(room))])
-        assert gicp_residual(Pose.identity(), room, room, corr) == pytest.approx(0.0)
+        assert gicp_cost(Pose.identity(), room, room, corr) == pytest.approx(0.0)
 
     def test_single_pair_closed_form(self):
         # both covariances eps*I: residual = |d|^2 / (2 eps)
@@ -47,21 +63,21 @@ class TestResidual:
         src = PointCloud([[0.0, 0.0, 0.0]], covariances=[eps * np.eye(3)])
         tgt = PointCloud([[0.3, -0.2, 0.5]], covariances=[eps * np.eye(3)])
         d = np.array([0.3, -0.2, 0.5])
-        got = gicp_residual(Pose.identity(), src, tgt, [[0, 0]])
+        got = gicp_cost(Pose.identity(), src, tgt, [[0, 0]])
         assert got == pytest.approx(float(d @ d) / (2 * eps), rel=1e-9)
 
     def test_truth_beats_perturbations(self, rng, room):
         T_true = Pose.from_yaw(0.2, (0.4, -0.3, 0.1))
         target = room.transformed(T_true)
         corr = np.column_stack([np.arange(len(room)), np.arange(len(room))])
-        at_truth = gicp_residual(T_true, room, target, corr)
+        at_truth = gicp_cost(T_true, room, target, corr)
         for _ in range(20):
             dv = rng.normal(size=3)
             dv = dv / np.linalg.norm(dv) * rng.uniform(0.1, 0.5)
             dw = rng.normal(size=3)
             dw = dw / np.linalg.norm(dw) * rng.uniform(0.05, 0.2)
             perturbed = T_true.compose(se3_exp(np.concatenate([dv, dw])))
-            assert gicp_residual(perturbed, room, target, corr) > at_truth
+            assert gicp_cost(perturbed, room, target, corr) > at_truth
 
     def test_nonnegative(self, rng, room):
         target = room.transformed(Pose.from_yaw(0.1, (0.2, 0.0, 0.0)))
@@ -70,7 +86,7 @@ class TestResidual:
         for _ in range(10):
             xi = rng.normal(scale=0.2, size=6)
             T = se3_exp(xi)
-            assert gicp_residual(T, room, target, corr) >= 0.0
+            assert gicp_cost(T, room, target, corr) >= 0.0
 
 
 class TestGradient:
@@ -82,22 +98,23 @@ class TestGradient:
         corr = np.column_stack([np.arange(200), np.arange(200)])
         for _ in range(5):
             T = se3_exp(rng.normal(scale=0.1, size=6))
-            g = gicp_gradient(T, src, tgt, corr)
+            ps, pt, _, c, _, W = pair_system(T, src, tgt, corr)
+            # the solver's gradient is 2c, of the cost with W frozen at T
             h = 1e-6
             fd = np.zeros(6)
             for i in range(6):
                 e = np.zeros(6)
                 e[i] = h
-                hi = gicp_residual(T.compose(se3_exp(e)), src, tgt, corr)
-                lo = gicp_residual(T.compose(se3_exp(-e)), src, tgt, corr)
+                hi = registration._model_error(T.compose(se3_exp(e)), ps, pt, W)
+                lo = registration._model_error(T.compose(se3_exp(-e)), ps, pt, W)
                 fd[i] = (hi - lo) / (2 * h)
-            rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-12)
+            rel = np.abs(2 * c - fd) / np.maximum(np.abs(fd), 1e-12)
             assert rel.max() < 1e-5
 
     def test_zero_at_perfect_alignment(self, room):
         corr = np.column_stack([np.arange(len(room)), np.arange(len(room))])
-        g = gicp_gradient(Pose.identity(), room, room, corr)
-        assert np.allclose(g, 0.0, atol=1e-12)
+        c = pair_system(Pose.identity(), room, room, corr)[3]
+        assert np.allclose(c, 0.0, atol=1e-12)
 
 
 def random_spd(rng, n, scale=1.0):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dynlo.cli import main as cli_main
 from dynlo.config import dump_config, load_config
 from dynlo.geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
-                            point_in_box, rot_z, wrap_angle)
+                            point_in_box, rot_z, so3_exp, wrap_angle)
 from dynlo.removal import dynamic_point_mask
 from dynlo.simulate import (Mover, RectPatch, SensorModel, SimScene,
                             classification_scene, line_ego_path, load_scene,
@@ -374,7 +374,8 @@ class TestMalformedSceneCli:
          "scene ego: 'n_scans' must be a number"),
         (edited(["ego", "start"], [0, 0]),
          "scene ego: 'start' must be a list of 3 finite numbers"),
-        ({**edited(["ego"]), "ego_matrices": [list(range(12)), list(range(11))]},
+        ({**edited(["ego"]),
+          "ego_matrices": [[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], list(range(11))]},
          "scene ego_matrices[1] must be a list of 12 finite numbers"),
         # vectors of the wrong length, type or a non-finite entry
         (edited(["rects", 0, "origin"], [3, -1]),
@@ -417,13 +418,36 @@ class TestMalformedSceneCli:
         (edited(["boxes"], [{"center": [1, 2, 0], "yaw": 0, "dims": [1, 1, 1],
                              "cls": 7}]),
          "scene boxes[0]: 'cls' must be one of 'car', 'cyclist'"),
+        # box dims and ego rotations out of range
+        (edited(["movers", 0, "dims"], [2, 0, 2]),
+         "scene movers[0]: 'dims' must be strictly positive"),
+        (edited(["boxes"], [{"center": [1, 2, 0], "yaw": 0, "dims": [1, -1, 1]}]),
+         "scene boxes[0]: 'dims' must be strictly positive"),
+        ({**edited(["ego"]),
+          "ego_matrices": [[2, 0, 0, 0, 2, 0, 0, 0, 2, 0.1, 0, 1.5]]},
+         "scene ego_matrices[0]: the first 9 numbers must form a rotation matrix"),
+        ({**edited(["ego"]), "ego_matrices": [[0] * 12]},
+         "scene ego_matrices[0]: the first 9 numbers must form a rotation matrix"),
+        ({**edited(["ego"]),
+          "ego_matrices": [[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
+                           [1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0]]},
+         "scene ego_matrices[1]: the first 9 numbers must form a rotation matrix"),
     ])
     def test_missing_or_unknown_key(self, tmp_path, capsys, payload, message):
         rc, out = self.run(tmp_path, capsys, payload)
         assert rc == 1
         assert out.err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "scans").exists()
         with pytest.raises(ValueError, match=re.escape(message)):
             scene_from_json(json.dumps(payload))
+
+    def test_rotation_written_with_six_decimals_loads(self, tmp_path, capsys):
+        R = np.round(so3_exp([0.1, -0.2, 0.3]), 6)
+        payload = {**edited(["ego"]),
+                   "ego_matrices": [R.ravel().tolist() + [0, 0, 1.5]] * 2}
+        rc, out = self.run(tmp_path, capsys, payload)
+        assert rc == 0 and out.err == ""
+        assert len(os.listdir(tmp_path / "out" / "scans")) == 2
 
     @pytest.mark.parametrize("key, value, message", [
         ("rays_per_scan", -5, "sensor rays_per_scan must be >= 0"),
