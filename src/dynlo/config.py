@@ -78,10 +78,10 @@ def _check(value, metadata) -> None:
     bound = metadata["bound"]
     if isinstance(bound, tuple):
         noun = metadata["noun"]
-        names = (value,) if isinstance(value, str) else tuple(value)
-        if not names:  # removal.enabled = false is the switch for no classes
+        # removal.enabled = false is the switch for no classes
+        if len(value) == 0:
             raise ValueError(f"expected at least one {noun}")
-        for name in names:
+        for name in value:
             if name not in bound:
                 raise ValueError(f"unknown {noun} '{name}'")
         return
@@ -126,9 +126,7 @@ def _parse(raw: str, default):
         if len(diag) != len(default):
             raise ValueError(f"expected {len(default)} values, got {len(diag)}")
         return np.diag(diag)
-    if isinstance(default, tuple):
-        return tuple(raw.split())
-    return raw
+    return tuple(raw.split())  # a list of names
 
 
 def _format(value, default) -> str:

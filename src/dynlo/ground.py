@@ -27,15 +27,23 @@ class ConstraintParams:
     blend_weight: float = field(default=0.5, metadata={"bound": "in [0, 1]"})
 
 
+# footprints whose middle scatter eigenvalue is at most this share of the
+# largest lie nearly on one line, which leaves the plane's tilt about that
+# line unobserved
+MIN_SPREAD_RATIO = 1e-3
+
+
 def _fit_plane(points: np.ndarray):
+    """Unit normal (z >= 0) and centroid of the least-squares plane through
+    ``points``, and the ascending eigenvalues of their scatter."""
     centroid = points.mean(axis=0)
     centered = points - centroid
     scatter = centered.T @ centered
-    _, vecs = np.linalg.eigh(scatter)
+    vals, vecs = np.linalg.eigh(scatter)
     normal = vecs[:, 0]
     if normal[2] < 0.0:
         normal = -normal
-    return normal, centroid
+    return normal, centroid, vals
 
 
 def fit_ground_from_boxes(footprints: np.ndarray,
@@ -46,20 +54,27 @@ def fit_ground_from_boxes(footprints: np.ndarray,
 
     ``footprints`` is (n, 3), one row per box (``SlidingBoxWindow.footprints``).
     Fits once, keeps points within the inlier distance, refits once on the
-    inliers; returns None if the final inlier count is below ``min_inliers``.
+    inliers. Returns None if fewer than ``min_inliers`` points lie within the
+    inlier distance of the refit plane, or if those points lie nearly on one
+    line: their middle scatter eigenvalue is at most ``MIN_SPREAD_RATIO`` of
+    the largest.
     """
     params = params if params is not None else ConstraintParams()
     pts = np.asarray(footprints, dtype=float).reshape(-1, 3)
-    if pts.shape[0] < 3 or pts.shape[0] < params.min_inliers:
+    if pts.shape[0] < max(3, params.min_inliers):
         return None
-    normal, centroid = _fit_plane(pts)
+    normal, centroid, _ = _fit_plane(pts)
     dist = np.abs((pts - centroid) @ normal)
     inliers = pts[dist <= params.plane_inlier_distance]
     if inliers.shape[0] < 3:
         return None
-    normal, centroid = _fit_plane(inliers)
+    normal, centroid, _ = _fit_plane(inliers)
     dist = np.abs((pts - centroid) @ normal)
-    if np.sum(dist <= params.plane_inlier_distance) < params.min_inliers:
+    support = pts[dist <= params.plane_inlier_distance]
+    if support.shape[0] < max(3, params.min_inliers):
+        return None
+    _, _, spread = _fit_plane(support)
+    if spread[1] <= MIN_SPREAD_RATIO * spread[2]:
         return None
     return normal
 

@@ -4,10 +4,10 @@ Track state is [x, y, z, yaw, v, l, w, h] in the current sensor/body frame:
 a constant-velocity model along the heading, with speed v the only
 unobserved component. Objects whose estimated |v| exceeds the dynamic speed
 threshold are flagged dynamic; everything else is treated as semi-static.
-An EKF variant of the same models is available behind the same interface.
 Sigma points serve only the nonlinear motion model: the observation selects
-state rows, a linear map the unscented transform gets exact, so both kinds
-share one Kalman update. The tracker filters its stacked tracks at once.
+state rows, a linear map the unscented transform gets exact, so the
+correction is a plain Kalman update. The tracker filters its stacked tracks
+at once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .detections import DetectionFrame
 from .geometry import wrap_angle
 
 STATE_DIM = 8
-TRACKER_KINDS = ("ukf", "ekf")
 # observation keeps [x, y, z, yaw, l, w, h] and drops v
 _OBS_IDX = np.array([0, 1, 2, 3, 5, 6, 7])
 # sigma-point spread and prior (Wan & van der Merwe, 2000): the sigma spread
@@ -40,8 +39,6 @@ def _default_measurement_noise() -> np.ndarray:
 
 @dataclass
 class UkfParams:
-    kind: str = field(default="ukf", metadata={"bound": TRACKER_KINDS,
-                                               "noun": "tracker kind"})
     process_noise: np.ndarray = field(default_factory=_default_process_noise,
                                       metadata={"bound": ">= 0"})
     measurement_noise: np.ndarray = field(
@@ -94,25 +91,19 @@ def sigma_points(mean, cov):
     return pts, wm, wc
 
 
-def _motion_model_raw(state, dt: float):
-    """Constant-velocity propagation with the yaw coordinate left unwrapped.
+def motion_model(state, dt: float):
+    """Constant velocity along the heading, with the yaw left unwrapped.
 
     Sigma points must stay on a continuous branch of the angle around their
     mean: wrapping individual points near +-pi tears the set apart and
-    corrupts the reconstructed covariance.
+    corrupts the reconstructed covariance. The predicted mean's yaw is
+    wrapped once, after the sums.
     """
     s = np.array(state, dtype=float, copy=True)
     th = s[..., 3]
     v = s[..., 4]
     s[..., 0] = s[..., 0] + v * np.cos(th) * dt
     s[..., 1] = s[..., 1] + v * np.sin(th) * dt
-    return s
-
-
-def motion_model(state, dt: float):
-    """Constant velocity along the heading; yaw renormalized into (-pi, pi]."""
-    s = _motion_model_raw(state, dt)
-    s[..., 3] = wrap_angle(s[..., 3])
     return s
 
 
@@ -127,24 +118,17 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 
 def _predict(means, covs, dt: float, params: UkfParams):
     """Propagate stacked means (T, 8) and covariances (T, 8, 8) by ``dt``
-    with the filter ``params.kind``."""
-    if params.kind == "ukf":
-        pts, wm, _ = sigma_points(means, covs)
-        prop = _motion_model_raw(pts, dt)
-        # sums about the centre point y0 (e_i = y_i - y0, so e_0 = 0): the
-        # ~-1e6 centre weights drop out, and mean = y0 + mu, mu = w sum e_i
-        e = prop[:, 1:] - prop[:, :1]
-        mu = wm[1] * e.sum(axis=1)
-        mean = prop[:, 0] + mu
-        cov = (wm[1] * (_swap(e) @ e) + (_BETA - _ALPHA ** 2)
-               * mu[:, :, None] * mu[:, None, :])
-        mean[:, 3] = wrap_angle(mean[:, 3])
-    else:
-        th, v = means[:, 3], means[:, 4]
-        F = np.tile(np.eye(STATE_DIM), (len(means), 1, 1))
-        F[:, 0, 3], F[:, 0, 4] = -v * np.sin(th) * dt, np.cos(th) * dt
-        F[:, 1, 3], F[:, 1, 4] = v * np.cos(th) * dt, np.sin(th) * dt
-        mean, cov = motion_model(means, dt), F @ covs @ _swap(F)
+    through the unscented transform of the motion model."""
+    pts, wm, _ = sigma_points(means, covs)
+    prop = motion_model(pts, dt)
+    # sums about the centre point y0 (e_i = y_i - y0, so e_0 = 0): the
+    # ~-1e6 centre weights drop out, and mean = y0 + mu, mu = w sum e_i
+    e = prop[:, 1:] - prop[:, :1]
+    mu = wm[1] * e.sum(axis=1)
+    mean = prop[:, 0] + mu
+    cov = (wm[1] * (_swap(e) @ e) + (_BETA - _ALPHA ** 2)
+           * mu[:, :, None] * mu[:, None, :])
+    mean[:, 3] = wrap_angle(mean[:, 3])
     return mean, _symmetrize(cov + params.process_noise * dt)
 
 
@@ -212,8 +196,6 @@ class Tracker:
 
     def __init__(self, params: UkfParams | None = None):
         self.params = params if params is not None else UkfParams()
-        if self.params.kind not in TRACKER_KINDS:
-            raise ValueError(f"unknown tracker kind '{self.params.kind}'")
         self.next_id = 0
         for name, rows in zip(_ROW_FIELDS, self._new_rows(np.empty((0, 7)))):
             setattr(self, name, rows)

@@ -52,10 +52,8 @@ def _inside(default, bound):
     """Values inside a field's declared range, drawn by the type of its
     default."""
     if isinstance(bound, tuple):  # the names the field may hold
-        if isinstance(default, tuple):
-            return st.lists(st.sampled_from(bound), min_size=1,
-                            unique=True).map(tuple)
-        return st.sampled_from(bound)
+        return st.lists(st.sampled_from(bound), min_size=1,
+                        unique=True).map(tuple)
     if isinstance(default, bool):
         return st.booleans()
     kwargs = _BOUNDS[bound][0]
@@ -85,9 +83,7 @@ def _random_configs(draw):
 def _outside(default, bound):
     """(config text, value) pairs just outside a field's declared range."""
     if isinstance(bound, tuple):
-        if isinstance(default, tuple):
-            return [("", ()), ("bogus", ("bogus",))]
-        return [("bogus", "bogus")]
+        return [("", ()), ("bogus", ("bogus",))]
     pairs = []
     for v in _BOUNDS[bound][1]:
         if isinstance(default, np.ndarray):
@@ -118,12 +114,11 @@ class TestConfig:
         assert np.array_equal(cfg.tracker.measurement_noise,
                               ref.tracker.measurement_noise)
         assert cfg.removal.enabled and cfg.constraint.enabled
-        assert cfg.tracker.kind == "ukf"
 
     def test_every_documented_key_appears(self):
         text = dump_config()
         for key in ["dt", "preprocess.voxel_leaf", "detections.min_score",
-                    "tracker.kind", "tracker.process_noise_diag",
+                    "tracker.process_noise_diag",
                     "removal.enabled", "removal.margin",
                     "gicp.max_correspondence_distance", "constraint.enabled",
                     "constraint.blend_weight", "keyframes.k_nearest",
@@ -134,13 +129,11 @@ class TestConfig:
         cfg = parse_config_text("""
             # comment
             dt = 0.05
-            tracker.kind = ekf
             removal.enabled = false
             tracker.process_noise_diag = 1 2 3 4 5 6 7 8
             detections.classes = car
         """)
         assert cfg.dt == 0.05
-        assert cfg.tracker.kind == "ekf"
         assert not cfg.removal.enabled
         assert np.allclose(np.diag(cfg.tracker.process_noise),
                            [1, 2, 3, 4, 5, 6, 7, 8])
@@ -180,8 +173,6 @@ class TestConfig:
                 value = value * 2.0
             elif isinstance(value, tuple):
                 value = value[:1]
-            elif isinstance(value, str):
-                value = "ekf"
             elif isinstance(value, bool):
                 value = not value
             elif isinstance(value, int):  # the integer bounds are all ">= n"
@@ -222,10 +213,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, message", [
         ("detections.classes = Car", "unknown class 'Car'"),
-        ("detections.classes = car Pedestrian", "unknown class 'Pedestrian'"),
-        ("tracker.kind = pf", "unknown tracker kind 'pf'"),
-        ("tracker.kind = EKF", "unknown tracker kind 'EKF'")],
-        ids=["Car", "Pedestrian", "pf", "EKF"])
+        ("detections.classes = car Pedestrian", "unknown class 'Pedestrian'")],
+        ids=["Car", "Pedestrian"])
     def test_unknown_name_rejected_with_line(self, line, message):
         with pytest.raises(ValueError, match=f"config line 2: {message}"):
             parse_config_text(f"dt = 0.1\n{line}\n")
@@ -263,16 +252,20 @@ class TestConfig:
         assert cfg.keyframes.concave_alpha == np.inf
 
     def test_run_reports_zero_alpha_as_a_config_error(self, tmp_path, capsys):
-        # the sigma-point spread is a constant of the filter: delete that line
+        # removed keys: the sigma-point spread is a constant of the filter,
+        # and the UKF is the one tracker; delete such a line
         config = tmp_path / "cfg.txt"
-        config.write_text("tracker.alpha = 0\n")
-        rc = cli_main(["run", "--config", str(config),
-                       "--scans", str(tmp_path), "--detections", str(tmp_path),
-                       "--out-traj", str(tmp_path / "t.txt"),
-                       "--out-map", str(tmp_path / "m.txt")])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: config line 1: unknown key 'tracker.alpha'\n")
+        for line, key in (("tracker.alpha = 0", "tracker.alpha"),
+                          ("tracker.kind = ekf", "tracker.kind")):
+            config.write_text(line + "\n")
+            rc = cli_main(["run", "--config", str(config),
+                           "--scans", str(tmp_path),
+                           "--detections", str(tmp_path),
+                           "--out-traj", str(tmp_path / "t.txt"),
+                           "--out-map", str(tmp_path / "m.txt")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: config line 1: unknown key '{key}'\n")
 
     def test_run_reports_zero_covariance_knn_in_one_line(self, tmp_path,
                                                           capsys):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_pose, transform_rows
 from dynlo.geometry import DetectionBox, Pose, euler_zyx, from_euler_zyx
-from dynlo.ground import (ConstraintParams, SlidingBoxWindow,
-                          apply_consistency_constraint, fit_ground_from_boxes)
+from dynlo.ground import (MIN_SPREAD_RATIO, ConstraintParams,
+                          SlidingBoxWindow, apply_consistency_constraint,
+                          fit_ground_from_boxes)
 
 
 def footprints(boxes):
@@ -74,6 +75,24 @@ class TestGroundFit:
 
     def test_empty_window(self):
         assert fit_ground_from_boxes([], ConstraintParams()) is None
+
+    def lane(self, y_jitter, z_noise, rng):
+        """Footprints of 12 cars in one lane along +x."""
+        x = np.linspace(-20.0, 20.0, 12)
+        return footprints([DetectionBox((xi, rng.normal(0.0, y_jitter),
+                                         0.75 + rng.normal(0.0, z_noise)),
+                                        0.0, (4.3, 1.8, 1.5)) for xi in x])
+
+    def test_collinear_footprints_refused(self, rng):
+        # any plane through the lane fits it: its tilt about the lane is
+        # unobserved
+        assert fit_ground_from_boxes(self.lane(0.0, 0.0, rng)) is None
+
+    def test_nearly_collinear_footprints_refused(self, rng):
+        pts = self.lane(0.05, 0.02, rng)
+        spread = np.linalg.eigvalsh(np.cov(pts.T))
+        assert spread[1] < MIN_SPREAD_RATIO * spread[2]
+        assert fit_ground_from_boxes(pts) is None
 
 
 class TestConstraint:

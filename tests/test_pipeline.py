@@ -62,8 +62,8 @@ class TestRunPipeline:
         assert rpe_rmse(out.trajectory, gt) < 0.15
         assert stats_summary(out.stats)["fallbacks"] == 0
 
-    # the removal / constraint / tracker-kind A/B directions are exercised at
-    # full scale (200 scans, 5 seeds, medians) in test_acceptance.py
+    # the removal and constraint A/B directions are exercised at full scale
+    # (200 scans, 5 seeds, medians) in test_acceptance.py
 
     def test_deterministic_repeat(self):
         res = simulate(small_scene(12), 3)

@@ -1,6 +1,5 @@
 import math
 from collections import namedtuple
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,9 +35,9 @@ def make_track(mean, cov, tid=0):
                                           np.asarray(cov, dtype=float)))
 
 
-def filter_one(track, params, kind, operate):
+def filter_one(track, params, operate):
     """Run a stacked ``Tracker`` operation on a tracker holding only ``track``."""
-    tracker = Tracker(replace(params, kind=kind))
+    tracker = Tracker(params)
     tracker.means = np.array([track.state.mean])
     tracker.covariances = np.array([track.state.covariance])
     tracker.ids = np.array([track.id])
@@ -51,20 +50,11 @@ def filter_one(track, params, kind, operate):
 
 
 def ukf_predict(track, dt, params):
-    return filter_one(track, params, "ukf", lambda t: t.predict(dt))
+    return filter_one(track, params, lambda t: t.predict(dt))
 
 
 def ukf_update(track, detection, params):
-    return filter_one(track, params, "ukf",
-                      lambda t: t.update([0], np.array([detection])))
-
-
-def ekf_predict(track, dt, params):
-    return filter_one(track, params, "ekf", lambda t: t.predict(dt))
-
-
-def ekf_update(track, detection, params):
-    return filter_one(track, params, "ekf",
+    return filter_one(track, params,
                       lambda t: t.update([0], np.array([detection])))
 
 
@@ -174,6 +164,11 @@ class TestModels:
         out = motion_model(s, 0.5)
         assert np.isclose(out[1], 0.5, atol=1e-12)
         assert np.isclose(out[0], 0.0, atol=1e-12)
+
+    def test_yaw_left_unwrapped(self):
+        # sigma points around a yaw near pi must stay on one branch
+        s = np.array([0.0, 0.0, 0.0, math.pi + 0.1, 1.0, 4.0, 1.8, 1.5])
+        assert motion_model(s, 0.1)[3] == math.pi + 0.1
 
     def test_observation_projection(self):
         s = np.arange(8, dtype=float)
@@ -285,33 +280,13 @@ class TestUkfUpdate:
             assert np.allclose(track.state.mean, kf.m, atol=1e-6)
             assert np.allclose(track.state.covariance, kf.P, atol=1e-6)
 
-    def test_ekf_matches_linear_kf_in_linear_regime(self, rng):
-        theta0 = 0.3
-        params = linear_regime_params()
-        mean = np.array([1.0, 2.0, 0.5, theta0, 2.0, 4.0, 1.8, 1.5])
-        cov = np.diag([0.2, 0.2, 0.1, 1e-12, 4.0, 0.05, 0.05, 0.05])
-        kf = LinearKalman(mean, cov, theta0, params.process_noise,
-                          params.measurement_noise)
-        track = make_track(mean, cov)
-        for step in range(50):
-            z = np.array([1.0 + 0.2 * step * math.cos(theta0),
-                          2.0 + 0.2 * step * math.sin(theta0),
-                          0.5, theta0, 4.0, 1.8, 1.5])
-            z[:3] += rng.normal(scale=0.05, size=3)
-            kf.predict(0.1)
-            kf.update(z)
-            track = ekf_predict(track, 0.1, params)
-            track = ekf_update(track, detection_from_obs(z), params)
-            assert np.allclose(track.state.mean, kf.m, atol=1e-6)
-
-    @pytest.mark.parametrize("update", [ukf_update, ekf_update])
-    def test_dims_clamped_positive(self, update):
+    def test_dims_clamped_positive(self):
         # a near-certain detection of a vanishing box pulls the estimated
-        # dims below the floor both filters clamp them to
+        # dims below the floor the filter clamps them to
         mean = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 1.8, 1.5])
         cov = np.diag([0.1] * 5 + [1e9] * 3)
         det = detection_from_obs(np.array([0, 0, 0, 0, 1e-9, 1e-9, 1e-9]))
-        out = update(make_track(mean, cov), det, UkfParams())
+        out = ukf_update(make_track(mean, cov), det, UkfParams())
         assert np.array_equal(out.state.mean[5:8], [1e-6] * 3)
 
     def test_yaw_innovation_folded_for_flipped_boxes(self):
@@ -428,12 +403,11 @@ class TestTrackerLifecycle:
             seen.update(tracker.ids.tolist())
         assert tracker.next_id == len(seen)
 
-    @pytest.mark.parametrize("kind", ["ukf", "ekf"])
     @pytest.mark.parametrize("seed", [5, 11])
-    def test_matched_ids_were_live_after_the_previous_step(self, kind, seed):
+    def test_matched_ids_were_live_after_the_previous_step(self, seed):
         # the posture constraint takes a matched track's z change from its z
         # after the previous scan, which it keeps for the ids live then
-        tracker = Tracker(replace(reference_config().tracker, kind=kind))
+        tracker = Tracker(reference_config().tracker)
         live, matched, pruned = set(), 0, 0
         for frame in lane_frames(np.random.default_rng(seed), n_scans=40):
             step = tracker.step(frame, 0.1)
@@ -465,9 +439,41 @@ class TestTrackerLifecycle:
         assert np.allclose(box[:3], mean[:3])
         assert np.allclose(box[4:], mean[5:8])
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Tracker(UkfParams(kind="pf"))
+
+class TestTurningMovers:
+    def test_turning_movers_keep_one_dynamic_track_each(self, rng):
+        # 8 cars at 5 m/s turning at 1 rad/s (radius 5 m, half of them
+        # clockwise), 30 m apart; the motion model holds the heading, so
+        # the turn enters as process noise
+        n, dt, speed, rate = 8, 0.1, 5.0, 1.0
+        start = np.column_stack([30.0 * (np.arange(n) % 4),
+                                 30.0 * (np.arange(n) // 4)])
+        yaw0 = rng.uniform(-math.pi, math.pi, n)
+        turn = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        tracker = Tracker(reference_config().tracker)
+        ids, errors = [set() for _ in range(n)], []
+        for k in range(120):
+            yaw = yaw0 + turn * rate * k * dt
+            r = turn * speed / rate
+            truth = np.column_stack([
+                start[:, 0] + r * (np.sin(yaw) - np.sin(yaw0)),
+                start[:, 1] - r * (np.cos(yaw) - np.cos(yaw0)),
+                np.full(n, 0.75)])
+            boxes = np.column_stack([truth + rng.normal(0.0, 0.02, (n, 3)),
+                                     yaw + rng.normal(0.0, 0.01, n),
+                                     np.tile([4.3, 1.8, 1.5], (n, 1))])
+            tracker.step(DetectionFrame(k, boxes, np.full(n, "car", object),
+                                        np.ones(n)), dt)
+            for j in range(n):
+                dist = np.linalg.norm(tracker.means[:, :3] - truth[j], axis=1)
+                row = int(np.argmin(dist))
+                ids[j].add(int(tracker.ids[row]))
+                if k >= 10:
+                    assert tracker.dynamic[row]
+                    errors.append(dist[row] ** 2)
+        assert all(len(mover_ids) == 1 for mover_ids in ids)
+        assert len(tracker.ids) == n
+        assert math.sqrt(np.mean(errors)) < 0.05
 
 
 # --- the stacked tracker against the per-track one it replaced ----------------
@@ -501,26 +507,16 @@ def ref_motion_raw(state, dt):
     return s
 
 
-def ref_predict(kind, mean, cov, dt, params):
-    if kind == "ukf":
-        pts, wm, _ = ref_sigma_points(mean, cov)
-        prop = ref_motion_raw(pts, dt)
-        e = prop[1:] - prop[0]
-        mu = wm[1] * e.sum(axis=0)
-        new = prop[0] + mu
-        # rounded as the stacked filter rounds: w (~6e4) scales one ulp of a
-        # sigma point, and the next scan's update carries it into the mean
-        P = (wm[1] * (e.T @ e) + (BETA - ALPHA ** 2)
-             * np.outer(mu, mu) + params.process_noise * dt)
-    else:
-        th, v = mean[3], mean[4]
-        F = np.eye(8)
-        F[0, 3] = -v * math.sin(th) * dt
-        F[0, 4] = math.cos(th) * dt
-        F[1, 3] = v * math.cos(th) * dt
-        F[1, 4] = math.sin(th) * dt
-        new = ref_motion_raw(mean, dt)
-        P = F @ cov @ F.T + params.process_noise * dt
+def ref_predict(mean, cov, dt, params):
+    pts, wm, _ = ref_sigma_points(mean, cov)
+    prop = ref_motion_raw(pts, dt)
+    e = prop[1:] - prop[0]
+    mu = wm[1] * e.sum(axis=0)
+    new = prop[0] + mu
+    # rounded as the stacked filter rounds: w (~6e4) scales one ulp of a
+    # sigma point, and the next scan's update carries it into the mean
+    P = (wm[1] * (e.T @ e) + (BETA - ALPHA ** 2)
+         * np.outer(mu, mu) + params.process_noise * dt)
     new[3] = wrap_angle(new[3])
     return new, (P + P.T) / 2.0
 
@@ -574,13 +570,13 @@ class ReferenceTracker:
     """The per-track tracker: one Cholesky and solve per track, and
     association by sorting every (distance, track id, detection) tuple."""
 
-    def __init__(self, params, kind):
-        self.params, self.kind = params, kind
+    def __init__(self, params):
+        self.params = params
         self.tracks = []
         self.next_id = 0
 
     def predict(self, mean, cov, dt):
-        return ref_predict(self.kind, mean, cov, dt, self.params)
+        return ref_predict(mean, cov, dt, self.params)
 
     def update(self, mean, cov, obs):
         return ref_update(mean, cov, obs, self.params)
@@ -628,9 +624,6 @@ class FormerSigmaPointTracker(ReferenceTracker):
     """The per-track UKF as it was before the shared Kalman update: plain
     weighted sums over all sigma points, in prediction and correction."""
 
-    def __init__(self, params):
-        super().__init__(params, "ukf")
-
     def predict(self, mean, cov, dt):
         return former_predict(mean, cov, dt, self.params)
 
@@ -669,11 +662,10 @@ def lane_frames(rng, n_scans=30, dt=0.1):
 
 
 class TestStackedTrackerEquivalence:
-    @pytest.mark.parametrize("kind", ["ukf", "ekf"])
-    def test_matches_per_track_tracker(self, kind):
+    def test_matches_per_track_tracker(self):
         params = reference_config().tracker
-        stacked = Tracker(replace(params, kind=kind))
-        ref = ReferenceTracker(params, kind)
+        stacked = Tracker(params)
+        ref = ReferenceTracker(params)
         flagged = 0
         for frame in lane_frames(np.random.default_rng(5)):
             step = stacked.step(frame, 0.1)
@@ -723,7 +715,7 @@ class TestStackedTrackerEquivalence:
         means, covs = tracker.means[rows], tracker.covariances[rows]
         got_mean, got_cov = tracking._predict(means, covs, dt, params)
         pts, wm, _ = sigma_points(means, covs)
-        prop = tracking._motion_model_raw(pts, dt)
+        prop = motion_model(pts, dt)
         # the weights sigma_points returns, the centre one chosen so that
         # they sum to one exactly
         w = [Fraction(1) - 2 * n * Fraction(wm[1])] + [Fraction(wm[1])] * 2 * n
@@ -784,11 +776,11 @@ class TestBatchedFactorization:
         with pytest.raises(ValueError, match="not decomposable"):
             sigma_points(np.zeros((2, 8)), covs)
 
-    def ekf_tracker(self, obs_blocks, xs):
-        """EKF tracker with noiseless measurements, one track at each x, whose
+    def noiseless_tracker(self, obs_blocks, xs):
+        """Tracker with noiseless measurements, one track at each x, whose
         innovation covariances are the given 7x7 blocks; and a detection of
         each track, as box rows."""
-        params = UkfParams(kind="ekf", measurement_noise=np.zeros((7, 7)))
+        params = UkfParams(measurement_noise=np.zeros((7, 7)))
         tracker = Tracker(params)
         tracker.step(frame_of(0, [DetectionBox((x, 0, 0), 0.0, (4, 2, 1.5))
                                   for x in xs]), 0.1)
@@ -800,10 +792,10 @@ class TestBatchedFactorization:
     def test_singular_innovation_row_retried_alone(self, rng):
         blocks = [random_psd(rng, 7), np.zeros((7, 7)), random_psd(rng, 7)]
         xs = [0.0, 5.0, 10.0]
-        tracker, dets = self.ekf_tracker(blocks, xs)
+        tracker, dets = self.noiseless_tracker(blocks, xs)
         tracker.update(np.arange(3), dets)
         for i in range(3):
-            alone, det = self.ekf_tracker([blocks[i]], [xs[i]])
+            alone, det = self.noiseless_tracker([blocks[i]], [xs[i]])
             alone.update([0], det)
             assert np.array_equal(tracker.means[i], alone.means[0])
             assert np.array_equal(tracker.covariances[i], alone.covariances[0])
@@ -815,7 +807,7 @@ class TestBatchedFactorization:
     def test_innovation_row_that_stays_singular_raises(self, rng):
         # singular, and singular again once 1e-9 I is added
         blocks = [random_psd(rng, 7), np.diag([0.0, -1e-9, 1, 1, 1, 1, 1])]
-        tracker, dets = self.ekf_tracker(blocks, [0.0, 5.0])
+        tracker, dets = self.noiseless_tracker(blocks, [0.0, 5.0])
         with pytest.raises(ValueError, match="innovation covariance singular"):
             tracker.update(np.arange(2), dets)
 
