@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -15,11 +16,29 @@ if TYPE_CHECKING:
 # Rotation drift beyond this triggers re-orthonormalization on compose.
 _ORTHO_TOL = 1e-9
 
-# Neighbour queries of at least this many points run on every CPU the process
-# may use. On a shared 2-vCPU VM, starting the threads cost ~0.15-0.4 ms per
-# call, and below ~4k points (k = 1) or ~2k points (k = 10) that was more
-# than splitting the query saved, so smaller queries stay on one thread.
-_PARALLEL_QUERY_POINTS = 4096
+# Neighbour queries of at least this many rows are split over the CPUs.
+# Rows per call: lane_traffic <= 1.7k, long_route's covariance (k = 10) and
+# first GICP (k = 2) searches ~2.4k, dense_corridor's 13-19k. Milliseconds,
+# one thread -> split, on a 2-vCPU VM (k = 2 bounded at 1 m):
+#   rows    500         1k          2k          4k          16k
+#   k = 2   0.25->0.29  0.51->0.38  1.07->0.72  2.15->1.40  8.6->5.8
+#   k = 10  0.41->0.46  0.94->0.55  2.12->1.18  4.6->2.5    21.2->11.7
+# A 1024 gate, which also splits lane_traffic's queries, gained it ~1 %.
+_PARALLEL_QUERY_POINTS = 2048
+
+# CPUs this process may use, read once
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _new_pool():  # threads start on first use; a forked child has none
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, _CPUS - 1))
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def wrap_angle(theta):
@@ -223,15 +242,22 @@ class PointCloud:
 
 def query_neighbors(tree: "cKDTree", points: np.ndarray, k: int,
                     distance_upper_bound: float = np.inf):
-    """``tree.query(points, k, distance_upper_bound)``, split across CPUs when
-    large. Each point is answered on its own, so the split does not change
-    the result."""
-    workers = 1
-    if len(points) >= _PARALLEL_QUERY_POINTS:
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    return tree.query(points, k=k, distance_upper_bound=distance_upper_bound,
-                      workers=workers)
+    """``tree.query(points, k, distance_upper_bound)``; from
+    ``_PARALLEL_QUERY_POINTS`` rows, one contiguous slice per CPU, the first
+    answered by the caller and the rest by the pool. Each row is answered on
+    its own, so the split does not change the result."""
+    def query(rows):
+        return tree.query(rows, k=k, distance_upper_bound=distance_upper_bound)
+
+    if len(points) < _PARALLEL_QUERY_POINTS or _CPUS == 1:
+        return query(points)
+    first, *rest = np.array_split(points, _CPUS)
+    futures = [_pool.submit(query, rows) for rows in rest]
+    try:
+        head = query(first)
+    finally:
+        tail = [future.result() for future in futures]
+    return tuple(np.concatenate(column) for column in zip(head, *tail))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import math
-import os
+import multiprocessing
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -206,14 +208,16 @@ class TestDetectionBoxValidation:
 
 
 class _RecordingTree:
-    """A cKDTree that records the ``workers`` of each query."""
+    """A cKDTree that records the rows, ``workers`` and thread of each
+    query."""
 
     def __init__(self, points):
         self.tree = cKDTree(points)
-        self.workers = []
+        self.calls = []
 
     def query(self, points, **kwargs):
-        self.workers.append(kwargs["workers"])
+        self.calls.append((points.copy(), kwargs.get("workers", 1),
+                           threading.get_ident()))
         return self.tree.query(points, **kwargs)
 
 
@@ -223,31 +227,80 @@ def _cloud(rng, n, grid):
     return np.round(pts * 2.0) / 2.0 if grid else pts
 
 
+def _assert_query_answers(tree, query, k, bound, expected):
+    dist, idx = geometry.query_neighbors(tree, query, k, bound)
+    np.testing.assert_array_equal(dist, expected[0])
+    np.testing.assert_array_equal(idx, expected[1])
+
+
 class TestQueryNeighbors:
-    """Above the size gate the query runs on every available CPU, and its
-    results equal a one-thread query's bit for bit."""
+    """Below the size gate a query is one call on one thread. From the gate
+    the rows are cut into one contiguous slice per CPU, each queried on one
+    thread, one of them by the caller. Either way the results equal a
+    one-thread query's bit for bit."""
 
     GATE = geometry._PARALLEL_QUERY_POINTS
+    SIZES = [1, GATE - 1, GATE, GATE + 1, 2 * GATE]
 
-    def _check(self, rng, n_query, grid, k, bound):
+    def _check(self, rng, n_query, grid, k, bound, cpus, gate=GATE):
         target = _RecordingTree(_cloud(rng, 3000, grid))
         query = _cloud(rng, n_query, grid)
-        dist, idx = geometry.query_neighbors(target, query, k, bound)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_CPUS", cpus)
+            mp.setattr(geometry, "_PARALLEL_QUERY_POINTS", gate)
+            mp.setattr(geometry, "_pool", ThreadPoolExecutor(max(1, cpus - 1)))
+            dist, idx = geometry.query_neighbors(target, query, k, bound)
         ref_dist, ref_idx = target.tree.query(query, k=k,
-                                              distance_upper_bound=bound,
-                                              workers=1)
+                                              distance_upper_bound=bound)
         np.testing.assert_array_equal(dist, ref_dist)
         np.testing.assert_array_equal(idx, ref_idx)
-        cpus = len(os.sched_getaffinity(0))
-        assert target.workers == [cpus if n_query >= self.GATE else 1]
+        slices = np.array_split(query, cpus if n_query >= gate else 1)
+        rows, workers, threads = zip(*target.calls)
+        assert (sorted(r.tobytes() for r in rows)
+                == sorted(s.tobytes() for s in slices))
+        assert workers == (1,) * len(slices)
+        assert threads.count(threading.get_ident()) == 1
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(SIZES),
+           st.sampled_from([1, 2, 10]), st.floats(0.05, 2.0),
+           st.sampled_from([1, 2, 3]))
+    def test_nearest_within_bound(self, seed, grid, n_query, k, bound, cpus):
+        self._check(np.random.default_rng(seed), n_query, grid, k, bound,
+                    cpus)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(SIZES),
+           st.sampled_from([1, 2]), st.sampled_from([1, 2, 3]))
+    def test_nearest_unbounded(self, seed, grid, n_query, k, cpus):
+        self._check(np.random.default_rng(seed), n_query, grid, k, np.inf,
+                    cpus)
 
     @given(st.integers(0, 2**32 - 1), st.booleans(),
-           st.sampled_from([1, GATE // 2, GATE - 1, GATE, GATE + 1, 2 * GATE]),
-           st.floats(0.05, 2.0))
-    def test_nearest_within_bound(self, seed, grid, n_query, bound):
-        self._check(np.random.default_rng(seed), n_query, grid, 1, bound)
+           st.sampled_from([10, *SIZES[1:]]), st.sampled_from([1, 2, 3]))
+    def test_ten_nearest(self, seed, grid, n_query, cpus):
+        self._check(np.random.default_rng(seed), n_query, grid, 10, np.inf,
+                    cpus)
 
-    @given(st.integers(0, 2**32 - 1), st.booleans(),
-           st.sampled_from([10, GATE // 2, GATE - 1, GATE, GATE + 1, 2 * GATE]))
-    def test_ten_nearest(self, seed, grid, n_query):
-        self._check(np.random.default_rng(seed), n_query, grid, 10, np.inf)
+    @pytest.mark.parametrize("k, bound", [(1, 1.0), (2, 1.0), (10, np.inf)])
+    @pytest.mark.parametrize("gate", [0, GATE])
+    @pytest.mark.parametrize("n_query", [0, 1, 2])
+    def test_fewer_rows_than_cpus(self, rng, n_query, gate, k, bound):
+        self._check(rng, n_query, True, k, bound, 3, gate)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch, rng):
+        monkeypatch.setattr(geometry, "_CPUS", 2)
+        tree = cKDTree(_cloud(rng, 3000, False))
+        query = _cloud(rng, 2 * self.GATE, False)
+        expected = tree.query(query, k=2, distance_upper_bound=1.0)
+        # the parent's pool threads run before the fork
+        _assert_query_answers(tree, query, 2, 1.0, expected)
+        child = multiprocessing.get_context("fork").Process(
+            target=_assert_query_answers, args=(tree, query, 2, 1.0, expected))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0

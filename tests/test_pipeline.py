@@ -1,5 +1,8 @@
 import os
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -296,6 +299,44 @@ class TestRunPipeline:
         assert parallel.provenance_rows == serial.provenance_rows
         assert ([(s.s2s_iterations, s.s2m_iterations) for s in parallel.stats]
                 == [(s.s2s_iterations, s.s2m_iterations) for s in serial.stats])
+
+    def test_concurrent_runs_share_the_query_pool(self, monkeypatch):
+        res = simulate(small_scene(6), 0)
+        monkeypatch.setattr(geometry, "_PARALLEL_QUERY_POINTS", np.inf)
+        serial = run_pipeline(res.scans, res.detections, reference_config())
+        # every neighbour query split, two callers on one pool of two threads
+        monkeypatch.setattr(geometry, "_PARALLEL_QUERY_POINTS", 0)
+        monkeypatch.setattr(geometry, "_CPUS", 3)
+        monkeypatch.setattr(geometry, "_pool", ThreadPoolExecutor(2))
+        runs = [None, None]
+
+        def run(i):
+            runs[i] = run_pipeline(res.scans, res.detections,
+                                   reference_config())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in runs:
+            assert out is not None
+            np.testing.assert_array_equal(
+                [p.matrix() for p in out.trajectory.poses],
+                [p.matrix() for p in serial.trajectory.poses])
+            np.testing.assert_array_equal(out.map_cloud.points,
+                                          serial.map_cloud.points)
+            assert out.provenance_rows == serial.provenance_rows
+            assert ([(s.s2s_iterations, s.s2m_iterations, s.fallback_reason)
+                     for s in out.stats]
+                    == [(s.s2s_iterations, s.s2m_iterations, s.fallback_reason)
+                        for s in serial.stats])
 
     def test_raw_point_order_moves_poses_by_round_off_only(self, rng):
         # the voxel grid fixes the order GICP sums in; only each centroid's
