@@ -241,11 +241,14 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
                target_tree: Optional[cKDTree] = None) -> GicpResult:
     """Iteratively minimize the GICP cost of source against target from ``init``.
 
-    Gauss-Newton with per-iteration correspondences; Levenberg damping
-    engages only when the undamped step does not decrease the error.
-    Correspondences are searched in ``target_tree`` if given, else in the
-    tree the target carries, else in a tree built here. A source point is
-    searched again only where its nearest target could have changed (see
+    Gauss-Newton with per-iteration correspondences, converged once a step
+    is under both epsilons. The call ends unconverged, at the last pose that
+    lowered the cost, when the iterations run out, when fewer than
+    ``_MIN_CORRESPONDENCES`` pairs are left after the first iteration, or
+    when a step does not lower the cost with W frozen. Correspondences are
+    searched in ``target_tree`` if given, else in the tree the target
+    carries, else in a tree built here. A source point is searched again
+    only where its nearest target could have changed (see
     :class:`_NearestTargets`), so the correspondences equal a k = 1 search
     of every point at every iteration. The sums run over the source in its
     stored order.
@@ -274,7 +277,6 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         if s_idx.shape[0] < _MIN_CORRESPONDENCES:
             if iterations == 1:
                 raise ValueError("insufficient overlap")
-            converged = False
             break
         basis = src_basis.take(s_idx, axis=1)
         ps = basis[1:4]
@@ -297,24 +299,10 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
             converged = True
             break
         cand_err = _model_error(cand, ps, pt, W)
-        if cand_err > err * (1.0 + 1e-6):
-            accepted = False
-            lam = 1e-4
-            diag = np.diag(np.diag(A)) + _JITTER * np.eye(6)
-            while lam <= 1e5:
-                xi = np.linalg.solve(A + lam * diag, -c)
-                cand = T.compose(se3_exp(xi))
-                cand_err = _model_error(cand, ps, pt, W)
-                if cand_err <= err * (1.0 + 1e-6):
-                    accepted = True
-                    break
-                lam *= 10.0
-            if not accepted:
-                # no descent direction left: treat the current pose as a minimum
-                converged = True
-                break
         if not np.isfinite(cand_err):
             raise ValueError("solver diverged")
+        if cand_err > err * (1.0 + 1e-6):
+            break
         T = cand
         err = cand_err
     return GicpResult(pose=T, converged=converged, error=err,

@@ -285,6 +285,23 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "error: config line 1: expected an integer >= 1, got '0'\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("tracker.process_noise_diag = 1 2\n",
+         "config line 1: expected 8 values, got 2"),
+        ("dt = 0.1\nremoval.enabled\n",
+         "config line 2: expected 'key = value'")],
+        ids=["diag length", "no equals sign"])
+    def test_run_reports_a_malformed_config_line(self, tmp_path, capsys, text,
+                                                 message):
+        config = tmp_path / "cfg.txt"
+        config.write_text(text)
+        rc = cli_main(["run", "--config", str(config),
+                       "--scans", str(tmp_path), "--detections", str(tmp_path),
+                       "--out-traj", str(tmp_path / "t.txt"),
+                       "--out-map", str(tmp_path / "m.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_run_reports_negative_dt_in_one_line(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("dt = -0.1\n")

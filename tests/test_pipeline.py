@@ -269,6 +269,66 @@ class TestRunPipeline:
         assert [row[-1] for row in rows] == [
             "-", "-", "-", "degenerate:too_few_static_points", "-", "-"]
 
+    @pytest.mark.parametrize("stage", ["s2s", "s2m"])
+    def test_registration_error_falls_back(self, tmp_path, monkeypatch,
+                                           stage):
+        # scan 3's s2s or s2m call raises; every other call runs
+        res = simulate(small_scene(6), 0)
+        cfg = reference_config()
+        cfg.constraint.enabled = False
+        failing = {"s2s": 4, "s2m": 5}[stage]  # per scan k >= 1: s2s, s2m
+        calls = []
+        original = pipeline.gicp_align
+
+        def shim(*args, **kwargs):
+            calls.append((args, kwargs))
+            if len(calls) - 1 == failing:
+                raise ValueError("solver diverged")
+            result = original(*args, **kwargs)
+            calls[-1] += (result,)
+            return result
+
+        monkeypatch.setattr(pipeline, "gicp_align", shim)
+        out = run_pipeline(res.scans, res.detections, cfg)
+        assert len(calls) == 10
+        assert ("target_tree" in calls[failing][1]) == (stage == "s2m")
+        poses, s = out.trajectory.poses, out.stats[3]
+        assert [r.fallback_reason for r in out.stats] == [
+            "", "", "", f"{stage}:solver diverged", "", ""]
+        assert s.fallback
+        assert getattr(s, f"{stage}_converged") is False
+        assert getattr(s, f"{stage}_iterations") == 0
+        if stage == "s2m":
+            s2s = calls[4][2]
+            assert s.s2s_iterations == s2s.iterations > 0
+            # the pose stays scan-to-scan's
+            expected = poses[2].compose(s2s.pose)
+            assert np.array_equal(poses[3].matrix(), expected.matrix())
+        else:
+            s2m_args, _, s2m = calls[5]
+            assert s.s2m_iterations == s2m.iterations > 0
+            # s2m starts from the constant-velocity prediction: scan 2's
+            # scan-to-scan motion once more
+            rel = poses[1].inverse().compose(poses[1].compose(calls[2][2].pose))
+            predicted = poses[2].compose(rel)
+            assert np.array_equal(s2m_args[2].matrix(), predicted.matrix())
+            assert np.array_equal(poses[3].matrix(), s2m.pose.matrix())
+        # the next scan registers normally
+        after = out.stats[4]
+        assert not after.fallback
+        assert after.s2s_iterations > 0 and after.s2m_iterations > 0
+        gt = res.gt_poses[0].inverse().compose(res.gt_poses[4])
+        assert np.linalg.norm(poses[4].translation - gt.translation) < 0.05
+        assert stats_summary(out.stats)["fallbacks"] == 1
+        path = tmp_path / "stats.txt"
+        write_stats_file(str(path), out.stats)
+        rows = [line.split() for line in path.read_text().splitlines()[1:-1]]
+        assert [row[-1] for row in rows] == [
+            "-", "-", "-", f"{stage}:solver_diverged", "-", "-"]
+        # columns s2s_converged, s2m_converged, fallback
+        assert rows[3][9 if stage == "s2s" else 10] == "0"
+        assert rows[3][11] == "1"
+
     def test_registration_without_iterations_rejected_before_a_scan(self):
         # gicp_align keeps its own guard for direct callers
         # (TestAlign::test_no_iteration_rejected_before_any_query)
@@ -527,6 +587,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {path} line 4: expected ")
+
+    @pytest.mark.parametrize("case", ["missing detection file",
+                                      "no scans", "unlabelled run"])
+    def test_missing_input_names_its_path(self, tmp_path, dataset, capsys,
+                                          case):
+        out_dir, _ = dataset
+        scans = os.path.join(out_dir, "scans")
+        detections = os.path.join(out_dir, "detections")
+        run = ["run", "--detections", detections,
+               "--out-traj", str(tmp_path / "t.txt"),
+               "--out-map", str(tmp_path / "m.txt")]
+        if case == "missing detection file":
+            path = os.path.join(detections, "000003.txt")
+            os.remove(path)
+            args, message = run + ["--scans", scans], (
+                f"missing detection file {path}")
+        elif case == "no scans":
+            empty = tmp_path / "empty"
+            empty.mkdir()
+            args, message = run + ["--scans", str(empty)], (
+                f"no .bin scans found in {empty}")
+        else:
+            path = os.path.join(out_dir, "removal_provenance.txt")
+            args, message = ["eval", "map", "--run-dir", out_dir], (
+                f"{path} not found: the run was not label-annotated")
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_simulate_command(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

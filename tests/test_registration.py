@@ -268,6 +268,97 @@ class TestAlign:
         assert queries == []
 
 
+class TestExits:
+    """Each way out of gicp_align; a fake stands in where no real input
+    reaches an exit."""
+
+    @pytest.fixture
+    def moved(self, room):
+        return room.transformed(Pose.from_yaw(0.05, (0.2, 0.1, 0.0)))
+
+    @pytest.fixture
+    def linearization_costs(self, monkeypatch):
+        """The cost of each iteration's pose, as ``_normal_equations``
+        returns it."""
+        costs = []
+        original = registration._normal_equations
+
+        def recording(*args):
+            out = original(*args)
+            costs.append(out[2])
+            return out
+
+        monkeypatch.setattr(registration, "_normal_equations", recording)
+        return costs
+
+    def one_step(self, room, moved):
+        return gicp_align(room, moved, Pose.identity(),
+                          GicpParams(max_iterations=1)).pose
+
+    @pytest.mark.parametrize("raised_from", [1, 2])
+    def test_step_that_raises_the_cost_ends_unconverged(
+            self, room, moved, monkeypatch, linearization_costs, raised_from):
+        # from call raised_from on, the candidate's cost reads one above the
+        # cost at the linearization point
+        after_one = self.one_step(room, moved)
+        original = registration._model_error
+        calls = []
+
+        def raised(*args):
+            calls.append(args)
+            if len(calls) < raised_from:
+                return original(*args)
+            return linearization_costs[-1] + 1.0
+
+        monkeypatch.setattr(registration, "_model_error", raised)
+        del linearization_costs[:]
+        res = gicp_align(room, moved, Pose.identity())
+        assert not res.converged
+        assert res.iterations == raised_from
+        # the call ends at the last pose that lowered the cost, with its cost
+        want = Pose.identity() if raised_from == 1 else after_one
+        assert np.array_equal(res.pose.matrix(), want.matrix())
+        assert res.error == linearization_costs[-1]
+
+    def test_overlap_lost_after_the_first_iteration(self, room, moved,
+                                                     monkeypatch):
+        after_one = self.one_step(room, moved)
+        original = registration._NearestTargets.pairs
+        calls = []
+
+        def thinned(nearest, q):
+            s_idx, t_idx = original(nearest, q)
+            calls.append(len(s_idx))
+            if len(calls) == 2:
+                return s_idx[:9], t_idx[:9]
+            return s_idx, t_idx
+
+        monkeypatch.setattr(registration._NearestTargets, "pairs", thinned)
+        res = gicp_align(room, moved, Pose.identity())
+        assert len(calls) == 2 and calls[1] >= 10
+        assert not res.converged
+        assert res.iterations == 2
+        assert np.array_equal(res.pose.matrix(), after_one.matrix())
+
+    def test_non_finite_step_raises(self, room, moved, monkeypatch):
+        original = registration._normal_equations
+
+        def nan_gradient(*args):
+            A, c, err, W = original(*args)
+            return A, np.full_like(c, np.nan), err, W
+
+        monkeypatch.setattr(registration, "_normal_equations", nan_gradient)
+        with pytest.raises(ValueError, match="^solver diverged$"):
+            gicp_align(room, moved, Pose.identity())
+
+    @pytest.mark.parametrize("cost", [np.inf, np.nan])
+    def test_non_finite_cost_raises(self, room, moved, monkeypatch, cost):
+        monkeypatch.setattr(registration, "_model_error",
+                            lambda *args: cost)
+        with pytest.raises(ValueError, match="^solver diverged$"):
+            gicp_align(room, moved, Pose.identity())
+
+
 def grid_room(step=0.25, extent=2.0):
     """Floor and two walls sampled on an exact dyadic grid, each point once."""
     a = np.arange(-extent, extent + step / 2, step)
