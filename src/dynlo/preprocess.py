@@ -8,6 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, query_neighbors
+from .registration import _COLS, _ROWS, _unpack
 
 # Below this cross-product size, relative to the spread of the eigenvalues,
 # the two smallest eigenvalues count as equal and the normal comes from eigh.
@@ -34,22 +35,25 @@ def crop_self_returns(cloud: PointCloud, half_extent: float) -> PointCloud:
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """Centroid per occupied voxel of an origin-anchored grid.
 
-    Points are grouped by a stable lexicographic sort of their integer voxel
-    indices, so the grouping and the output order (ascending lexicographic
-    voxel index) do not depend on the input point order. Each group is
-    summed in input order, so a permuted input can move a centroid by
-    round-off. Per-point covariances and labels do not survive aggregation
-    and are dropped.
+    Points are grouped by a sort of their integer voxel indices that keeps
+    the input order within a voxel, so the grouping and the output order
+    (ascending lexicographic voxel index) do not depend on the input point
+    order. Each group is summed in input order, so a permuted input can move
+    a centroid by round-off. Per-point covariances and labels do not survive
+    aggregation and are dropped.
 
     The sort runs on one int64 key, the voxel's row-major offset in the
-    bounding box of the occupied voxels; a box of 2^63 voxels or more (far
-    outliers) is sorted on the three indices instead. A point with a
-    coordinate of 2^63 leaves or more has no int64 voxel index and raises
-    ``ValueError``.
+    bounding box of the occupied voxels times the point count plus the row
+    index: the keys are distinct, so one unstable sort orders them as a
+    stable sort of the offsets would. Where that key overflows int64, in a
+    box of more than (2^63 - 1) / n voxels (far outliers), the points are
+    sorted on the three indices instead. A point with a coordinate of 2^63
+    leaves or more has no int64 voxel index and raises ``ValueError``.
     """
     if leaf <= 0.0:
         raise ValueError("leaf must be positive")
-    if len(cloud) == 0:
+    n = len(cloud)
+    if n == 0:
         return PointCloud(np.empty((0, 3)))
     scaled = cloud.points / leaf
     # the int64 cast would wrap such indices, merging far points into one
@@ -61,13 +65,15 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     lo = idx.min(axis=0)
     # Python ints: the spans of extreme indices overflow int64
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, idx.max(axis=0))]
-    new_voxel = np.empty(len(idx), dtype=bool)
+    new_voxel = np.empty(n, dtype=bool)
     new_voxel[0] = True
-    if spans[0] * spans[1] * spans[2] <= np.iinfo(np.int64).max:
+    if spans[0] * spans[1] * spans[2] * n <= np.iinfo(np.int64).max:
         idx -= lo
         key = (idx[:, 0] * spans[1] + idx[:, 1]) * spans[2] + idx[:, 2]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        key, order = np.divmod(key, n)
         np.not_equal(key[1:], key[:-1], out=new_voxel[1:])
     else:
         order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
@@ -92,8 +98,10 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     the normal of its k-neighborhood (self inclusive): the eigenvector of the
     smallest eigenvalue of the neighborhood's sample covariance. That is the
     sample covariance with its eigenvalues replaced by (plane_epsilon, 1, 1),
-    which keeps surface orientation while flattening scale. The normal comes
-    from a closed-form 3x3 solve, see :func:`_normals`.
+    which keeps surface orientation while flattening scale. The sample
+    covariances are summed over the neighbours in order, j = 0..k-1, into
+    packed rows; the normal comes from a closed-form 3x3 solve, see
+    :func:`_normals`.
 
     The returned cloud keeps the k-d tree built over its points in ``tree``,
     so a registration against it does not build a second one.
@@ -108,44 +116,53 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     # query returns the same neighbours in the same order, up to exact
     # distance ties
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
-    _, nn = query_neighbors(tree, points, k)
-    if k == 1:
-        nn = nn[:, None]
-    # the (k, n, 3) neighbor array sets this stage's memory peak: release it
-    # (and the indices) as soon as the scatter matrices are formed
-    neigh = points.take(nn.T, axis=0)
+    # (n,) indices at k = 1
+    nn = query_neighbors(tree, points, k)[1].reshape(n, k)
+    # the (k, n) indices and the (3, k, n) neighbour coordinates, one
+    # contiguous (k, n) plane per axis, take n k 32 bytes; with the query's
+    # outputs they set this stage's memory peak, so each is released as
+    # soon as it is used
+    nn = np.ascontiguousarray(nn.T)
+    neigh = np.ascontiguousarray(points.T).take(nn, axis=1)
     del nn
-    # its k contiguous slices are summed in order, as a mean over the
-    # neighbour axis sums them
-    centre = neigh[0].copy()
+    # the centre and each scatter entry are sums over the k slices, in order
+    centre = neigh[:, 0].copy()
     for j in range(1, k):
-        centre += neigh[j]
+        centre += neigh[:, j]
     centre /= k
-    neigh -= centre
-    rows = neigh.transpose(1, 0, 2)  # (n, k, 3) view
-    scatter = np.matmul(rows.transpose(0, 2, 1), rows)
-    del neigh, rows
+    neigh -= centre[:, None, :]
+    scatter = np.empty((6, n))
+    term = np.empty(n)
+    for row, a, b in zip(scatter, _ROWS, _COLS):
+        np.multiply(neigh[a, 0], neigh[b, 0], out=row)
+        for j in range(1, k):
+            np.multiply(neigh[a, j], neigh[b, j], out=term)
+            row += term
+    del neigh, term
     scatter /= float(k)
     normals = _normals(scatter)
     del scatter
+    # the normals are a view of (3, n) rows, so the stack comes out with the
+    # point axis fastest: registration packs it into (6, n) rows without a
+    # copy, and forcing C order would cost more than it saves there
     covariances = normals[:, :, None] * normals[:, None, :]
     covariances *= -(1.0 - plane_epsilon)
     covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
     return PointCloud(points, covariances, tree=tree)
 
 
-def _normals(cov: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of the smallest eigenvalues of symmetric 3x3 matrices.
+def _normals(scatter: np.ndarray) -> np.ndarray:
+    """(n, 3) unit eigenvectors of the smallest eigenvalues of symmetric 3x3
+    matrices S, given as (6, n) packed rows ``[00, 01, 02, 11, 12, 22]``.
 
     The smallest eigenvalue lam comes from the trigonometric solution of the
-    characteristic cubic. The rows of ``cov - lam I`` then span the plane
+    characteristic cubic. The rows of ``S - lam I`` then span the plane
     orthogonal to the eigenvector, so the largest cross product of two rows
     is parallel to it. Where the two smallest eigenvalues (nearly) coincide,
     as for collinear or coincident neighbors, every cross product (nearly)
     vanishes and the eigenvector is taken from ``eigh`` instead.
     """
-    a00, a11, a22 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
-    a01, a02, a12 = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
+    a00, a01, a02, a11, a12, a22 = scatter
     q = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
     p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
@@ -155,19 +172,27 @@ def _normals(cov: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.clip(det / (2.0 * p * p * p), -1.0, 1.0)
     lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
-    r0 = np.column_stack([a00 - lam, a01, a02])
-    r1 = np.column_stack([a01, a11 - lam, a12])
-    r2 = np.column_stack([a02, a12, a22 - lam])
-    best = np.cross(r0, r1)
-    best_sq = np.einsum("ni,ni->n", best, best)
-    for cand in (np.cross(r0, r2), np.cross(r1, r2)):
-        cand_sq = np.einsum("ni,ni->n", cand, cand)
+    d0, d1, d2 = a00 - lam, a11 - lam, a22 - lam
+    # the cross products r0 x r1, r0 x r2 and r1 x r2 of the rows
+    # r0 = (d0, a01, a02), r1 = (a01, d1, a12) and r2 = (a02, a12, d2),
+    # each component in np.cross's operand order
+    best = np.stack([a01 * a12 - a02 * d1, a02 * a01 - d0 * a12,
+                     d0 * d1 - a01 * a01])
+    best_sq = best[0] * best[0] + best[1] * best[1] + best[2] * best[2]
+    for cand in ((a01 * d2 - a02 * a12, a02 * a02 - d0 * d2,
+                  d0 * a12 - a01 * a02),
+                 (d1 * d2 - a12 * a12, a12 * a02 - a01 * d2,
+                  a01 * a12 - d1 * a02)):
+        cand_sq = cand[0] * cand[0] + cand[1] * cand[1] + cand[2] * cand[2]
         larger = cand_sq > best_sq
-        best[larger] = cand[larger]
-        best_sq[larger] = cand_sq[larger]
+        for component, value in zip(best, cand):
+            np.copyto(component, value, where=larger)
+        np.copyto(best_sq, cand_sq, where=larger)
     with np.errstate(invalid="ignore"):
         degenerate = ~(best_sq > (_DEGENERATE_GAP * p * p) ** 2)
-        normals = best / np.sqrt(best_sq)[:, None]
+        best /= np.sqrt(best_sq)
+    normals = best.T
     if np.any(degenerate):
-        normals[degenerate] = np.linalg.eigh(cov[degenerate])[1][:, :, 0]
+        normals[degenerate] = np.linalg.eigh(
+            _unpack(scatter[:, degenerate]))[1][:, :, 0]
     return normals

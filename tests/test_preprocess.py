@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from scipy.spatial import cKDTree
 from dynlo.geometry import PointCloud
 from dynlo.preprocess import (_normals, crop_self_returns,
                               estimate_point_covariances, voxel_downsample)
+from dynlo.registration import _COLS, _ROWS, _unpack
 
 
 def brute_force_crop(points, half_extent):
@@ -66,21 +69,44 @@ _near = st.one_of(st.floats(-20.0, 20.0, allow_nan=False),
 _outlier = st.sampled_from([-1e7, 1e7])
 
 
-def mean_centred_covariances(points, k, plane_epsilon):
-    """Covariances as first written: neighbours from a default cKDTree,
-    centred by ``mean(axis=1)`` over the (n, k, 3) neighbourhoods."""
-    _, nn = cKDTree(points).query(points, k=k)
-    if k == 1:
-        nn = nn[:, None]
-    neigh = points[nn]
-    neigh -= neigh.mean(axis=1, keepdims=True)
-    scatter = np.matmul(neigh.transpose(0, 2, 1), neigh)
-    scatter /= float(k)
-    normals = _normals(scatter)
+def packed_scatter(neigh):
+    """(6, n) packed sample covariances of (n, k, 3) neighbourhoods, centred
+    by ``mean(axis=1)``; each entry a plain sum over the neighbours in order."""
+    centred = neigh - neigh.mean(axis=1, keepdims=True)
+    scatter = np.zeros((6, len(neigh)))
+    for j in range(neigh.shape[1]):
+        for row, a, b in zip(scatter, _ROWS, _COLS):
+            row += centred[:, j, a] * centred[:, j, b]
+    return scatter / neigh.shape[1]
+
+
+def plane_covariances(normals, plane_epsilon):
+    """``I - (1 - plane_epsilon) n n^T`` per normal."""
     covariances = normals[:, :, None] * normals[:, None, :]
     covariances *= -(1.0 - plane_epsilon)
     covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
     return covariances
+
+
+def default_tree_neighbourhoods(points, k):
+    _, nn = cKDTree(points).query(points, k=k)
+    return points[nn.reshape(len(points), k)]
+
+
+def mean_centred_covariances(points, k, plane_epsilon):
+    """Covariances spelled out: neighbours from a default cKDTree, the
+    packed scatter of :func:`packed_scatter`, and the closed-form normal."""
+    neigh = default_tree_neighbourhoods(points, k)
+    return plane_covariances(_normals(packed_scatter(neigh)), plane_epsilon)
+
+
+def matmul_covariances(points, k, plane_epsilon):
+    """Covariances from a per-point matmul scatter, as first written."""
+    neigh = default_tree_neighbourhoods(points, k)
+    neigh -= neigh.mean(axis=1, keepdims=True)
+    scatter = np.matmul(neigh.transpose(0, 2, 1), neigh) / float(k)
+    return plane_covariances(_normals(scatter[:, _ROWS, _COLS].T),
+                             plane_epsilon)
 
 
 def brute_force_voxel(points, leaf):
@@ -162,20 +188,39 @@ class TestVoxel:
         assert np.array_equal(out.points, lexsort_voxel_downsample(pts, leaf))
 
     @pytest.mark.parametrize("corner", [
-        # voxel boxes from the origin of 2^63 - 2^42 voxels (an int64 key)
-        # and of 2^63 voxels (sorted on the three indices)
-        (2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 2),
-        (2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 1),
-        (2.0**21, 2.0**21, 2.0**21),
-        (1e7, -1e7, 1e7),
+        # with the origin, a voxel box of 2^63 - 2^42 voxels: an int64
+        # offset, but not once scaled by the 73 rows, so sorted on the three
+        # indices; so are boxes of 2^63 voxels and more
+        ((2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 2), "lexsort"),
+        ((2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 1), "lexsort"),
+        ((2.0**21, 2.0**21, 2.0**21), "lexsort"),
+        ((1e7, -1e7, 1e7), "lexsort"),
         # the largest voxel index below 2^63
-        (2.0**63 - 1024, 0.0, 0.0),
+        ((2.0**63 - 1024, 0.0, 0.0), "lexsort"),
+        # a box of (2^63 - 1) / 73 voxels, 6223 x 31252369 x 649657: the
+        # largest key, 2^63 - 2, still fits; one voxel layer more does not
+        ((6222.0, 31252368.0, 649656.0), "key"),
+        ((6222.0, 31252368.0, 649657.0), "lexsort"),
     ])
-    def test_widest_voxel_boxes(self, rng, corner):
-        pts = np.concatenate([rng.uniform(0.0, 3.0, (50, 3)),
+    def test_widest_voxel_boxes(self, rng, monkeypatch, corner):
+        corner, branch = corner
+        pts = np.concatenate([rng.uniform(0.0, 3.0, (70, 3)),
                               [[0.0, 0.0, 0.0], corner, corner]])
+        expected = lexsort_voxel_downsample(pts, 1.0)
+        lexsort, calls = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: calls.append(keys) or lexsort(keys))
         out = voxel_downsample(PointCloud(pts), 1.0)
-        assert np.array_equal(out.points, lexsort_voxel_downsample(pts, 1.0))
+        assert np.array_equal(out.points, expected)
+        assert bool(calls) == (branch == "lexsort")
+
+    def test_many_points_per_voxel_summed_in_input_order(self, rng):
+        # ~600 points in each of 8 voxels, shuffled: a centroid summed in
+        # another order than the input's would differ by round-off
+        pts = rng.permutation(rng.uniform(0.0, 0.5, (5000, 3)) + 1e3)
+        out = voxel_downsample(PointCloud(pts), 0.25)
+        assert len(out) == 8
+        assert np.array_equal(out.points, unique_voxel_reference(pts, 0.25))
 
     @pytest.mark.parametrize("far", [3e18, -3e18, 2.0**63 * 0.25])
     def test_point_without_an_int64_voxel_index_raises(self, far):
@@ -241,9 +286,8 @@ class TestCovariances:
         _, nn = out.tree.query(out.points, k=6)
         assert np.array_equal(nn, cKDTree(pts).query(pts, k=6)[1])
 
-    @pytest.mark.parametrize("n", [600, 5000])
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_bit_identical_to_mean_centring(self, n, k):
+    @staticmethod
+    def floor_wall_blob(n, k):
         # a floor, a wall and a blob; random coordinates, so no two
         # neighbours of a point are at exactly the same distance
         rng = np.random.default_rng(100 * k + n)
@@ -255,9 +299,74 @@ class TestCovariances:
             rng.normal(0.0, 1.0, (n - 2 * m, 3))])
         dist, _ = cKDTree(pts).query(pts, k=k + 1)
         assert np.all(np.diff(dist, axis=1) > 0.0)
+        return pts
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_bit_identical_to_mean_centring(self, n, k):
+        pts = self.floor_wall_blob(n, k)
         out = estimate_point_covariances(PointCloud(pts), k, 1e-3)
         assert np.array_equal(out.covariances,
                               mean_centred_covariances(pts, k, 1e-3))
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    @pytest.mark.parametrize("k, atol", [(1, 0.0), (3, 1e-8), (10, 1e-13)])
+    def test_close_to_matmul_scatter(self, n, k, atol):
+        # a per-point matmul rounds the scatter differently; the normal
+        # amplifies that by the spread over the gap of the two smallest
+        # eigenvalues, large for the nearly collinear triples of k = 3
+        # (1.6e-9 at most on these clouds, 1.4e-14 at k = 10)
+        pts = self.floor_wall_blob(n, k)
+        out = estimate_point_covariances(PointCloud(pts), k, 1e-3)
+        assert np.allclose(out.covariances, matmul_covariances(pts, k, 1e-3),
+                           rtol=0.0, atol=atol)
+
+    def test_memory_peak(self):
+        # the (3, k, n) neighbour planes are n k 24 bytes; with the indices
+        # and the query's outputs the peak reads 1.6x that, and 2.3x when
+        # the planes outlive the scatter
+        n, k = 17000, 10
+        pts = np.random.default_rng(5).normal(size=(n, 3)) * [20.0, 20.0, 2.0]
+        cloud = PointCloud(pts)
+        tracemalloc.start()
+        try:
+            estimate_point_covariances(cloud, k, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * k * 24
+
+    def test_degenerate_rows_in_one_large_batch(self, rng):
+        # regular neighbourhoods mixed with single points (k = 1),
+        # coincident and collinear ones, in one call of _normals
+        m, k = 1500, 10
+        regular = rng.normal(size=(m, k, 3)) * [3.0, 2.0, 1.0]
+        line = rng.normal(size=(m, 1, 3))
+        collinear = (rng.uniform(-2.0, 2.0, (m, k, 1)) * line
+                     + rng.normal(size=(m, 1, 3)))
+        coincident = np.repeat(rng.normal(size=(m, 1, 3)), k, axis=1)
+        single = rng.normal(size=(m, 1, 3))
+        kinds = np.repeat(np.arange(4), m)
+        shuffle = rng.permutation(4 * m)
+        kinds = kinds[shuffle]
+        scatter = np.concatenate([packed_scatter(h) for h in
+                                  (regular, collinear, coincident, single)],
+                                 axis=1)[:, shuffle]
+        normals = _normals(scatter)
+        assert normals.shape == (4 * m, 3)
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+        vecs = np.linalg.eigh(_unpack(scatter))[1][:, :, 0]
+        degenerate = kinds > 0
+        assert np.array_equal(normals[degenerate], vecs[degenerate])
+        cosines = np.abs(np.einsum("ni,ni->n", normals, vecs))
+        assert np.allclose(cosines[~degenerate], 1.0, atol=1e-9)
+        # the same mix as a cloud: every covariance finite
+        pts = np.concatenate([regular[:50].reshape(-1, 3),
+                              collinear[:20].reshape(-1, 3),
+                              coincident[:20].reshape(-1, 3)])
+        for knn in (1, k):
+            out = estimate_point_covariances(PointCloud(pts), knn, 1e-3)
+            assert np.all(np.isfinite(out.covariances))
 
     def test_insufficient_points_error(self):
         with pytest.raises(ValueError, match="insufficient points"):
@@ -281,7 +390,9 @@ class TestClosedFormNormal:
         out = estimate_point_covariances(PointCloud(pts), k=len(pts),
                                          plane_epsilon=self.EPS)
         expected, vals, vecs = eigh_covariance(pts, self.EPS)
-        for cov in out.covariances:
+        # and the normal of the packed sample covariance rows on their own
+        normal = _normals(packed_scatter(pts[None]))
+        for cov in [*out.covariances, *plane_covariances(normal, self.EPS)]:
             assert np.allclose(cov, cov.T, atol=1e-12)
             assert np.allclose(np.linalg.eigvalsh(cov), [self.EPS, 1.0, 1.0],
                                atol=1e-9)
