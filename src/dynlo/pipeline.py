@@ -37,9 +37,11 @@ class ScanStats:
     tracks: np.ndarray  # the (n, 10) ``Tracker.tracks`` after this scan
     n_raw: int
     n_static: int
-    n_dynamic_boxes: int
-    preprocess_ms: float
-    tracker_ms: float
+    # the (n, 7) rows ``cx cy cz yaw l w h`` removal used; none if disabled
+    removal_boxes: np.ndarray
+    preprocess_ms: float  # crop and voxel
+    tracker_ms: float  # detection filter, tracker step and removal
+    # covariance through keyframe insert and the track table
     odometry_ms: float
     total_ms: float
     s2s_converged: bool = True
@@ -50,9 +52,6 @@ class ScanStats:
     s2m_iterations: int = 0
     # why the scan fell back, e.g. "s2m:solver diverged"; "" if it did not
     fallback_reason: str = ""
-    # on a labelled scan: (scan, static_total, dynamic_total,
-    # static_preserved, dynamic_removed)
-    provenance: Optional[Tuple[int, int, int, int, int]] = None
 
     @property
     def fallback(self) -> bool:
@@ -64,7 +63,7 @@ class PipelineResult:
     trajectory: Trajectory
     map_cloud: PointCloud
     stats: List[ScanStats]
-    # the ``provenance`` of each labelled scan, in scan order
+    # the ``removal_provenance`` of each labelled scan, in scan order
     provenance_rows: List[Tuple[int, int, int, int, int]]
     db: KeyframeDB
 
@@ -106,13 +105,6 @@ class Odometry:
         dyn_boxes = tracked.dynamic_boxes if rem.enabled else np.empty((0, 7))
         static, _removed = remove_dynamic_points(downsampled, dyn_boxes,
                                                  rem.margin)
-        provenance = None
-        if raw.labels is not None:
-            removed_raw = dynamic_point_mask(raw.points, dyn_boxes, rem.margin)
-            labels = raw.labels
-            provenance = (k, int(np.sum(~labels)), int(np.sum(labels)),
-                          int(np.sum(~labels & ~removed_raw)),
-                          int(np.sum(labels & removed_raw)))
         t_track = time.perf_counter()
 
         reasons: List[str] = []
@@ -199,7 +191,7 @@ class Odometry:
             tracks=tracks,
             n_raw=len(raw),
             n_static=len(static),
-            n_dynamic_boxes=len(dyn_boxes),
+            removal_boxes=dyn_boxes,
             preprocess_ms=(t_pre - t_start) * 1e3,
             tracker_ms=(t_track - t_pre) * 1e3,
             odometry_ms=(t_end - t_track) * 1e3,
@@ -210,7 +202,6 @@ class Odometry:
             s2s_iterations=s2s_iterations,
             s2m_iterations=s2m_iterations,
             fallback_reason=";".join(reasons),
-            provenance=provenance,
         )
 
 
@@ -219,20 +210,35 @@ def run_pipeline(scans: Iterable[PointCloud],
                  config: PipelineConfig | None = None) -> PipelineResult:
     """Run ``Odometry.step`` per (scan, frame) pair, until either runs out."""
     odometry = Odometry(config)
-    stats = []
+    stats, provenance_rows = [], []
     for raw, frame in zip(scans, detections):
         try:
             stats.append(odometry.step(raw, frame))
         except ValueError as exc:
             raise ValueError(f"scan {len(stats)}: {exc}") from exc
+        if raw.labels is not None:  # now, so no raw scan outlives its step
+            provenance_rows.append(removal_provenance(
+                raw, stats[-1], odometry.cfg.removal.margin))
     return PipelineResult(
         trajectory=Trajectory.from_poses([s.pose for s in stats],
                                          odometry.cfg.dt),
         map_cloud=odometry.db.world_map(),
         stats=stats,
-        provenance_rows=[s.provenance for s in stats if s.provenance],
+        provenance_rows=provenance_rows,
         db=odometry.db,
     )
+
+
+def removal_provenance(raw: PointCloud, record: ScanStats,
+                       margin: float) -> Tuple[int, int, int, int, int]:
+    """``(scan, static_total, dynamic_total, static_preserved,
+    dynamic_removed)`` of a labelled raw scan, given its record: a point
+    counts as removed if it lies in one of the record's removal boxes,
+    dilated by ``margin``."""
+    removed = dynamic_point_mask(raw.points, record.removal_boxes, margin)
+    labels = raw.labels
+    return (record.scan_index, int(np.sum(~labels)), int(np.sum(labels)),
+            int(np.sum(~labels & ~removed)), int(np.sum(labels & removed)))
 
 
 # the per-stage wall times of a record, in milliseconds
@@ -258,7 +264,7 @@ def write_stats_file(path: str, stats: List[ScanStats]) -> None:
             # spaces in the reason become "_", so every column is one token
             fh.write("%d %d %d %d %d %.3f %.3f %.3f %.3f %d %d %d %d %d %d %s\n"
                      % (s.scan_index, s.n_raw, s.n_static, len(s.tracks),
-                        s.n_dynamic_boxes, s.preprocess_ms, s.tracker_ms,
+                        len(s.removal_boxes), s.preprocess_ms, s.tracker_ms,
                         s.odometry_ms, s.total_ms, int(s.s2s_converged),
                         int(s.s2m_converged), int(s.fallback),
                         int(s.keyframe_inserted), s.s2s_iterations,

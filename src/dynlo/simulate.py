@@ -260,21 +260,6 @@ def reference_config():
     return cfg
 
 
-def classification_scene(mover_speed: float, n_scans: int,
-                         noise_sigma: float = 0.05,
-                         dt: float = 0.1) -> SimScene:
-    """Stationary ego watching a single object, moving or parked."""
-    ego = [Pose.from_yaw(0.0, (0.0, 0.0, 1.6)) for _ in range(n_scans)]
-    rects = [RectPatch((-20, -20, 0), (40, 0, 0), (0, 40, 0))]
-    movers = [Mover(DetectionBox((8.0, -10.0, 0.8), math.pi / 2,
-                                 (4.2, 1.9, 1.6)),
-                    (0.0, mover_speed, 0.0))]
-    sensor = SensorModel(rays_per_scan=1500, max_range=40.0,
-                         noise_sigma=noise_sigma)
-    return SimScene(dt=dt, ego_poses=ego, sensor=sensor, rects=rects,
-                    boxes=[], movers=movers)
-
-
 # --- scene file (JSON) -------------------------------------------------------
 
 def scene_to_json(scene: SimScene) -> str:

@@ -107,11 +107,6 @@ def motion_model(state, dt: float):
     return s
 
 
-def observation_model(state):
-    """Project a state onto the observed components [x, y, z, yaw, l, w, h]."""
-    return np.asarray(state, dtype=float)[..., _OBS_IDX]
-
-
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     return (P + _swap(P)) / 2.0
 
@@ -135,7 +130,7 @@ def _predict(means, covs, dt: float, params: UkfParams):
 def _correct(means, covs, obs, params: UkfParams):
     """Kalman correction of stacked tracks by one observation (T, 7) each."""
     # the observation Jacobian selects rows and columns _OBS_IDX
-    yhat, pxy = observation_model(means), covs[:, :, _OBS_IDX]
+    yhat, pxy = means[:, _OBS_IDX], covs[:, :, _OBS_IDX]
     pyy = pxy[:, _OBS_IDX, :] + params.measurement_noise
     innov = obs - yhat
     # yaw innovations fold into (-pi/2, pi/2]: boxes are front/back symmetric

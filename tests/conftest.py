@@ -1,8 +1,11 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
-from dynlo.geometry import Pose, euler_zyx, wrap_angle
+from dynlo.geometry import DetectionBox, Pose, euler_zyx, wrap_angle
+from dynlo.simulate import Mover, RectPatch, SensorModel, SimScene
 
 hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None,
@@ -28,6 +31,21 @@ def transform_rows(pose: Pose, rows) -> np.ndarray:
     rows[:, :3] = pose.apply(rows[:, :3])
     rows[:, 3] = wrap_angle(rows[:, 3] + euler_zyx(pose.rotation)[0])
     return rows
+
+
+def classification_scene(mover_speed: float, n_scans: int,
+                         noise_sigma: float = 0.05,
+                         dt: float = 0.1) -> SimScene:
+    """Stationary ego watching a single object, moving or parked."""
+    ego = [Pose.from_yaw(0.0, (0.0, 0.0, 1.6)) for _ in range(n_scans)]
+    rects = [RectPatch((-20, -20, 0), (40, 0, 0), (0, 40, 0))]
+    movers = [Mover(DetectionBox((8.0, -10.0, 0.8), math.pi / 2,
+                                 (4.2, 1.9, 1.6)),
+                    (0.0, mover_speed, 0.0))]
+    sensor = SensorModel(rays_per_scan=1500, max_range=40.0,
+                         noise_sigma=noise_sigma)
+    return SimScene(dt=dt, ego_poses=ego, sensor=sensor, rects=rects,
+                    boxes=[], movers=movers)
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+from conftest import classification_scene
 from dynlo.cli import main as cli_main
 from dynlo.detections import filter_detections
 from dynlo.geometry import DetectionBox, PointCloud, Pose, point_in_box, se3_exp
@@ -37,9 +38,8 @@ from dynlo.preprocess import estimate_point_covariances, voxel_downsample
 from dynlo.removal import dynamic_point_mask
 from dynlo.registration import (_model_error, _moment_basis,
                                 _normal_equations, _pack, gicp_align)
-from dynlo.simulate import (SensorModel, SimScene, classification_scene,
-                            reference_config, reference_dynamic_scene,
-                            simulate, write_sim_dir)
+from dynlo.simulate import (SensorModel, SimScene, reference_config,
+                            reference_dynamic_scene, simulate, write_sim_dir)
 from dynlo.tracking import Tracker, associate_nn, sigma_points
 
 from test_registration import structured_cloud

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from dynlo import cli, geometry, pipeline
 from dynlo.config import dump_config
 from dynlo.fileio import (read_scan_bin, read_trajectory, write_scan_bin,
                           write_trajectory)
-from dynlo.geometry import PointCloud, Pose
+from dynlo.geometry import DetectionBox, PointCloud, Pose, point_in_box
 from dynlo.keyframes import KeyframeDB
 from dynlo.metrics import (RemovalCounts, Trajectory, ape_rmse, max_z_drift,
                            rpe_rmse)
-from dynlo.pipeline import run_pipeline, stats_summary, write_stats_file
+from dynlo.pipeline import (ScanStats, removal_provenance, run_pipeline,
+                            stats_summary, write_stats_file)
 from dynlo.simulate import (SimScene, reference_config,
                             reference_dynamic_scene, scene_to_json, simulate,
                             write_sim_dir)
@@ -134,7 +136,7 @@ class TestRunPipeline:
         out = run_pipeline(res.scans, res.detections, reference_config())
         assert len(out.stats) == 10
         assert all(len(s.tracks) >= 1 for s in out.stats)
-        assert any(s.n_dynamic_boxes > 0 for s in out.stats[2:])
+        assert any(len(s.removal_boxes) > 0 for s in out.stats[2:])
         assert all(s.total_ms > 0 for s in out.stats)
 
     def test_odometry_steps_one_scan_at_a_time(self):
@@ -147,7 +149,9 @@ class TestRunPipeline:
         np.testing.assert_array_equal(
             [r.pose.matrix() for r in records],
             [p.matrix() for p in out.trajectory.poses])
-        assert [r.provenance for r in records] == out.provenance_rows
+        margin = odometry.cfg.removal.margin
+        assert [removal_provenance(raw, r, margin) for raw, r in
+                zip(res.scans, records)] == out.provenance_rows
         assert len(out.stats) == 6
         for r, s in zip(records, out.stats):
             np.testing.assert_array_equal(r.tracks, s.tracks)
@@ -209,6 +213,62 @@ class TestRunPipeline:
             previous = {int(row[0]): float(final.apply(row[2:5])[2])
                         for row in table}
         assert used > 0
+
+    def test_step_is_label_blind(self):
+        # the same scans with and without labels give bit-equal records,
+        # every field but the wall times
+        res = simulate(small_scene(8), 0)
+        unlabelled = [PointCloud(s.points) for s in res.scans]
+        runs = []
+        for scans in (res.scans, unlabelled):
+            odometry = pipeline.Odometry(reference_config())
+            runs.append([odometry.step(raw, frame)
+                         for raw, frame in zip(scans, res.detections)])
+        assert all(s.labels is not None for s in res.scans)
+        assert any(len(r.removal_boxes) for r in runs[0])
+        names = [f.name for f in fields(ScanStats)
+                 if f.name not in pipeline._TIMERS]
+        for a, b in zip(*runs):
+            for name in names:
+                va, vb = getattr(a, name), getattr(b, name)
+                if isinstance(va, Pose):
+                    va, vb = va.matrix(), vb.matrix()
+                np.testing.assert_array_equal(va, vb, strict=True,
+                                              err_msg=name)
+
+    def test_provenance_without_removal(self):
+        # no removal boxes: every static point is kept, no dynamic one removed
+        res = simulate(small_scene(6), 0)
+        cfg = reference_config()
+        cfg.removal.enabled = False
+        out = run_pipeline(res.scans, res.detections, cfg)
+        assert all(s.removal_boxes.shape == (0, 7) for s in out.stats)
+        assert len(out.provenance_rows) == 6
+        for _, static_total, _, static_preserved, dynamic_removed in (
+                out.provenance_rows):
+            assert dynamic_removed == 0
+            assert static_preserved == static_total
+        assert sum(row[2] for row in out.provenance_rows) > 0
+
+    def test_provenance_matches_a_box_oracle(self):
+        # the scan with the most removal boxes, recounted point by point
+        res = simulate(small_scene(6), 0)
+        cfg = reference_config()
+        out = run_pipeline(res.scans, res.detections, cfg)
+        k = int(np.argmax([len(s.removal_boxes) for s in out.stats]))
+        record, raw, labels = out.stats[k], res.scans[k], res.scans[k].labels
+        assert len(record.removal_boxes) > 0
+        removed = np.zeros(len(raw), dtype=bool)
+        for row in record.removal_boxes:
+            removed |= point_in_box(raw.points,
+                                    DetectionBox(row[:3], row[3], row[4:]),
+                                    cfg.removal.margin)
+        expected = (k, int(np.sum(~labels)), int(np.sum(labels)),
+                    int(np.sum(~labels & ~removed)),
+                    int(np.sum(labels & removed)))
+        assert expected[4] > 0
+        assert out.provenance_rows[k] == expected
+        assert removal_provenance(raw, record, cfg.removal.margin) == expected
 
     def test_unlabelled_run_has_no_removal_record(self):
         res = simulate(small_scene(3), 0)

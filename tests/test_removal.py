@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import transform_rows
+from conftest import classification_scene, transform_rows
 from dynlo import removal
 from dynlo.geometry import DetectionBox, PointCloud, Pose, point_in_box, rot_z
 from dynlo.removal import dynamic_point_mask, remove_dynamic_points
-from dynlo.simulate import classification_scene, simulate
+from dynlo.simulate import simulate
 
 
 def brute_force_mask(points, boxes, margin):

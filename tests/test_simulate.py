@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import classification_scene
 from dynlo.cli import main as cli_main
 from dynlo.config import dump_config, load_config
 from dynlo.geometry import (DetectionBox, Pose, euler_zyx, from_euler_zyx,
                             point_in_box, rot_z, so3_exp, wrap_angle)
 from dynlo.removal import dynamic_point_mask
 from dynlo.simulate import (Mover, RectPatch, SensorModel, SimScene,
-                            classification_scene, line_ego_path, load_scene,
-                            reference_config, reference_dynamic_scene,
-                            scene_from_json, scene_to_json, simulate)
+                            line_ego_path, load_scene, reference_config,
+                            reference_dynamic_scene, scene_from_json,
+                            scene_to_json, simulate)
 
 
 def ref_faces(box):
