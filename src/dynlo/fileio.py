@@ -33,12 +33,12 @@ def _data_lines(path: str, comments: bool = True):
 def read_scan_bin(path: str) -> PointCloud:
     """Little-endian float32 records of (x, y, z, intensity); intensity ignored.
 
-    Raises ValueError if any point has a NaN or infinite coordinate.
+    Raises ValueError on a partial record or a NaN or infinite coordinate.
     """
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 4 != 0:
-        raise ValueError(f"{path}: scan file size is not a multiple of 4 floats")
-    points = raw.reshape(-1, 4)[:, :3].astype(float)
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size % 16 != 0:
+        raise ValueError(f"{path}: size is not a multiple of 4 floats (16 B)")
+    points = raw.view("<f4").reshape(-1, 4)[:, :3].astype(float)
     non_finite = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
     if non_finite:
         raise ValueError(f"{path}: {non_finite} non-finite points")

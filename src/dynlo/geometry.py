@@ -31,6 +31,13 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 
+# n symmetric 3x3 matrices pack into (6, n) upper-triangle rows
+# [00, 01, 02, 11, 12, 22]: row p holds entry (PACKED_ROWS[p], PACKED_COLS[p])
+PACKED_ROWS, PACKED_COLS = np.triu_indices(3)
+PACKED_DIAG = np.array([0, 3, 5])  # rows of the diagonal entries
+UNPACK_INDEX = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # row of each flat entry
+
+
 def _new_pool():  # threads start on first use; a forked child has none
     global _pool
     _pool = ThreadPoolExecutor(max(1, _CPUS - 1))
@@ -67,6 +74,20 @@ def rot_y(pitch: float) -> np.ndarray:
 def rot_z(yaw: float) -> np.ndarray:
     c, s = math.cos(yaw), math.sin(yaw)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def unpack(S: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) matrices of (6, n) packed rows."""
+    return S[UNPACK_INDEX].T.reshape(-1, 3, 3)
+
+
+def conjugation_map(R: np.ndarray) -> np.ndarray:
+    """The 6x6 K with packed(R C R^T) = K^T packed(C) for symmetric C."""
+    a, b = R[:, PACKED_ROWS], R[:, PACKED_COLS]
+    K = np.einsum("ip,jp->pij", a, b)
+    K += K.transpose(0, 2, 1)  # an off-diagonal entry stands for C_kl and C_lk
+    K[PACKED_DIAG] *= 0.5
+    return K[:, PACKED_ROWS, PACKED_COLS]
 
 
 def so3_exp(omega) -> np.ndarray:
@@ -194,6 +215,10 @@ class Pose:
 class PointCloud:
     """3D points with optional per-point covariances and dynamic labels.
 
+    ``covariances`` packs one symmetric 3x3 matrix per point into (6, n)
+    rows ``[00, 01, 02, 11, 12, 22]``, the form GICP reads; ``subset`` takes
+    its columns and ``transformed`` conjugates them by the rotation.
+
     ``labels`` is a boolean array where True marks a return on a moving object.
     Only raw scans carry them: ``subset`` keeps them, ``transformed`` does not.
 
@@ -212,9 +237,10 @@ class PointCloud:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         n = self.points.shape[0]
         if self.covariances is not None:
-            self.covariances = np.asarray(self.covariances, dtype=float).reshape(-1, 3, 3)
-            if self.covariances.shape[0] != n:
-                raise ValueError("covariances length does not match points")
+            self.covariances = np.asarray(self.covariances, dtype=float)
+            if self.covariances.shape != (6, n):
+                raise ValueError(f"covariances of shape "
+                                 f"{self.covariances.shape}, expected (6, {n})")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=bool).reshape(-1)
             if self.labels.shape[0] != n:
@@ -226,17 +252,13 @@ class PointCloud:
     def subset(self, index) -> "PointCloud":
         return PointCloud(
             self.points[index],
-            None if self.covariances is None else self.covariances[index],
+            None if self.covariances is None else self.covariances[:, index],
             None if self.labels is None else self.labels[index],
         )
 
     def transformed(self, pose: Pose) -> "PointCloud":
-        covs = None
-        if self.covariances is not None:
-            # row-major vec(R C R^T) = kron(R, R) vec(C): one GEMM per stack
-            R = pose.rotation
-            covs = self.covariances.reshape(-1, 9) @ np.kron(R, R).T
-            covs = covs.reshape(-1, 3, 3)
+        covs = (None if self.covariances is None
+                else conjugation_map(pose.rotation).T @ self.covariances)
         return PointCloud(pose.apply(self.points), covs)
 
 

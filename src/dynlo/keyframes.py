@@ -190,7 +190,7 @@ class KeyframeDB:
         key = tuple(ids)
         if key not in self._submap_cache:
             world = [self.by_id[i].world for i in ids]
-            covs = (np.concatenate([w.covariances for w in world])
+            covs = (np.concatenate([w.covariances for w in world], axis=1)
                     if all(w.covariances is not None for w in world) else None)
             self._submap_cache[key] = PointCloud(
                 np.concatenate([w.points for w in world]), covs)

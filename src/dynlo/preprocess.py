@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, query_neighbors
-from .registration import _COLS, _ROWS, _unpack
+from .geometry import (PACKED_COLS, PACKED_DIAG, PACKED_ROWS, PointCloud,
+                       query_neighbors, unpack)
 
 # Below this cross-product size, relative to the spread of the eigenvalues,
 # the two smallest eigenvalues count as equal and the normal comes from eigh.
@@ -100,8 +100,8 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     sample covariance with its eigenvalues replaced by (plane_epsilon, 1, 1),
     which keeps surface orientation while flattening scale. The sample
     covariances are summed over the neighbours in order, j = 0..k-1, into
-    packed rows; the normal comes from a closed-form 3x3 solve, see
-    :func:`_normals`.
+    packed (6, n) rows, the form of the result; the normal comes from a
+    closed-form 3x3 solve, see :func:`_normals`.
 
     The returned cloud keeps the k-d tree built over its points in ``tree``,
     so a registration against it does not build a second one.
@@ -133,21 +133,21 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     neigh -= centre[:, None, :]
     scatter = np.empty((6, n))
     term = np.empty(n)
-    for row, a, b in zip(scatter, _ROWS, _COLS):
+    for row, a, b in zip(scatter, PACKED_ROWS, PACKED_COLS):
         np.multiply(neigh[a, 0], neigh[b, 0], out=row)
         for j in range(1, k):
             np.multiply(neigh[a, j], neigh[b, j], out=term)
             row += term
     del neigh, term
     scatter /= float(k)
-    normals = _normals(scatter)
+    normals = _normals(scatter).T  # (3, n) rows
     del scatter
-    # the normals are a view of (3, n) rows, so the stack comes out with the
-    # point axis fastest: registration packs it into (6, n) rows without a
-    # copy, and forcing C order would cost more than it saves there
-    covariances = normals[:, :, None] * normals[:, None, :]
+    # the packed rows of I - (1 - plane_epsilon) n n^T
+    covariances = np.empty((6, n))
+    for row, a, b in zip(covariances, PACKED_ROWS, PACKED_COLS):
+        np.multiply(normals[a], normals[b], out=row)
     covariances *= -(1.0 - plane_epsilon)
-    covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    covariances[PACKED_DIAG] += 1.0
     return PointCloud(points, covariances, tree=tree)
 
 
@@ -194,5 +194,5 @@ def _normals(scatter: np.ndarray) -> np.ndarray:
     normals = best.T
     if np.any(degenerate):
         normals[degenerate] = np.linalg.eigh(
-            _unpack(scatter[:, degenerate]))[1][:, :, 0]
+            unpack(scatter[:, degenerate]))[1][:, :, 0]
     return normals

@@ -15,10 +15,10 @@ increment.
 
 The per-pair arithmetic runs on contiguous columns, one row per entry:
 points and residuals are (3, n), and symmetric 3x3 matrices are packed into
-their upper triangles, (6, n) with rows ``[00, 01, 02, 11, 12, 22]``.
-``gicp_align`` packs the source covariances once per call and the target
-covariances of each iteration's pairs. Conjugation by a rotation is then one
-6x6 linear map, ``packed(R C R^T) = K(R)^T packed(C)``, and the fused
+their upper triangles, (6, n) with rows ``[00, 01, 02, 11, 12, 22]``, the
+form every cloud holds its covariances in: an iteration only gathers the
+columns of its pairs. Conjugation by a rotation is one 6x6 linear map,
+``packed(R C R^T) = K(R)^T packed(C)`` (``conjugation_map``), and the fused
 covariances are inverted by a packed adjugate. The Gauss-Newton system
 ``A = sum_i G_i^T B_i G_i`` with ``G_i = [-I | skew(p_i)]`` and
 ``B_i = R^T W_i R`` is assembled from moments: one GEMM of the packed
@@ -36,22 +36,19 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, Pose, query_neighbors, se3_exp, skew
+from .geometry import (PACKED_COLS, PACKED_DIAG, PACKED_ROWS, UNPACK_INDEX,
+                       PointCloud, Pose, conjugation_map, query_neighbors,
+                       se3_exp, skew, unpack)
 
 _MIN_CORRESPONDENCES = 10
 _JITTER = 1e-9
 # per metre of coordinate magnitude, see _NearestTargets
 _REUSE_SLACK = 1e-9
 
-# packed entry p holds the 3x3 entry (_ROWS[p], _COLS[p])
-_ROWS, _COLS = np.triu_indices(3)
-_PACKED = 3 * _ROWS + _COLS  # flat 3x3 index of each packed entry
-_DIAG = np.array([0, 3, 5])  # packed index of the diagonal entries
-_UNPACK = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # packed index of each flat entry
 # skew(p) = sum_k p_k _GENERATORS[k]
 _GENERATORS = np.array([skew(e) for e in np.eye(3)])
 # basis index of the second moment x_k x_l
-_SECOND = 4 + _UNPACK.reshape(3, 3)
+_SECOND = 4 + UNPACK_INDEX.reshape(3, 3)
 
 
 @dataclass
@@ -71,30 +68,11 @@ class GicpResult:
     iterations: int
 
 
-def _pack(C: np.ndarray) -> np.ndarray:
-    """(6, n) upper triangles of an (n, 3, 3) stack of symmetric matrices."""
-    return C.reshape(-1, 9).T[_PACKED]
-
-
-def _unpack(S: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) matrices of (6, n) packed columns."""
-    return S[_UNPACK].T.reshape(-1, 3, 3)
-
-
-def _conjugation_map(R: np.ndarray) -> np.ndarray:
-    """The 6x6 K with packed(R C R^T) = K^T packed(C) for symmetric C."""
-    a, b = R[:, _ROWS], R[:, _COLS]
-    K = np.einsum("ip,jp->pij", a, b)
-    K += K.transpose(0, 2, 1)  # an off-diagonal entry stands for C_kl and C_lk
-    K[_DIAG] *= 0.5
-    return K.reshape(6, 9)[:, _PACKED]
-
-
 def _sym_matvec(S: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Columns S_i v_i for packed symmetric S_i."""
     x, y, z = v
     out = np.empty_like(v)
-    for row, (p, q, s) in zip(out, _UNPACK.reshape(3, 3)):
+    for row, (p, q, s) in zip(out, UNPACK_INDEX.reshape(3, 3)):
         np.multiply(S[p], x, out=row)
         row += S[q] * y
         row += S[s] * z
@@ -122,11 +100,11 @@ def _fused_information(R: np.ndarray, cs: np.ndarray,
                        ct: np.ndarray) -> np.ndarray:
     """Packed (C^tgt + R C^src R^T)^-1 from packed covariances; a singular
     stack is retried once with a small diagonal jitter."""
-    M = _conjugation_map(R).T @ cs
+    M = conjugation_map(R).T @ cs
     M += ct
     adj, det = _sym_adjugate_det(M)
     if _singular(det):
-        M[_DIAG] += _JITTER
+        M[PACKED_DIAG] += _JITTER
         adj, det = _sym_adjugate_det(M)
         if _singular(det):
             raise ValueError("fused covariance singular")
@@ -199,8 +177,8 @@ def _moment_basis(points: np.ndarray) -> np.ndarray:
     basis[1:4] = points.T
     # products written in place: fancy-indexed rows make three (6, n)
     # temporaries, which took ten times as long at 15k points
-    for p in range(6):
-        np.multiply(basis[1 + _ROWS[p]], basis[1 + _COLS[p]], out=basis[4 + p])
+    for row, a, b in zip(basis[4:], PACKED_ROWS, PACKED_COLS):
+        np.multiply(basis[1 + a], basis[1 + b], out=row)
     return basis
 
 
@@ -217,7 +195,7 @@ def _normal_equations(T: Pose, basis, cs, pt, ct):
     Wd = _sym_matvec(W, d)
     err = float(np.sum(d * Wd))
     # sum_i B_i m_i per basis moment m, with B_i = R^T W_i R
-    B = _unpack(_conjugation_map(R.T).T @ (W @ basis.T))
+    B = unpack(conjugation_map(R.T).T @ (W @ basis.T))
     A = np.empty((6, 6))
     A[:3, :3] = B[0]
     A[:3, 3:] = -np.einsum("kij,kjl->il", B[1:4], _GENERATORS)
@@ -268,7 +246,6 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
     if tree is None:
         tree = cKDTree(target.points)
     src_basis = _moment_basis(source.points)
-    src_cov = _pack(source.covariances)
     nearest_targets = _NearestTargets(tree, params.max_correspondence_distance)
     T = init
     converged = False
@@ -281,11 +258,9 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         basis = src_basis.take(s_idx, axis=1)
         ps = basis[1:4]
         pt = target.points.take(t_idx, axis=0).T.copy()
-        # the target's rows are packed per iteration: packing a whole submap
-        # per call costs more memory than the pairs use
         A, c, err, W = _normal_equations(
-            T, basis, src_cov.take(s_idx, axis=1), pt,
-            _pack(target.covariances.take(t_idx, axis=0)))
+            T, basis, source.covariances.take(s_idx, axis=1), pt,
+            target.covariances.take(t_idx, axis=1))
         try:
             xi = np.linalg.solve(A, -c)
         except np.linalg.LinAlgError:

@@ -4,7 +4,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from dynlo.geometry import DetectionBox, Pose, euler_zyx, wrap_angle
+from dynlo.geometry import (PACKED_COLS, PACKED_ROWS, DetectionBox, Pose,
+                            euler_zyx, unpack, wrap_angle)
 from dynlo.simulate import Mover, RectPatch, SensorModel, SimScene
 
 hypothesis.settings.register_profile(
@@ -21,6 +22,13 @@ def random_pose(rng: np.random.Generator, trans_scale: float = 5.0) -> Pose:
     if np.linalg.det(Q) < 0:
         Q[:, 2] = -Q[:, 2]
     return Pose(Q, rng.normal(scale=trans_scale, size=3))
+
+
+def pack(C) -> np.ndarray:
+    """(6, n) packed rows, the form ``PointCloud.covariances`` holds, of an
+    (n, 3, 3) stack of symmetric matrices; :func:`unpack` inverts it."""
+    C = np.asarray(C, dtype=float)
+    return C.reshape(-1, 9).T[3 * PACKED_ROWS + PACKED_COLS]
 
 
 def transform_rows(pose: Pose, rows) -> np.ndarray:

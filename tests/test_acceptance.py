@@ -37,7 +37,7 @@ from dynlo.pipeline import run_pipeline, stats_summary
 from dynlo.preprocess import estimate_point_covariances, voxel_downsample
 from dynlo.removal import dynamic_point_mask
 from dynlo.registration import (_model_error, _moment_basis,
-                                _normal_equations, _pack, gicp_align)
+                                _normal_equations, gicp_align)
 from dynlo.simulate import (SensorModel, SimScene, reference_config,
                             reference_dynamic_scene, simulate, write_sim_dir)
 from dynlo.tracking import Tracker, associate_nn, sigma_points
@@ -151,8 +151,8 @@ def test_criterion_4_registration_recovery_and_gradient():
     T = se3_exp(rng.normal(scale=0.1, size=6))
     basis = _moment_basis(src.points)
     pt = tgt.points.T.copy()
-    _, c, _, W = _normal_equations(T, basis, _pack(src.covariances), pt,
-                                   _pack(tgt.covariances))
+    _, c, _, W = _normal_equations(T, basis, src.covariances, pt,
+                                   tgt.covariances)
     h = 1e-6
     fd = np.zeros(6)
     for i in range(6):

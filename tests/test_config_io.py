@@ -347,6 +347,15 @@ class TestScanIO:
         with pytest.raises(ValueError, match="multiple of 4"):
             read_scan_bin(str(path))
 
+    @pytest.mark.parametrize("tail", [1, 2, 3])
+    def test_trailing_bytes_rejected(self, tmp_path, rng, tail):
+        # 16 n + 1..3 bytes: a whole number of points plus a partial float
+        path = tmp_path / "tail.bin"
+        write_xyzi(str(path), rng.normal(size=(2, 3)), np.zeros(2))
+        path.write_bytes(path.read_bytes() + b"\x00" * tail)
+        with pytest.raises(ValueError, match="tail.bin: .*16 B"):
+            read_scan_bin(str(path))
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30),
            st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_non_finite_points_rejected_with_count(self, seed, n, bad):

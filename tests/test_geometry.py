@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import random_pose, transform_rows
+from conftest import pack, random_pose, transform_rows, unpack
 from dynlo import geometry
 from dynlo.geometry import (DetectionBox, PointCloud, Pose, euler_zyx,
                             point_in_box, se3_exp, wrap_angle)
@@ -70,10 +70,10 @@ class TestApply:
         A = rng.normal(size=(300, 3, 3))
         C = A @ A.transpose(0, 2, 1)
         pose = random_pose(rng)
-        out = PointCloud(rng.normal(size=(300, 3)), C).transformed(pose)
+        out = PointCloud(rng.normal(size=(300, 3)), pack(C)).transformed(pose)
         R = pose.rotation
-        np.testing.assert_allclose(out.covariances, R @ C @ R.T, rtol=1e-12,
-                                   atol=1e-12)
+        np.testing.assert_allclose(unpack(out.covariances), R @ C @ R.T,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_identity_keeps_cloud(self, rng):
         cloud = PointCloud(rng.normal(size=(50, 3)),
@@ -95,21 +95,43 @@ class TestApply:
 
     def test_covariances_conjugated(self, rng):
         covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
-        cloud = PointCloud(rng.normal(size=(4, 3)), covariances=covs)
+        cloud = PointCloud(rng.normal(size=(4, 3)), covariances=pack(covs))
         p = random_pose(rng)
         out = cloud.transformed(p)
-        for c in out.covariances:
+        for c in unpack(out.covariances):
             assert np.allclose(c, p.rotation @ np.diag([1.0, 2.0, 3.0]) @ p.rotation.T)
 
 
 class TestDerivedCaches:
     def test_new_points_drop_tree(self, rng):
         pts = rng.normal(size=(20, 3))
-        cloud = PointCloud(pts, covariances=np.stack([np.eye(3)] * 20),
+        cloud = PointCloud(pts, covariances=pack([np.eye(3)] * 20),
                            tree=cKDTree(pts))
         for out in (cloud.subset(np.arange(10)),
                     cloud.transformed(random_pose(rng))):
             assert out.tree is None
+
+
+class TestPackedCovariances:
+    @pytest.mark.parametrize("n", [1, 5, 7, 9, 12])
+    def test_only_six_rows_of_n_accepted(self, rng, n):
+        pts = rng.normal(size=(n, 3))
+        assert PointCloud(pts, np.zeros((6, n))).covariances.shape == (6, n)
+        bad = [(n, 3, 3), (6, n - 1), (6, n + 1)]
+        if n != 6:
+            bad.append((n, 6))
+        for shape in bad:
+            with pytest.raises(ValueError, match="covariances"):
+                PointCloud(pts, np.zeros(shape))
+
+    def test_subset_takes_columns(self, rng):
+        A = rng.normal(size=(8, 3, 3))
+        C = A @ A.transpose(0, 2, 1)
+        cloud = PointCloud(rng.normal(size=(8, 3)), pack(C))
+        index = np.array([5, 0, 5, 2])
+        for chosen in (index, np.isin(np.arange(8), index)):
+            out = cloud.subset(chosen)
+            assert np.array_equal(unpack(out.covariances), C[chosen])
 
 
 class TestPointInBox:

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from dynlo.geometry import PointCloud, Pose, from_euler_zyx
+from conftest import pack, random_pose, unpack
+from dynlo.geometry import PointCloud, Pose, conjugation_map, from_euler_zyx
 from dynlo.keyframes import (KeyframeDB, compute_spaciousness,
                              keyframe_threshold)
 
 
 def tiny_cloud(rng, n=12):
     pts = rng.normal(size=(n, 3))
-    covs = np.stack([np.eye(3)] * n)
-    return PointCloud(pts, covariances=covs)
+    return PointCloud(pts, covariances=pack([np.eye(3)] * n))
 
 
 def db_with_positions(rng, positions):
@@ -241,7 +241,7 @@ class TestSubmap:
         assert ids == [0]
         assert np.allclose(submap.points, pose.apply(cloud.points))
         R = pose.rotation
-        assert np.allclose(submap.covariances[0], R @ np.eye(3) @ R.T)
+        assert np.allclose(unpack(submap.covariances)[0], R @ np.eye(3) @ R.T)
 
     def test_all_selected_once(self, rng):
         positions = rng.uniform(-30, 30, size=(12, 3))
@@ -316,6 +316,30 @@ class TestSubmap:
         world = db.by_id[0].world
         assert world.tree is None
         assert np.array_equal(world.covariances, cloud.covariances)
+
+    def test_stores_packed_rotated_covariances(self, rng):
+        # keyframes and submaps hold (6, n) rows, 48 bytes a point, rotated
+        # once at insert
+        db = KeyframeDB()
+        clouds, poses = [], []
+        for x in (0.0, 8.0, 16.0):
+            n = int(rng.integers(10, 40))
+            A = rng.normal(size=(n, 3, 3))
+            clouds.append(PointCloud(rng.normal(size=(n, 3)),
+                                     pack(A @ A.transpose(0, 2, 1))))
+            poses.append(Pose(random_pose(rng).rotation, (x, 0.0, 0.0)))
+            db.insert(poses[-1], clouds[-1])
+        want = [conjugation_map(p.rotation).T @ c.covariances
+                for p, c in zip(poses, clouds)]
+        for kf, rows in zip(db.by_id, want):
+            assert kf.world.covariances.shape == (6, len(kf.world))
+            assert kf.world.covariances.nbytes == 48 * len(kf.world)
+            assert np.array_equal(kf.world.covariances, rows)
+        ids, submap = db.select_submap(Pose.identity(), 3, 3, 3, np.inf)
+        assert ids == [0, 1, 2]
+        assert submap.covariances.shape == (6, len(submap))
+        assert submap.covariances.nbytes == 48 * len(submap)
+        assert np.array_equal(submap.covariances, np.concatenate(want, axis=1))
 
 
 # --- oracle: the keyframe database before world-frame storage ----------------
@@ -428,7 +452,7 @@ def ref_select_submap(poses, clouds, cell_size, pose, K, L, J, convex,
         selected.update(i for _, i in ranked[:count])
     ids = sorted(selected)
     world = [clouds[i].transformed(poses[i]) for i in ids]
-    covs = (np.concatenate([c.covariances for c in world])
+    covs = (np.concatenate([c.covariances for c in world], axis=1)
             if all(c.covariances is not None for c in world) else None)
     return ids, np.concatenate([c.points for c in world]), covs
 
@@ -463,7 +487,7 @@ class TestMatchesFormerImplementation:
             if covariances == "all" or (covariances == "mixed"
                                         and rng.random() < 0.7):
                 A = rng.normal(size=(m, 3, 3))
-                covs = A @ np.swapaxes(A, 1, 2) + 1e-3 * np.eye(3)
+                covs = pack(A @ np.swapaxes(A, 1, 2) + 1e-3 * np.eye(3))
             cloud = PointCloud(rng.normal(scale=5.0, size=(m, 3)), covs)
             db.insert(pose, cloud)
             poses.append(pose)

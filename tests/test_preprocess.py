@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from dynlo.geometry import PointCloud
+from conftest import pack, unpack
+from dynlo.geometry import PACKED_COLS, PACKED_ROWS, PointCloud
 from dynlo.preprocess import (_normals, crop_self_returns,
                               estimate_point_covariances, voxel_downsample)
-from dynlo.registration import _COLS, _ROWS, _unpack
 
 
 def brute_force_crop(points, half_extent):
@@ -75,17 +75,17 @@ def packed_scatter(neigh):
     centred = neigh - neigh.mean(axis=1, keepdims=True)
     scatter = np.zeros((6, len(neigh)))
     for j in range(neigh.shape[1]):
-        for row, a, b in zip(scatter, _ROWS, _COLS):
+        for row, a, b in zip(scatter, PACKED_ROWS, PACKED_COLS):
             row += centred[:, j, a] * centred[:, j, b]
     return scatter / neigh.shape[1]
 
 
 def plane_covariances(normals, plane_epsilon):
-    """``I - (1 - plane_epsilon) n n^T`` per normal."""
+    """``I - (1 - plane_epsilon) n n^T`` per normal, packed."""
     covariances = normals[:, :, None] * normals[:, None, :]
     covariances *= -(1.0 - plane_epsilon)
     covariances[:, [0, 1, 2], [0, 1, 2]] += 1.0
-    return covariances
+    return pack(covariances)
 
 
 def default_tree_neighbourhoods(points, k):
@@ -105,8 +105,7 @@ def matmul_covariances(points, k, plane_epsilon):
     neigh = default_tree_neighbourhoods(points, k)
     neigh -= neigh.mean(axis=1, keepdims=True)
     scatter = np.matmul(neigh.transpose(0, 2, 1), neigh) / float(k)
-    return plane_covariances(_normals(scatter[:, _ROWS, _COLS].T),
-                             plane_epsilon)
+    return plane_covariances(_normals(pack(scatter)), plane_epsilon)
 
 
 def brute_force_voxel(points, leaf):
@@ -246,7 +245,7 @@ class TestCovariances:
         xy = rng.uniform(-1, 1, size=(40, 2))
         pts = np.column_stack([xy, np.zeros(40)])
         out = estimate_point_covariances(PointCloud(pts), k=10, plane_epsilon=1e-3)
-        for cov in out.covariances:
+        for cov in unpack(out.covariances):
             vals, vecs = np.linalg.eigh(cov)
             normal = vecs[:, 0]
             angle = np.arccos(min(1.0, abs(normal[2])))
@@ -255,7 +254,7 @@ class TestCovariances:
     def test_regularized_eigenvalues_exact(self, rng):
         pts = rng.normal(size=(50, 3))
         out = estimate_point_covariances(PointCloud(pts), k=10, plane_epsilon=1e-3)
-        for cov in out.covariances:
+        for cov in unpack(out.covariances):
             vals = np.linalg.eigvalsh(cov)
             assert np.allclose(sorted(vals), [1e-3, 1.0, 1.0], atol=1e-9)
 
@@ -272,7 +271,7 @@ class TestCovariances:
         eps = 1e-3
         pts = rng.normal(size=(30, 3))
         out = estimate_point_covariances(PointCloud(pts), k=5, plane_epsilon=eps)
-        for cov in out.covariances:
+        for cov in unpack(out.covariances):
             assert np.allclose(cov, cov.T, atol=1e-12)
             vals = np.linalg.eigvalsh(cov)
             assert vals[0] > 0
@@ -355,7 +354,7 @@ class TestCovariances:
         normals = _normals(scatter)
         assert normals.shape == (4 * m, 3)
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
-        vecs = np.linalg.eigh(_unpack(scatter))[1][:, :, 0]
+        vecs = np.linalg.eigh(unpack(scatter))[1][:, :, 0]
         degenerate = kinds > 0
         assert np.array_equal(normals[degenerate], vecs[degenerate])
         cosines = np.abs(np.einsum("ni,ni->n", normals, vecs))
@@ -392,7 +391,8 @@ class TestClosedFormNormal:
         expected, vals, vecs = eigh_covariance(pts, self.EPS)
         # and the normal of the packed sample covariance rows on their own
         normal = _normals(packed_scatter(pts[None]))
-        for cov in [*out.covariances, *plane_covariances(normal, self.EPS)]:
+        for cov in [*unpack(out.covariances),
+                    *unpack(plane_covariances(normal, self.EPS))]:
             assert np.allclose(cov, cov.T, atol=1e-12)
             assert np.allclose(np.linalg.eigvalsh(cov), [self.EPS, 1.0, 1.0],
                                atol=1e-9)
@@ -431,7 +431,7 @@ class TestClosedFormNormal:
     def test_coincident_points(self):
         # zero scatter: every direction is a normal, and eigh's choice is kept
         out, expected = self.check(np.tile([1.5, -2.0, 0.3], (10, 1)))
-        assert np.allclose(out.covariances[0], expected, atol=1e-15)
+        assert np.allclose(unpack(out.covariances)[0], expected, atol=1e-15)
 
     def test_duplicated_points(self, rng):
         self.check(np.repeat(rng.normal(size=(5, 3)), 3, axis=0))

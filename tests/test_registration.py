@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import pack, unpack
 from dynlo import registration
-from dynlo.geometry import PointCloud, Pose, se3_exp, skew, so3_exp
+from dynlo.geometry import (PointCloud, Pose, conjugation_map, se3_exp, skew,
+                            so3_exp)
 from dynlo.preprocess import estimate_point_covariances
 from dynlo.registration import GicpParams, gicp_align
 
@@ -37,8 +39,8 @@ def pair_system(T: Pose, source: PointCloud, target: PointCloud, corr):
     basis = registration._moment_basis(source.points[s_idx])
     pt = target.points[t_idx].T.copy()
     return (basis[1:4], pt) + registration._normal_equations(
-        T, basis, registration._pack(source.covariances[s_idx]), pt,
-        registration._pack(target.covariances[t_idx]))
+        T, basis, source.covariances[:, s_idx], pt,
+        target.covariances[:, t_idx])
 
 
 def gicp_cost(T: Pose, source: PointCloud, target: PointCloud, corr) -> float:
@@ -60,8 +62,8 @@ class TestResidual:
     def test_single_pair_closed_form(self):
         # both covariances eps*I: residual = |d|^2 / (2 eps)
         eps = 1e-3
-        src = PointCloud([[0.0, 0.0, 0.0]], covariances=[eps * np.eye(3)])
-        tgt = PointCloud([[0.3, -0.2, 0.5]], covariances=[eps * np.eye(3)])
+        src = PointCloud([[0.0, 0.0, 0.0]], covariances=pack([eps * np.eye(3)]))
+        tgt = PointCloud([[0.3, -0.2, 0.5]], covariances=pack([eps * np.eye(3)]))
         d = np.array([0.3, -0.2, 0.5])
         got = gicp_cost(Pose.identity(), src, tgt, [[0, 0]])
         assert got == pytest.approx(float(d @ d) / (2 * eps), rel=1e-9)
@@ -131,34 +133,33 @@ class TestPackedKernels:
         C = random_spd(rng, 50)
         for _ in range(5):
             R = so3_exp(rng.normal(size=3))
-            got = registration._conjugation_map(R).T @ registration._pack(C)
-            want = registration._pack(R @ C @ R.T)
+            got = conjugation_map(R).T @ pack(C)
+            want = pack(R @ C @ R.T)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_fused_information_matches_inverse(self, rng):
         cs, ct = random_spd(rng, 200), random_spd(rng, 200, 0.1)
         R = so3_exp(rng.normal(size=3))
-        got = registration._fused_information(R, registration._pack(cs),
-                                              registration._pack(ct))
+        got = registration._fused_information(R, pack(cs), pack(ct))
         want = np.linalg.inv(ct + R @ cs @ R.T)
-        np.testing.assert_allclose(registration._unpack(got), want, rtol=1e-12,
+        np.testing.assert_allclose(unpack(got), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
     def test_singular_fused_stack_is_jittered(self):
         # a planar source covariance and no target covariance: singular
         # until the jitter is added to the diagonal
         eps = registration._JITTER
-        cs = registration._pack(np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
+        cs = pack(np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])]))
         W = registration._fused_information(np.eye(3), cs, np.zeros((6, 2)))
         want = np.array([np.diag([1.0 / (1.0 + eps)] * 3),
                          np.diag([1.0 / (1.0 + eps), 1.0 / (1.0 + eps), 1.0 / eps])])
-        np.testing.assert_allclose(registration._unpack(W), want, rtol=1e-12)
+        np.testing.assert_allclose(unpack(W), want, rtol=1e-12)
 
     def test_singular_after_jitter_raises(self):
         # the first matrix triggers the retry, which the second one (an
         # eigenvalue of exactly -jitter) fails
         eps = registration._JITTER
-        cs = registration._pack(np.array([np.diag([1.0, 1.0, 0.0]),
+        cs = pack(np.array([np.diag([1.0, 1.0, 0.0]),
                                           np.diag([1.0, 1.0, -eps])]))
         with pytest.raises(ValueError, match="fused covariance singular"):
             registration._fused_information(np.eye(3), cs, np.zeros((6, 2)))
@@ -171,8 +172,8 @@ class TestPackedKernels:
             pt = T.apply(ps) + rng.normal(0.0, 0.1, (n, 3))
             cs, ct = random_spd(rng, n, 0.01), random_spd(rng, n, 0.01)
             A, c, err, W = registration._normal_equations(
-                T, registration._moment_basis(ps), registration._pack(cs),
-                pt.T.copy(), registration._pack(ct))
+                T, registration._moment_basis(ps), pack(cs),
+                pt.T.copy(), pack(ct))
             # dense reference: sum_i G_i^T B_i G_i with G_i = [-I | skew(p_i)]
             R = T.rotation
             minv = np.linalg.inv(ct + R @ cs @ R.T)
@@ -188,7 +189,7 @@ class TestPackedKernels:
             # entries that cancel to near zero are held to the scale of
             # their matrix
             for got, want in ((A, A_ref), (c, c_ref),
-                              (registration._unpack(W), minv)):
+                              (unpack(W), minv)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
             assert err == pytest.approx(err_ref, rel=1e-12)
@@ -214,7 +215,7 @@ class TestAlign:
         T_true = Pose.from_yaw(0.05, (0.2, 0.1, 0.0))
         target = room.transformed(T_true)
         perm = rng.permutation(len(room))
-        shuffled = PointCloud(room.points[perm], room.covariances[perm])
+        shuffled = PointCloud(room.points[perm], room.covariances[:, perm])
         a = gicp_align(room, target, Pose.identity())
         b = gicp_align(shuffled, target, Pose.identity())
         # the sums run in the source's stored order, so a shuffle moves the
