@@ -15,6 +15,7 @@ if TYPE_CHECKING:
 
 # Rotation drift beyond this triggers re-orthonormalization on compose.
 _ORTHO_TOL = 1e-9
+_EYE3 = np.eye(3)  # read-only: added to, never written
 
 # Neighbour queries of at least this many rows are split over the CPUs.
 # Rows per call: lane_traffic <= 1.7k, long_route's covariance (k = 10) and
@@ -36,6 +37,17 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 PACKED_ROWS, PACKED_COLS = np.triu_indices(3)
 PACKED_DIAG = np.array([0, 3, 5])  # rows of the diagonal entries
 UNPACK_INDEX = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # row of each flat entry
+# conjugation_map's K[p, q] = R[r_q, r_p] R[c_q, c_p] + R[c_q, r_p] R[r_q, c_p]
+# (r, c = PACKED_ROWS, PACKED_COLS) as flat indices into R: entry q of
+# R C R^T takes both C_kl and C_lk from the packed entry p of (k, l), and a
+# diagonal p counts its one product twice, so its row is halved
+_CONJ_I1, _CONJ_J1, _CONJ_I2, _CONJ_J2 = (
+    3 * a + b[:, None] for a, b in ((PACKED_ROWS, PACKED_ROWS),
+                                    (PACKED_COLS, PACKED_COLS),
+                                    (PACKED_COLS, PACKED_ROWS),
+                                    (PACKED_ROWS, PACKED_COLS)))
+_CONJ_SCALE = np.ones((6, 1))
+_CONJ_SCALE[PACKED_DIAG] = 0.5
 
 
 def _new_pool():  # threads start on first use; a forked child has none
@@ -83,22 +95,25 @@ def unpack(S: np.ndarray) -> np.ndarray:
 
 def conjugation_map(R: np.ndarray) -> np.ndarray:
     """The 6x6 K with packed(R C R^T) = K^T packed(C) for symmetric C."""
-    a, b = R[:, PACKED_ROWS], R[:, PACKED_COLS]
-    K = np.einsum("ip,jp->pij", a, b)
-    K += K.transpose(0, 2, 1)  # an off-diagonal entry stands for C_kl and C_lk
-    K[PACKED_DIAG] *= 0.5
-    return K[:, PACKED_ROWS, PACKED_COLS]
+    f = R.ravel()
+    K = f[_CONJ_I1] * f[_CONJ_J1]
+    K += f[_CONJ_I2] * f[_CONJ_J2]
+    K *= _CONJ_SCALE
+    return K
+
+
+def _rodrigues(K: np.ndarray, angle: float) -> np.ndarray:
+    """:func:`so3_exp` of the axis-angle vector of skew matrix K and norm angle."""
+    if angle < 1e-12:
+        return _EYE3 + K + 0.5 * (K @ K)
+    Kn = K / angle
+    return _EYE3 + math.sin(angle) * Kn + (1.0 - math.cos(angle)) * (Kn @ Kn)
 
 
 def so3_exp(omega) -> np.ndarray:
     """Rodrigues rotation for an axis-angle vector."""
     omega = np.asarray(omega, dtype=float)
-    angle = float(np.linalg.norm(omega))
-    K = skew(omega)
-    if angle < 1e-12:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    Kn = K / angle
-    return np.eye(3) + math.sin(angle) * Kn + (1.0 - math.cos(angle)) * (Kn @ Kn)
+    return _rodrigues(skew(omega), float(np.linalg.norm(omega)))
 
 
 def se3_exp(xi) -> "Pose":
@@ -108,12 +123,12 @@ def se3_exp(xi) -> "Pose":
     angle = float(np.linalg.norm(omega))
     K = skew(omega)
     if angle < 1e-12:
-        V = np.eye(3) + 0.5 * K + (K @ K) / 6.0
+        V = _EYE3 + 0.5 * K + (K @ K) / 6.0
     else:
-        V = (np.eye(3)
+        V = (_EYE3
              + (1.0 - math.cos(angle)) / angle**2 * K
              + (angle - math.sin(angle)) / angle**3 * (K @ K))
-    return Pose(so3_exp(omega), V @ v)
+    return Pose(_rodrigues(K, angle), V @ v)
 
 
 def rotation_angle(R) -> float:
@@ -192,7 +207,7 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         R = self.rotation @ other.rotation
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:
+        if np.max(np.abs(R.T @ R - _EYE3)) > _ORTHO_TOL:
             R = orthonormalize(R)
         return Pose(R, self.rotation @ other.translation + self.translation)
 
@@ -262,24 +277,39 @@ class PointCloud:
         return PointCloud(pose.apply(self.points), covs)
 
 
-def query_neighbors(tree: "cKDTree", points: np.ndarray, k: int,
-                    distance_upper_bound: float = np.inf):
-    """``tree.query(points, k, distance_upper_bound)``; from
-    ``_PARALLEL_QUERY_POINTS`` rows, one contiguous slice per CPU, the first
-    answered by the caller and the rest by the pool. Each row is answered on
-    its own, so the split does not change the result."""
-    def query(rows):
-        return tree.query(rows, k=k, distance_upper_bound=distance_upper_bound)
-
+def _split_rows(query, points: np.ndarray) -> list:
+    """``[query(points)]``; from ``_PARALLEL_QUERY_POINTS`` rows, the answers
+    of one contiguous slice per CPU in row order, the first answered by the
+    caller and the rest by the pool."""
     if len(points) < _PARALLEL_QUERY_POINTS or _CPUS == 1:
-        return query(points)
+        return [query(points)]
     first, *rest = np.array_split(points, _CPUS)
     futures = [_pool.submit(query, rows) for rows in rest]
     try:
         head = query(first)
     finally:
         tail = [future.result() for future in futures]
-    return tuple(np.concatenate(column) for column in zip(head, *tail))
+    return [head, *tail]
+
+
+def query_neighbors(tree: "cKDTree", points: np.ndarray, k: int,
+                    distance_upper_bound: float = np.inf):
+    """``tree.query(points, k, distance_upper_bound)``, split over the CPUs
+    from ``_PARALLEL_QUERY_POINTS`` rows. Each row is answered on its own,
+    so the split does not change the result."""
+    parts = _split_rows(lambda rows: tree.query(
+        rows, k=k, distance_upper_bound=distance_upper_bound), points)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def query_indices(tree: "cKDTree", points: np.ndarray, k: int) -> np.ndarray:
+    """The indices of ``query_neighbors(tree, points, k)``: each slice drops
+    its distances as soon as it is answered, and only the indices are
+    joined."""
+    parts = _split_rows(lambda rows: tree.query(rows, k=k)[1], points)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)

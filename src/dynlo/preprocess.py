@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (PACKED_COLS, PACKED_DIAG, PACKED_ROWS, PointCloud,
-                       query_neighbors, unpack)
+                       query_indices, unpack)
 
 # Below this cross-product size, relative to the spread of the eigenvalues,
 # the two smallest eigenvalues count as equal and the normal comes from eigh.
@@ -117,11 +117,11 @@ def estimate_point_covariances(cloud: PointCloud, k: int,
     # distance ties
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     # (n,) indices at k = 1
-    nn = query_neighbors(tree, points, k)[1].reshape(n, k)
+    nn = query_indices(tree, points, k).reshape(n, k)
     # the (k, n) indices and the (3, k, n) neighbour coordinates, one
-    # contiguous (k, n) plane per axis, take n k 32 bytes; with the query's
-    # outputs they set this stage's memory peak, so each is released as
-    # soon as it is used
+    # contiguous (k, n) plane per axis, take n k 32 bytes and set this
+    # stage's memory peak (the query, which keeps no distances, stays
+    # under it), so each is released as soon as it is used
     nn = np.ascontiguousarray(nn.T)
     neigh = np.ascontiguousarray(points.T).take(nn, axis=1)
     del nn

@@ -23,13 +23,15 @@ covariances are inverted by a packed adjugate. The Gauss-Newton system
 ``A = sum_i G_i^T B_i G_i`` with ``G_i = [-I | skew(p_i)]`` and
 ``B_i = R^T W_i R`` is assembled from moments: one GEMM of the packed
 information with the (10, n) source basis ``[1, x, y, z, xx, xy, xz, yy, yz,
-zz]`` gives every weighted moment ``sum_i W_i m_i``; each is rotated to
-``R^T . R`` and contracted with the three skew generators. No per-point
-Jacobian is formed.
+zz]`` gives every weighted moment ``sum_i W_i m_i``, and one more rotates
+them all to ``R^T . R``. Each entry of A is then a signed sum of at most
+four of these packed entries (the skew generators' contraction), gathered
+by one ``take`` from fixed index tables. No per-point Jacobian is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,17 +40,55 @@ from scipy.spatial import cKDTree
 
 from .geometry import (PACKED_COLS, PACKED_DIAG, PACKED_ROWS, UNPACK_INDEX,
                        PointCloud, Pose, conjugation_map, query_neighbors,
-                       se3_exp, skew, unpack)
+                       se3_exp, skew)
 
 _MIN_CORRESPONDENCES = 10
 _JITTER = 1e-9
 # per metre of coordinate magnitude, see _NearestTargets
 _REUSE_SLACK = 1e-9
 
-# skew(p) = sum_k p_k _GENERATORS[k]
-_GENERATORS = np.array([skew(e) for e in np.eye(3)])
-# basis index of the second moment x_k x_l
-_SECOND = 4 + UNPACK_INDEX.reshape(3, 3)
+
+def _assembly_terms():
+    """Each entry of A and c as a signed sum of entries of the packed
+    moments M (6, 10) and U (4, 3) of :func:`_normal_equations`: flat
+    indices and signs, one row per term, padded with zero-signed terms.
+
+    With B_m the unpacked column m of M and G_k the skew generators,
+    ``A = [[B_0, -sum_k B_{1+k} G_k], [., -sum_kl G_k B_{x_k x_l} G_l]]``
+    and ``c = [-U_0, -sum_k G_k U_{1+k}]``. An entry's terms are listed in
+    the loop order (k, b, l, c) of ``G_k[a, b] B[b, c] G_l[c, d]``, the
+    order in which einsum adds them, so the sums round as einsum's did.
+    """
+    G = [skew(e) for e in np.eye(3)]
+    unpacked = UNPACK_INDEX.reshape(3, 3)
+    second = 4 + unpacked  # basis index of the moment x_k x_l
+    a_terms = (np.zeros((4, 6, 6), dtype=np.intp), np.zeros((4, 6, 6)))
+    c_terms = (np.zeros((2, 6), dtype=np.intp), np.zeros((2, 6)))
+
+    def put(table, at, terms):
+        for row, (sign, flat) in enumerate(terms):
+            table[0][(row, *at)], table[1][(row, *at)] = flat, sign
+
+    r3 = range(3)
+    for a in r3:
+        put(c_terms, (a,), [(-1.0, a)])
+        put(c_terms, (3 + a,), [(-G[k][a, b], 3 * (1 + k) + b)
+                                for k in r3 for b in r3 if G[k][a, b]])
+        for d in r3:
+            put(a_terms, (a, d), [(1.0, 10 * unpacked[a, d])])
+            cross = [(-G[k][b, d], 10 * unpacked[a, b] + 1 + k)
+                     for k in r3 for b in r3 if G[k][b, d]]
+            put(a_terms, (a, 3 + d), cross)
+            put(a_terms, (3 + d, a), cross)
+            put(a_terms, (3 + a, 3 + d),
+                [(-G[k][a, b] * G[l][c, d],
+                  10 * unpacked[b, c] + second[k, l])
+                 for k in r3 for b in r3 for l in r3 for c in r3
+                 if G[k][a, b] and G[l][c, d]])
+    return a_terms, c_terms
+
+
+(_A_INDEX, _A_SIGN), (_C_INDEX, _C_SIGN) = _assembly_terms()
 
 
 @dataclass
@@ -93,7 +133,9 @@ def _sym_adjugate_det(M: np.ndarray):
 
 
 def _singular(det: np.ndarray) -> bool:
-    return bool(np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)))
+    """Any |det| under 1e-300 or not finite; NaN fails both comparisons."""
+    size = np.abs(det)
+    return not (size.min() >= 1e-300 and size.max() < np.inf)
 
 
 def _fused_information(R: np.ndarray, cs: np.ndarray,
@@ -194,18 +236,17 @@ def _normal_equations(T: Pose, basis, cs, pt, ct):
     d = pt - _apply(T, basis[1:4])
     Wd = _sym_matvec(W, d)
     err = float(np.sum(d * Wd))
-    # sum_i B_i m_i per basis moment m, with B_i = R^T W_i R
-    B = unpack(conjugation_map(R.T).T @ (W @ basis.T))
-    A = np.empty((6, 6))
-    A[:3, :3] = B[0]
-    A[:3, 3:] = -np.einsum("kij,kjl->il", B[1:4], _GENERATORS)
-    A[3:, :3] = A[:3, 3:].T
-    A[3:, 3:] = -np.einsum("kab,klbc,lcd->ad", _GENERATORS, B[_SECOND],
-                           _GENERATORS)
-    # sum_i m_i u_i for m in [1, x, y, z], with u_i = R^T W_i d_i
-    U = (basis[:4] @ Wd.T) @ R
-    c = np.concatenate([-U[0], -np.einsum("kij,kj->i", _GENERATORS, U[1:])])
-    return A, c, err, W
+    # A's terms, gathered from the packed sum_i B_i m_i per basis moment m,
+    # with B_i = R^T W_i R
+    terms = (conjugation_map(R.T).T @ (W @ basis.T)).take(_A_INDEX)
+    terms *= _A_SIGN
+    A = terms[0] + terms[1]
+    A += terms[2]
+    A += terms[3]
+    # c's terms, from sum_i m_i u_i for m in [1, x, y, z], u_i = R^T W_i d_i
+    terms = ((basis[:4] @ Wd.T) @ R).take(_C_INDEX)
+    terms *= _C_SIGN
+    return A, terms[0] + terms[1], err, W
 
 
 def _model_error(T: Pose, ps, pt, W) -> float:
@@ -214,22 +255,42 @@ def _model_error(T: Pose, ps, pt, W) -> float:
     return float(np.sum(d * _sym_matvec(W, d)))
 
 
+def _first_revisit(rotations: np.ndarray, translations: np.ndarray,
+                   cand: Pose, translation_epsilon: float,
+                   min_trace: float) -> int:
+    """Index of the first pose (rotations[j], translations[j]) within both
+    epsilons of cand, or -1: nearer than ``translation_epsilon``, and with
+    trace(R_j^T R_cand) above ``min_trace``, the trace at the rotation
+    epsilon."""
+    dt = translations - cand.translation
+    near = np.einsum("ij,ij->i", dt, dt) < translation_epsilon**2
+    # trace(R_j^T R_c) = sum(R_j * R_c)
+    near &= rotations.reshape(-1, 9) @ cand.rotation.ravel() > min_trace
+    hits = np.flatnonzero(near)
+    return int(hits[0]) if hits.size else -1
+
+
 def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
                params: GicpParams | None = None,
                target_tree: Optional[cKDTree] = None) -> GicpResult:
     """Iteratively minimize the GICP cost of source against target from ``init``.
 
-    Gauss-Newton with per-iteration correspondences, converged once a step
-    is under both epsilons. The call ends unconverged, at the last pose that
-    lowered the cost, when the iterations run out, when fewer than
-    ``_MIN_CORRESPONDENCES`` pairs are left after the first iteration, or
-    when a step does not lower the cost with W frozen. Correspondences are
-    searched in ``target_tree`` if given, else in the tree the target
-    carries, else in a tree built here. A source point is searched again
-    only where its nearest target could have changed (see
-    :class:`_NearestTargets`), so the correspondences equal a k = 1 search
-    of every point at every iteration. The sums run over the source in its
-    stored order.
+    Gauss-Newton with per-iteration correspondences. The call ends
+    converged at the pose after a step under both epsilons, or on a
+    revisit: a step that lands within both epsilons (translation distance,
+    rotation angle) of a pose an earlier iteration linearized at. Nearest
+    pairing and the Mahalanobis solve do not lower one common cost, so they
+    can cycle; a revisit ends the call at the cycle's lowest-cost pose from
+    the revisited one on, each cost taken under that pose's own pairs. The
+    call ends unconverged, at the last pose that lowered the cost, when the
+    iterations run out, when fewer than ``_MIN_CORRESPONDENCES`` pairs are
+    left after the first iteration, or when a step does not lower the cost
+    with W frozen. Correspondences are searched in ``target_tree`` if
+    given, else in the tree the target carries, else in a tree built here.
+    A source point is searched again only where its nearest target could
+    have changed (see :class:`_NearestTargets`), so the correspondences
+    equal a k = 1 search of every point at every iteration. The sums run
+    over the source in its stored order.
     """
     params = params if params is not None else GicpParams()
     if params.max_iterations < 1:
@@ -247,6 +308,12 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         tree = cKDTree(target.points)
     src_basis = _moment_basis(source.points)
     nearest_targets = _NearestTargets(tree, params.max_correspondence_distance)
+    # each linearization point and its cost under its own pairs
+    seen_t = np.empty((params.max_iterations, 3))
+    seen_R = np.empty((params.max_iterations, 3, 3))
+    seen_err = np.empty(params.max_iterations)
+    # an angle under the epsilon (at most pi) has a trace above this
+    min_trace = 1.0 + 2.0 * math.cos(min(params.rotation_epsilon, math.pi))
     T = init
     converged = False
     for iterations in range(1, params.max_iterations + 1):
@@ -261,6 +328,8 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         A, c, err, W = _normal_equations(
             T, basis, source.covariances.take(s_idx, axis=1), pt,
             target.covariances.take(t_idx, axis=1))
+        i = iterations - 1
+        seen_t[i], seen_R[i], seen_err[i] = T.translation, T.rotation, err
         try:
             xi = np.linalg.solve(A, -c)
         except np.linalg.LinAlgError:
@@ -271,6 +340,14 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         if (np.linalg.norm(xi[:3]) < params.translation_epsilon
                 and np.linalg.norm(xi[3:]) < params.rotation_epsilon):
             T = cand
+            converged = True
+            break
+        first = _first_revisit(seen_R[:i], seen_t[:i], cand,
+                               params.translation_epsilon, min_trace)
+        if first >= 0:
+            best = first + int(seen_err[first:i + 1].argmin())
+            T = Pose(seen_R[best].copy(), seen_t[best].copy())
+            err = float(seen_err[best])
             converged = True
             break
         cand_err = _model_error(cand, ps, pt, W)

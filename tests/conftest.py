@@ -4,8 +4,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from dynlo.geometry import (PACKED_COLS, PACKED_ROWS, DetectionBox, Pose,
-                            euler_zyx, unpack, wrap_angle)
+from dynlo.geometry import (PACKED_COLS, PACKED_DIAG, PACKED_ROWS,
+                            DetectionBox, Pose, euler_zyx, unpack, wrap_angle)
 from dynlo.simulate import Mover, RectPatch, SensorModel, SimScene
 
 hypothesis.settings.register_profile(
@@ -29,6 +29,19 @@ def pack(C) -> np.ndarray:
     (n, 3, 3) stack of symmetric matrices; :func:`unpack` inverts it."""
     C = np.asarray(C, dtype=float)
     return C.reshape(-1, 9).T[3 * PACKED_ROWS + PACKED_COLS]
+
+
+def einsum_conjugation_map(R) -> np.ndarray:
+    """``conjugation_map`` by its definition: K[p] holds the coefficients of
+    packed entry p of C in R C R^T, the outer product of the rows of R at
+    (k, l) plus that at (l, k), halved where k = l, read at the packed
+    entries. The library's index form must equal it bit for bit."""
+    R = np.asarray(R, dtype=float)
+    a, b = R[:, PACKED_ROWS], R[:, PACKED_COLS]
+    K = np.einsum("ip,jp->pij", a, b)
+    K += K.transpose(0, 2, 1)  # an off-diagonal entry stands for C_kl and C_lk
+    K[PACKED_DIAG] *= 0.5
+    return K[:, PACKED_ROWS, PACKED_COLS]
 
 
 def transform_rows(pose: Pose, rows) -> np.ndarray:

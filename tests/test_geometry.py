@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import pack, random_pose, transform_rows, unpack
+from conftest import (einsum_conjugation_map, pack, random_pose,
+                      transform_rows, unpack)
 from dynlo import geometry
-from dynlo.geometry import (DetectionBox, PointCloud, Pose, euler_zyx,
-                            point_in_box, se3_exp, wrap_angle)
+from dynlo.geometry import (DetectionBox, PointCloud, Pose, conjugation_map,
+                            euler_zyx, point_in_box, se3_exp, so3_exp,
+                            wrap_angle)
 
 
 def homogeneous_multiply(a: Pose, b: Pose) -> np.ndarray:
@@ -194,6 +197,26 @@ class TestAngles:
         assert np.isclose(math.cos(w), math.cos(theta), atol=1e-9)
 
 
+class TestConjugationMap:
+    def test_bit_equal_to_its_definition(self):
+        rng = np.random.default_rng(2024)
+        axes = rng.normal(size=(200, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        rotations = [np.eye(3), np.diag([1.0, -1.0, -1.0]),
+                     np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+        # half turns about random axes, and near them
+        rotations += [2.0 * np.outer(a, a) - np.eye(3) for a in axes]
+        rotations += [so3_exp((math.pi - 1e-9) * a) for a in axes[:50]]
+        rotations += [random_pose(rng).rotation for _ in range(1000)]
+        rotations += [so3_exp(rng.normal(scale=1e-6, size=3))
+                      for _ in range(100)]
+        for R in rotations:
+            # registration also passes a transposed view
+            for M in (R, R.T):
+                assert np.array_equal(conjugation_map(M),
+                                      einsum_conjugation_map(M))
+
+
 class TestSe3Exp:
     def test_zero_twist_is_identity(self):
         p = se3_exp(np.zeros(6))
@@ -301,6 +324,36 @@ class TestQueryNeighbors:
     def test_ten_nearest(self, seed, grid, n_query, cpus):
         self._check(np.random.default_rng(seed), n_query, grid, 10, np.inf,
                     cpus)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(SIZES),
+           st.sampled_from([1, 2, 10]), st.sampled_from([1, 2, 3]))
+    def test_indices_only(self, seed, grid, n_query, k, cpus):
+        rng = np.random.default_rng(seed)
+        target = _RecordingTree(_cloud(rng, 3000, grid))
+        query = _cloud(rng, n_query, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_CPUS", cpus)
+            mp.setattr(geometry, "_pool", ThreadPoolExecutor(max(1, cpus - 1)))
+            idx = geometry.query_indices(target, query, k)
+        np.testing.assert_array_equal(idx, target.tree.query(query, k=k)[1])
+        assert len(target.calls) == (cpus if n_query >= self.GATE else 1)
+
+    def test_indices_only_join_no_distances(self, monkeypatch, rng):
+        # a split k = 10 query joins n k 8 B of indices: under tracemalloc
+        # it peaks at 0.67x n k 24 B (the slices' own outputs, then the
+        # join), against 1.33x when it joins the distances as well
+        monkeypatch.setattr(geometry, "_CPUS", 2)
+        monkeypatch.setattr(geometry, "_pool", ThreadPoolExecutor(1))
+        n, k = 17000, 10
+        pts = rng.normal(size=(n, 3)) * [20.0, 20.0, 2.0]
+        tree = cKDTree(pts)
+        tracemalloc.start()
+        try:
+            geometry.query_indices(tree, pts, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * n * k * 24
 
     @pytest.mark.parametrize("k, bound", [(1, 1.0), (2, 1.0), (10, np.inf)])
     @pytest.mark.parametrize("gate", [0, GATE])

@@ -321,9 +321,11 @@ class TestCovariances:
                            rtol=0.0, atol=atol)
 
     def test_memory_peak(self):
-        # the (3, k, n) neighbour planes are n k 24 bytes; with the indices
-        # and the query's outputs the peak reads 1.6x that, and 2.3x when
-        # the planes outlive the scatter
+        # the (3, k, n) neighbour planes are n k 24 bytes; with the (k, n)
+        # indices and the tree the peak reads 1.57x that, and 2.3x when the
+        # planes outlive the scatter. The query phase, tree included, reads
+        # 0.80x since it joins only the indices (1.47x when it joined the
+        # distances too). The bound is the measured 1.57x plus 5 %
         n, k = 17000, 10
         pts = np.random.default_rng(5).normal(size=(n, 3)) * [20.0, 20.0, 2.0]
         cloud = PointCloud(pts)
@@ -333,7 +335,7 @@ class TestCovariances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * n * k * 24
+        assert peak <= 1.65 * n * k * 24
 
     def test_degenerate_rows_in_one_large_batch(self, rng):
         # regular neighbourhoods mixed with single points (k = 1),

@@ -194,6 +194,33 @@ class TestPackedKernels:
                                            atol=1e-12 * np.abs(want).max())
             assert err == pytest.approx(err_ref, rel=1e-12)
 
+    def test_assembly_bit_equal_to_einsum_contraction(self, rng):
+        # A and c are gathered as signed sums of the packed moments; the
+        # terms are ordered so each sum rounds as this contraction does
+        G = np.array([skew(e) for e in np.eye(3)])
+        second = 4 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+        for n in (10, 60, 1500):
+            T = se3_exp(rng.normal(scale=0.5, size=6))
+            ps = rng.normal(0.0, 5.0, (n, 3))
+            pt = (T.apply(ps) + rng.normal(0.0, 0.05, (n, 3))).T.copy()
+            basis = registration._moment_basis(ps)
+            R = T.rotation
+            A, c, _, W = registration._normal_equations(
+                T, basis, pack(random_spd(rng, n, 0.01)), pt,
+                pack(random_spd(rng, n, 0.01)))
+            B = unpack(conjugation_map(R.T).T @ (W @ basis.T))
+            A_ref = np.empty((6, 6))
+            A_ref[:3, :3] = B[0]
+            A_ref[:3, 3:] = -np.einsum("kij,kjl->il", B[1:4], G)
+            A_ref[3:, :3] = A_ref[:3, 3:].T
+            A_ref[3:, 3:] = -np.einsum("kab,klbc,lcd->ad", G, B[second], G)
+            d = pt - (R @ ps.T + T.translation[:, None])
+            U = (basis[:4] @ registration._sym_matvec(W, d).T) @ R
+            c_ref = np.concatenate([-U[0],
+                                    -np.einsum("kij,kj->i", G, U[1:])])
+            assert np.array_equal(A, A_ref)
+            assert np.array_equal(c, c_ref)
+
 
 class TestAlign:
     def test_self_registration_identity(self, room):
@@ -267,6 +294,17 @@ class TestAlign:
             gicp_align(room, room, Pose.identity(),
                        GicpParams(max_correspondence_distance=gate))
         assert queries == []
+
+
+def shifted_copies(cloud: PointCloud, poses):
+    """One target cloud of ``cloud`` moved by each pose, and per pose the
+    pairs (source, target) of every point with its own moved copy."""
+    n = len(cloud)
+    copies = [cloud.transformed(T) for T in poses]
+    target = PointCloud(np.concatenate([c.points for c in copies]),
+                        np.concatenate([c.covariances for c in copies], axis=1))
+    return target, [(np.arange(n), m * n + np.arange(n))
+                    for m in range(len(poses))]
 
 
 class TestExits:
@@ -358,6 +396,85 @@ class TestExits:
                             lambda *args: cost)
         with pytest.raises(ValueError, match="^solver diverged$"):
             gicp_align(room, moved, Pose.identity())
+
+
+    # the revisit exit: a faked pairing cycles through fixed pair sets, each
+    # pulling the pose onto its own copy of the source
+    A = Pose(np.eye(3), (0.05, 0.0, 0.0))
+    B = Pose(np.eye(3), (0.0, 0.05, 0.0))
+    C = Pose(np.eye(3), (0.0, 0.0, 0.05))
+
+    @pytest.fixture
+    def linearizations(self, monkeypatch):
+        """(pose, cost) of each iteration's linearization point."""
+        seen = []
+        original = registration._normal_equations
+
+        def recording(T, *args):
+            out = original(T, *args)
+            seen.append((T, out[2]))
+            return out
+
+        monkeypatch.setattr(registration, "_normal_equations", recording)
+        return seen
+
+    @staticmethod
+    def fake_pairs(monkeypatch, sequence):
+        """Iteration i pairs with ``sequence[i]``, the last set from then on."""
+        calls = []
+
+        def cycling(nearest, q):
+            calls.append(q)
+            return sequence[min(len(calls), len(sequence)) - 1]
+
+        monkeypatch.setattr(registration._NearestTargets, "pairs", cycling)
+
+    def test_ends_at_the_lowest_cost_pose_of_the_cycle(
+            self, room, monkeypatch, linearizations):
+        target, (a, b, c) = shifted_copies(room, [self.A, self.B, self.C])
+        # the set towards C keeps a third of the points, so the pose it is
+        # taken at, B, has the cycle's lowest cost under its own pairs
+        c = (c[0][::3], c[1][::3])
+        self.fake_pairs(monkeypatch, [a, b, c, a, b, c, a])
+        res = gicp_align(room, target, Pose.identity())
+        poses, costs = zip(*linearizations)
+        # identity -> A -> B -> C, whose step lands back on A
+        assert res.iterations == 4 and len(poses) == 4
+        for T, want in zip(poses[1:], (self.A, self.B, self.C)):
+            np.testing.assert_allclose(T.matrix(), want.matrix(), atol=1e-9)
+        assert res.converged
+        assert costs[2] < min(costs[1], costs[3])
+        assert np.array_equal(res.pose.matrix(), poses[2].matrix())
+        assert res.error == costs[2]
+
+    @pytest.mark.parametrize("kind", ["translation", "rotation"])
+    @pytest.mark.parametrize("factor, revisits", [(0.5, True), (2.0, False)])
+    def test_only_a_pose_within_both_epsilons_is_revisited(
+            self, room, monkeypatch, linearizations, kind, factor,
+            revisits):
+        params = GicpParams()
+        if kind == "translation":
+            offset = (factor * params.translation_epsilon, 0.0, 0.0)
+            near_a = Pose(self.A.rotation, self.A.translation + offset)
+        else:
+            near_a = Pose(so3_exp((0.0, 0.0, factor * params.rotation_epsilon)),
+                          self.A.translation)
+        target, (a, b, a2) = shifted_copies(room, [self.A, self.B, near_a])
+        # identity -> A -> B, whose step lands near A; pairing on with the
+        # last set converges there
+        self.fake_pairs(monkeypatch, [a, b, a2])
+        res = gicp_align(room, target, Pose.identity(), params)
+        poses, costs = zip(*linearizations)
+        assert res.converged
+        if revisits:
+            assert res.iterations == 3
+            best = 1 + int(np.argmin(costs[1:]))
+            assert np.array_equal(res.pose.matrix(), poses[best].matrix())
+        else:
+            # a step under both epsilons from the pose near A
+            assert res.iterations == 4
+            np.testing.assert_allclose(res.pose.matrix(), near_a.matrix(),
+                                       atol=1e-9)
 
 
 def grid_room(step=0.25, extent=2.0):
@@ -574,3 +691,59 @@ class TestScanToScanAndMap:
     def test_empty_submap_raises(self, room):
         with pytest.raises(ValueError, match="insufficient overlap"):
             gicp_align(room, PointCloud(np.empty((0, 3))), Pose.identity())
+
+
+class TestReferencePairCycle:
+    """Scans 0 and 1 of the reference scene (seed 1, 6000 rays), preprocessed
+    without removal, on which nearest pairing and the solve alternate
+    between two poses from the identity and from ground truth."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        from dynlo.preprocess import crop_self_returns, voxel_downsample
+        from dynlo.simulate import (reference_config, reference_dynamic_scene,
+                                    simulate)
+        cfg = reference_config()
+        pre = cfg.preprocess
+        sim = simulate(reference_dynamic_scene(n_scans=2, rays_per_scan=6000),
+                       1)
+        source, target = (
+            estimate_point_covariances(
+                voxel_downsample(crop_self_returns(scan,
+                                                   pre.self_crop_half_extent),
+                                 pre.voxel_leaf),
+                pre.covariance_knn, pre.plane_epsilon)
+            for scan in (sim.scans[1], sim.scans[0]))
+        truth = sim.gt_poses[0].inverse().compose(sim.gt_poses[1])
+        return source, target, truth, cfg.gicp
+
+    @staticmethod
+    def distance(a: Pose, b: Pose) -> float:
+        return float(np.linalg.norm(a.translation - b.translation))
+
+    def test_the_call_ends_on_the_revisit(self, pair, monkeypatch):
+        source, target, truth, params = pair
+        ends = [gicp_align(source, target, init, params)
+                for init in (Pose.identity(), truth)]
+        # without the exit both calls cycle until the iterations run out,
+        # and end on whichever pose of the cycle the last one lands on
+        monkeypatch.setattr(registration, "_first_revisit",
+                            lambda *args: -1)
+        cycling = [gicp_align(source, target, init, params)
+                   for init in (Pose.identity(), truth)]
+        assert [res.converged for res in cycling] == [False, False]
+        assert [res.iterations for res in cycling] == [params.max_iterations] * 2
+        for res in ends:
+            assert res.converged
+            assert res.iterations <= 6
+        # both calls end at the cycle's lowest-cost pose (cost 4859.5, that
+        # of the other pose 4902.7): from ground truth as far from it as
+        # the cycling call's end (26.2 mm, within 1 um), and from the
+        # identity 2.6 mm farther than the cycling call's end, which the
+        # 64th iteration put on the other pose. The cost minimum itself
+        # lies ~26 mm off, since no removal leaves the movers in the scans
+        np.testing.assert_allclose(ends[0].pose.matrix(),
+                                   ends[1].pose.matrix(), atol=1e-9)
+        assert ends[0].error == pytest.approx(ends[1].error, rel=1e-9)
+        assert (self.distance(ends[1].pose, truth)
+                <= self.distance(cycling[1].pose, truth) + 1e-6)
