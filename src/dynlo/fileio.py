@@ -59,8 +59,29 @@ def list_scan_files(directory: str) -> List[str]:
 
 # --- labels ------------------------------------------------------------------
 
+_ZERO, _ONE, _NEWLINE = b"01\n"  # byte values of a label file
+
+
 def read_labels(path: str) -> np.ndarray:
-    """One int64 per non-blank line, nonzero meaning dynamic; ValueError else."""
+    """One int64 per non-blank line, nonzero meaning dynamic; ValueError else.
+
+    A file of ``0\\n`` and ``1\\n`` lines only, the form :func:`write_labels`
+    writes, is parsed in one pass over its bytes; any other file by
+    :func:`_parse_label_lines`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) % 2 == 0:
+        lines = np.frombuffer(data, dtype=np.uint8).reshape(-1, 2)
+        digits = lines[:, 0]
+        if (np.all(lines[:, 1] == _NEWLINE)
+                and np.all((digits == _ZERO) | (digits == _ONE))):
+            return digits == _ONE
+    return _parse_label_lines(path)
+
+
+def _parse_label_lines(path: str) -> np.ndarray:
+    """:func:`read_labels` of any file: errors name the file's line."""
     with open(path, "r") as fh:
         if not fh.read().strip():  # loadtxt warns on a file without data
             return np.zeros(0, dtype=bool)
@@ -78,12 +99,12 @@ def read_labels(path: str) -> np.ndarray:
 
 
 def write_labels(path: str, labels: Optional[np.ndarray]) -> None:
-    if labels is None:
-        labels = np.zeros(0, dtype=bool)
-    with open(path, "w") as fh:
-        fh.write("\n".join("1" if v else "0" for v in labels))
-        if len(labels):
-            fh.write("\n")
+    """One ``0`` or ``1`` line per label, 1 meaning dynamic."""
+    flags = np.asarray([] if labels is None else labels, dtype=bool)
+    lines = np.full((len(flags), 2), _NEWLINE, dtype=np.uint8)
+    lines[:, 0] = _ZERO + flags
+    with open(path, "wb") as fh:
+        fh.write(lines.tobytes())
 
 
 # --- trajectories ------------------------------------------------------------

@@ -68,6 +68,17 @@ class PipelineResult:
     db: KeyframeDB
 
 
+def _check_input(raw: PointCloud, frame: DetectionFrame) -> None:
+    """The scan's points and box rows are finite, box dimensions positive."""
+    if not np.isfinite(raw.points).all():
+        raise ValueError("points: non-finite coordinate")
+    boxes = frame.boxes
+    if not np.isfinite(boxes).all():
+        raise ValueError("boxes: non-finite box row")
+    if not (boxes[:, 4:] > 0.0).all():
+        raise ValueError("boxes: box dimension not positive")
+
+
 class Odometry:
     """The pipeline between scans; ``step(raw, frame)`` runs one scan.
 
@@ -91,7 +102,12 @@ class Odometry:
         self.prev_ids, self.prev_z = np.empty(0, dtype=np.int64), np.empty(0)
 
     def step(self, raw: PointCloud, frame: DetectionFrame) -> ScanStats:
-        """Run one scan with its detections and return the scan's record."""
+        """Run one scan with its detections and return the scan's record.
+
+        Raises ValueError on a non-finite point, a non-finite box row or a
+        box dimension that is not positive, before any state changes.
+        """
+        _check_input(raw, frame)
         cfg, k = self.cfg, self.scans
         pre = cfg.preprocess
         det, rem, kf = cfg.detections, cfg.removal, cfg.keyframes

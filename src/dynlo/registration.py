@@ -10,8 +10,10 @@ minimizes this cost with W_i frozen at its current rotation
 target inside the gate, but a point keeps its last answer while it has moved
 less than half the gap between its nearest and second-nearest target (or the
 gate), since that answer cannot have changed; an exact tie has no gap and is
-searched every iteration. The local step is a right-multiplied 6-DoF
-increment.
+searched every iteration. A point with no target in the gate stays unpaired
+while it has moved less than its clearance, the distance by which its
+nearest target lies outside the gate. The local step is a right-multiplied
+6-DoF increment.
 
 The per-pair arithmetic runs on contiguous columns, one row per entry:
 points and residuals are (3, n), and symmetric 3x3 matrices are packed into
@@ -46,6 +48,9 @@ _MIN_CORRESPONDENCES = 10
 _JITTER = 1e-9
 # per metre of coordinate magnitude, see _NearestTargets
 _REUSE_SLACK = 1e-9
+# reach of the k = 2 search, in gates: a row with no target in the gate
+# learns how far outside it is (see _NearestTargets)
+_SEARCH_REACH = 1.1
 
 
 def _assembly_terms():
@@ -163,18 +168,24 @@ class _NearestTargets:
     """Nearest target point of each source point, within the gate, at the
     source positions of successive iterations.
 
-    A search (k = 2) stores each point's anchor, the position it was searched
-    from, its nearest target and the gap ``min(d2, gate) - d1`` by which every
-    other target point was farther. A point that has since moved by delta
-    with ``2 delta + slack < gap`` keeps its answer: the old nearest is at
-    most ``d1 + delta`` away and every other point at least ``d2 - delta``
-    (or ``gate - delta``), so a k = 1 search would return it, inside the
-    gate. Only the other points are searched again.
+    A search (k = 2, out to ``_SEARCH_REACH`` gates) stores each point's
+    anchor, the position it was searched from, its nearest target and a gap.
+    Where the nearest target is inside the gate (d1 < gate; scipy's bound is
+    strict), the gap is ``min(d2, gate) - d1``, by which every other target
+    point was farther. A point that has since moved by delta with
+    ``2 delta + slack < gap`` keeps its answer: the old nearest is at most
+    ``d1 + delta`` away and every other point at least ``d2 - delta`` (or
+    ``gate - delta``), so a k = 1 search would return it, inside the gate.
+    A point with no target inside the gate stores twice its clearance,
+    ``2 (min(d1, reach) - gate)``, so the same test keeps it unpaired while
+    every target is still at least ``d1 - delta`` > gate away. Only the
+    other points are searched again.
     """
 
     def __init__(self, tree: cKDTree, max_distance: float):
         self.tree = tree
         self.max_distance = max_distance
+        self.reach = _SEARCH_REACH * max_distance
         # covers the round-off of the compared distances, which grows with
         # the coordinates' magnitude
         self.slack = _REUSE_SLACK * (1.0 + max(np.abs(tree.mins).max(),
@@ -182,18 +193,22 @@ class _NearestTargets:
         self.anchor = None
 
     def _search(self, q: np.ndarray):
-        dist, idx = query_neighbors(self.tree, q, 2, self.max_distance)
+        gate = self.max_distance
+        dist, idx = query_neighbors(self.tree, q, 2, self.reach)
         nearest = idx[:, 0]
+        d1 = dist[:, 0]
+        gap = np.minimum(dist[:, 1], gate) - d1
         # scipy orders an exact tie differently at k = 2 than at k = 1, so a
         # tied row takes its k = 1 answer; its gap is 0, so it is searched
         # every time
-        tied = np.flatnonzero((dist[:, 0] == dist[:, 1])
-                              & np.isfinite(dist[:, 0]))
+        tied = np.flatnonzero((d1 == dist[:, 1]) & (d1 < gate))
         if tied.size:
-            nearest[tied] = query_neighbors(self.tree, q[tied], 1,
-                                            self.max_distance)[1]
-        # -inf where no target is inside the gate
-        return nearest, np.minimum(dist[:, 1], self.max_distance) - dist[:, 0]
+            nearest[tied] = query_neighbors(self.tree, q[tied], 1, gate)[1]
+        outside = np.flatnonzero(d1 >= gate)
+        if outside.size:
+            nearest[outside] = self.tree.n
+            gap[outside] = 2.0 * (np.minimum(d1[outside], self.reach) - gate)
+        return nearest, gap
 
     def pairs(self, q: np.ndarray):
         """Indices (source, target) of the nearest target of each row of q

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
 
-from .geometry import PointCloud, rot_z
+from .geometry import PointCloud
 
 _CHUNK_PAIRS = 1 << 16  # (point, box) pairs per prefilter chunk
 
@@ -16,6 +17,21 @@ _CHUNK_PAIRS = 1 << 16  # (point, box) pairs per prefilter chunk
 class RemovalParams:
     enabled: bool = field(default=True, metadata={"bound": None})
     margin: float = field(default=0.1, metadata={"bound": None})
+
+
+def _rot_z_stack(yaws: np.ndarray) -> np.ndarray:
+    """``rot_z`` of each yaw as one (n, 3, 3) array, equal to it bit for bit:
+    the same ``math`` cosines and sines, and the same signed zeros."""
+    yaws = yaws.tolist()
+    cos = np.array([math.cos(yaw) for yaw in yaws])
+    sin = np.array([math.sin(yaw) for yaw in yaws])
+    rots = np.zeros((len(yaws), 3, 3))
+    rots[:, 0, 0] = cos
+    rots[:, 0, 1] = -sin
+    rots[:, 1, 0] = sin
+    rots[:, 1, 1] = cos
+    rots[:, 2, 2] = 1.0
+    return rots
 
 
 def dynamic_point_mask(points: np.ndarray, boxes: np.ndarray,
@@ -30,7 +46,7 @@ def dynamic_point_mask(points: np.ndarray, boxes: np.ndarray,
         return removed
     centers = boxes[:, :3]
     half = boxes[:, 4:] / 2.0 + margin
-    rots = np.array([rot_z(yaw) for yaw in boxes[:, 3].tolist()])
+    rots = _rot_z_stack(boxes[:, 3])
     # |p - c|^2 <= r^2 as |p|^2 - 2 p.c <= r^2 - |c|^2, one GEMM per chunk; the
     # slack exceeds the expansion's rounding, so no accepted pair is dropped
     p2 = np.einsum("ij,ij->i", pts, pts)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dynlo.cli import _scan_source
 from dynlo.cli import main as cli_main
+from dynlo import fileio
 
 from dynlo.config import PipelineConfig, dump_config, load_config, parse_config_text
 from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
@@ -394,6 +395,51 @@ class TestScanIO:
         path = str(tmp_path / "000000.txt")
         write_labels(path, labels)
         assert np.array_equal(read_labels(path), labels)
+
+    @pytest.mark.parametrize("labels", [
+        None, [], [True], [False], [1, 0, 2, -1], np.arange(50) % 3 == 0])
+    def test_label_bytes_match_the_text_writer(self, tmp_path, labels):
+        path = tmp_path / "000000.txt"
+        write_labels(str(path), labels)
+        flags = [] if labels is None else labels
+        # the line-joining writer that write_labels replaced
+        text = "\n".join("1" if v else "0" for v in flags)
+        assert path.read_bytes() == (text + "\n" * bool(len(flags))).encode()
+
+    @given(st.lists(st.booleans(), max_size=60))
+    def test_canonical_labels_parse_alike_on_both_paths(self, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "000000.txt")
+            write_labels(path, np.array(labels, dtype=bool))
+            got = read_labels(path)
+            assert got.dtype == bool
+            assert np.array_equal(got, labels)
+            assert np.array_equal(got, fileio._parse_label_lines(path))
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"-1\n0\n", [True, False]),
+        (b"+1\n0\n", [True, False]),
+        (b"2\n0\n", [True, False]),
+        (b"1\n\n0\n\n", [True, False]),
+        (b"1\r\n0\r\n", [True, False]),
+        (b"1\n0", [True, False]),
+        (b"0", [False]),
+        (b"\n", []),
+        (b"1\n\nx\n", "line 3: expected one 64-bit integer"),
+        (b"0\r\n1\r\n1 2\r\n", "line 3: expected one 64-bit integer"),
+        (b"1\n0\n2x", "line 3: expected one 64-bit integer"),
+    ])
+    def test_other_label_files_keep_their_results(self, tmp_path, data,
+                                                  expected):
+        path = tmp_path / "000000.txt"
+        path.write_bytes(data)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"000000.txt {expected}$"):
+                read_labels(str(path))
+        else:
+            assert np.array_equal(read_labels(str(path)), expected)
+            assert np.array_equal(fileio._parse_label_lines(str(path)),
+                                  expected)
 
     @staticmethod
     def _line_loop_labels(path):

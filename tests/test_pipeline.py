@@ -10,6 +10,7 @@ import pytest
 
 from dynlo.cli import main as cli_main
 from dynlo import cli, geometry, pipeline
+from dynlo.detections import DetectionFrame
 from dynlo.config import dump_config
 from dynlo.fileio import (read_scan_bin, read_trajectory, write_scan_bin,
                           write_trajectory)
@@ -294,6 +295,33 @@ class TestRunPipeline:
         # an error pulling a scan already names its file; it passes unchanged
         with pytest.raises(ValueError, match="^000001.bin: 1 non-finite"):
             run_pipeline(failing_source(), res.detections, reference_config())
+
+    @pytest.mark.parametrize("field, row, column, value, message", [
+        ("points", 5, 1, np.nan, "points: non-finite coordinate"),
+        ("boxes", 0, 3, np.inf, "boxes: non-finite box row"),
+        ("boxes", 1, 5, 0.0, "boxes: box dimension not positive"),
+    ])
+    def test_step_rejects_bad_input(self, field, row, column, value,
+                                    message):
+        res = simulate(small_scene(5), 0)
+        scans, frames = list(res.scans), list(res.detections)
+        if field == "points":
+            points = scans[3].points.copy()
+            points[row, column] = value
+            scans[3] = PointCloud(points, labels=scans[3].labels)
+        else:
+            boxes = frames[3].boxes.copy()
+            boxes[row, column] = value
+            frames[3] = DetectionFrame(
+                3, boxes, frames[3].classes, frames[3].scores)
+        with pytest.raises(ValueError, match=f"^scan 3: {message}$"):
+            run_pipeline(scans, frames, reference_config())
+        odometry = pipeline.Odometry(reference_config())
+        for raw, frame in zip(scans[:3], frames):
+            odometry.step(raw, frame)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            odometry.step(scans[3], frames[3])
+        assert odometry.scans == 3  # the refused scan changed no state
 
     def test_source_exhaustion_ends_run(self):
         res = simulate(small_scene(8), 0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import pack, unpack
@@ -596,6 +598,102 @@ class TestCorrespondenceReuse:
         assert all(n < len(room) for n in per_iteration[1:])
         # the last step is tiny: nearly every row keeps its answer
         assert per_iteration[-1] < len(room) // 10
+
+
+class TestRowsOutsideTheGate:
+    """A row with no target inside the gate is searched again only once it
+    could have moved into the gate."""
+
+    GATE = 1.0
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        rows = []
+        original = registration.query_neighbors
+
+        def recording(tree, points, k, distance_upper_bound=np.inf):
+            rows.append(points.copy())
+            return original(tree, points, k, distance_upper_bound)
+
+        monkeypatch.setattr(registration, "query_neighbors", recording)
+        return rows
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.tuples(
+        st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1),
+        st.floats(-0.02, 0.02)), min_size=1, max_size=12))
+    def test_pairs_equal_a_k1_search_under_small_moves(self, seed, moves):
+        # sparse: ~2.3 m between targets, so many rows lie outside the gate
+        rng = np.random.default_rng(seed)
+        target = rng.uniform(-4.0, 4.0, (40, 3))
+        source = rng.uniform(-4.0, 4.0, (30, 3))
+        tree = cKDTree(target)
+        nearest_targets = registration._NearestTargets(tree, self.GATE)
+        T = Pose.identity()
+        for *step, yaw in [(0.0, 0.0, 0.0, 0.0)] + moves:
+            T = T.compose(Pose.from_yaw(yaw, step))
+            q = T.apply(source)
+            s_idx, t_idx = nearest_targets.pairs(q.copy())
+            dist, idx = tree.query(q, k=1, distance_upper_bound=self.GATE)
+            found = np.isfinite(dist)
+            assert np.array_equal(s_idx, np.flatnonzero(found))
+            assert np.array_equal(t_idx, idx[found])
+
+    def test_grid_rows_at_and_past_the_gate(self, searched):
+        g = np.arange(-8.0, 9.0, 4.0)
+        x, y = (a.ravel() for a in np.meshgrid(g, g))
+        target = np.column_stack([x, y, np.zeros_like(x)])
+        tree = cKDTree(target)
+        nearest_targets = registration._NearestTargets(tree, self.GATE)
+        # above grid points: exactly at the gate (clearance 0), 5 cm past it
+        # and beyond the search's reach (clearance 0.1 gate)
+        q = np.array([[0.0, 0.0, 1.0], [4.0, 0.0, 1.05], [-4.0, 0.0, 3.0]])
+        s_idx, _ = nearest_targets.pairs(q.copy())
+        assert s_idx.size == 0  # scipy's bound is strict
+        del searched[:]
+        # each row moves less than its clearance, the first sideways
+        q += [[0.0, 0.01, 0.0], [0.0, 0.0, -0.02], [0.0, 0.0, -0.09]]
+        s_idx, _ = nearest_targets.pairs(q.copy())
+        assert s_idx.size == 0
+        assert np.array_equal(np.concatenate(searched), q[:1])
+        del searched[:]
+        # the second row moves into the gate, the third past its clearance
+        q += [[0.0, 0.0, 0.0], [0.0, 0.0, -0.04], [0.0, 0.0, -0.02]]
+        s_idx, t_idx = nearest_targets.pairs(q.copy())
+        assert np.array_equal(np.concatenate(searched), q[1:])
+        assert s_idx.tolist() == [1]
+        assert target[t_idx].tolist() == [[4.0, 0.0, 0.0]]
+
+    def test_sparse_scan_pair_keeps_its_unpaired_rows(self, searched,
+                                                      monkeypatch):
+        from dynlo.preprocess import voxel_downsample
+        from dynlo.simulate import (reference_config, reference_dynamic_scene,
+                                    simulate)
+        cfg = reference_config()
+        pre = cfg.preprocess
+        sim = simulate(reference_dynamic_scene(n_scans=2, rays_per_scan=1500),
+                       0)
+        source, target = (
+            estimate_point_covariances(
+                voxel_downsample(scan, pre.voxel_leaf), pre.covariance_knn,
+                pre.plane_epsilon)
+            for scan in (sim.scans[1], sim.scans[0]))
+        per_call, unpaired = [], []
+        pairs = registration._NearestTargets.pairs
+
+        def counting(self, q):
+            start = len(searched)
+            s_idx, t_idx = pairs(self, q)
+            per_call.append(sum(len(rows) for rows in searched[start:]))
+            unpaired.append(len(q) - len(s_idx))
+            return s_idx, t_idx
+
+        monkeypatch.setattr(registration._NearestTargets, "pairs", counting)
+        res = gicp_align(source, target, Pose.identity(), cfg.gicp)
+        assert res.iterations > 2
+        assert per_call[0] == len(source)
+        assert all(n < len(source) for n in per_call[1:])
+        # the old rule searched every unpaired row again at the next call
+        assert per_call[-1] < unpaired[-2]
 
 
 class TestCarriedTree:

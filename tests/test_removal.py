@@ -151,3 +151,12 @@ class TestOnePassMask:
         for pairs in (1, 20, 7 * 13):
             monkeypatch.setattr(removal, "_CHUNK_PAIRS", pairs)
             assert np.array_equal(dynamic_point_mask(pts, rows, 0.1), whole)
+
+    def test_rotation_stack_is_rot_z_bit_for_bit(self, rng):
+        yaws = np.concatenate([rng.uniform(-np.pi, np.pi, 1000),
+                               [0.0, -0.0, np.pi, -np.pi, np.pi / 2, 5e-324]])
+        stack = removal._rot_z_stack(yaws)
+        expected = np.array([rot_z(yaw) for yaw in yaws.tolist()])
+        # equal bytes: signed zeros included
+        assert stack.tobytes() == expected.tobytes()
+        assert removal._rot_z_stack(np.empty(0)).shape == (0, 3, 3)
