@@ -118,9 +118,10 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
             M = np.hstack([pose.rotation, pose.translation[:, None]])
             lines.append(" ".join("%.9f" % v for v in M.reshape(-1)))
     else:
-        for ts, pose in zip(traj.timestamps, traj.poses):
-            q = Rotation.from_matrix(pose.rotation).as_quat()  # x, y, z, w
-            vals = [ts, *pose.translation, *q]
+        rotations = np.array([pose.rotation for pose in traj.poses])
+        quats = Rotation.from_matrix(rotations.reshape(-1, 3, 3)).as_quat()
+        for ts, pose, q in zip(traj.timestamps, traj.poses, quats):
+            vals = [ts, *pose.translation, *q]  # q: x, y, z, w
             lines.append(" ".join("%.9f" % v for v in vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

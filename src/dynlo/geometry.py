@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -17,14 +16,18 @@ if TYPE_CHECKING:
 _ORTHO_TOL = 1e-9
 _EYE3 = np.eye(3)  # read-only: added to, never written
 
-# Neighbour queries of at least this many rows are split over the CPUs.
-# Rows per call: lane_traffic <= 1.7k, long_route's covariance (k = 10) and
-# first GICP (k = 2) searches ~2.4k, dense_corridor's 13-19k. Milliseconds,
-# one thread -> split, on a 2-vCPU VM (k = 2 bounded at 1 m):
+# Neighbour queries of at least this many rows are split over the CPUs; scipy
+# starts the threads on each call. Rows per call: lane_traffic <= 1.7k,
+# long_route's covariance (k = 10) and first GICP (k = 2) searches ~2.4k,
+# dense_corridor's 13-19k. Median milliseconds, one thread -> two workers, on
+# a 2-vCPU shared VM (k = 2 bounded at 1 m against a 17k-point scan; k = 10
+# within the queried rows):
 #   rows    500         1k          2k          4k          16k
-#   k = 2   0.25->0.29  0.51->0.38  1.07->0.72  2.15->1.40  8.6->5.8
-#   k = 10  0.41->0.46  0.94->0.55  2.12->1.18  4.6->2.5    21.2->11.7
-# A 1024 gate, which also splits lane_traffic's queries, gained it ~1 %.
+#   k = 2   0.38->0.49  0.74->0.70  1.55->1.29  2.93->3.09  12.1->9.6
+#   k = 10  0.61->0.70  1.34->0.95  3.04->1.90  6.21->5.13  29.4->19.4
+# The split's times spread widely on a shared host; from 2k rows its 10th
+# percentiles were 0.55-0.7x one thread's. 8 rows took 0.02 ms on one thread
+# and 0.17 ms on two workers.
 _PARALLEL_QUERY_POINTS = 2048
 
 # CPUs this process may use, read once
@@ -48,16 +51,6 @@ _CONJ_I1, _CONJ_J1, _CONJ_I2, _CONJ_J2 = (
                                     (PACKED_ROWS, PACKED_COLS)))
 _CONJ_SCALE = np.ones((6, 1))
 _CONJ_SCALE[PACKED_DIAG] = 0.5
-
-
-def _new_pool():  # threads start on first use; a forked child has none
-    global _pool
-    _pool = ThreadPoolExecutor(max(1, _CPUS - 1))
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 def wrap_angle(theta):
@@ -277,39 +270,15 @@ class PointCloud:
         return PointCloud(pose.apply(self.points), covs)
 
 
-def _split_rows(query, points: np.ndarray) -> list:
-    """``[query(points)]``; from ``_PARALLEL_QUERY_POINTS`` rows, the answers
-    of one contiguous slice per CPU in row order, the first answered by the
-    caller and the rest by the pool."""
-    if len(points) < _PARALLEL_QUERY_POINTS or _CPUS == 1:
-        return [query(points)]
-    first, *rest = np.array_split(points, _CPUS)
-    futures = [_pool.submit(query, rows) for rows in rest]
-    try:
-        head = query(first)
-    finally:
-        tail = [future.result() for future in futures]
-    return [head, *tail]
-
-
 def query_neighbors(tree: "cKDTree", points: np.ndarray, k: int,
                     distance_upper_bound: float = np.inf):
-    """``tree.query(points, k, distance_upper_bound)``, split over the CPUs
-    from ``_PARALLEL_QUERY_POINTS`` rows. Each row is answered on its own,
-    so the split does not change the result."""
-    parts = _split_rows(lambda rows: tree.query(
-        rows, k=k, distance_upper_bound=distance_upper_bound), points)
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def query_indices(tree: "cKDTree", points: np.ndarray, k: int) -> np.ndarray:
-    """The indices of ``query_neighbors(tree, points, k)``: each slice drops
-    its distances as soon as it is answered, and only the indices are
-    joined."""
-    parts = _split_rows(lambda rows: tree.query(rows, k=k)[1], points)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """``tree.query(points, k, distance_upper_bound)``; from
+    ``_PARALLEL_QUERY_POINTS`` rows scipy splits the rows into one contiguous
+    slice per CPU (``workers``). Each row is answered on its own, so the
+    split does not change the result."""
+    workers = _CPUS if len(points) >= _PARALLEL_QUERY_POINTS else 1
+    return tree.query(points, k=k, distance_upper_bound=distance_upper_bound,
+                      workers=workers)
 
 
 @dataclass(frozen=True)

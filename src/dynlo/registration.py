@@ -214,7 +214,7 @@ class _NearestTargets:
         """Indices (source, target) of the nearest target of each row of q
         within the gate; source indices ascend."""
         if self.anchor is None:
-            self.anchor = q
+            self.anchor = q.copy()
             self.nearest, self.gap = self._search(q)
         else:
             moved = q - self.anchor

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from dynlo.cli import _scan_source
 from dynlo.cli import main as cli_main
@@ -18,7 +19,7 @@ from dynlo.fileio import (read_labels, read_removal_provenance, read_scan_bin,
                           read_trajectory, write_labels, write_map_ascii,
                           write_removal_provenance, write_scan_bin,
                           write_trajectory)
-from dynlo.geometry import PointCloud
+from dynlo.geometry import PointCloud, Pose
 from dynlo.metrics import Trajectory
 from dynlo.pipeline import run_pipeline
 from dynlo.simulate import reference_config
@@ -500,6 +501,27 @@ class TestTrajectoryIO:
         back = read_trajectory(path)
         for a, b in zip(traj.poses, back.poses):
             assert np.allclose(a.matrix(), b.matrix(), atol=1e-8)
+
+    def test_bytes_match_the_per_pose_writer(self, tmp_path, rng):
+        # one Rotation.from_matrix call over the stack gives each pose's own
+        # quaternion bit for bit, the identity and the half turns included
+        turns = [np.eye(3), *(np.diag(d) for d in
+                              ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                               [-1.0, -1.0, 1.0]))]
+        traj = self.make_traj(rng, 50)
+        traj = Trajectory.from_poses(
+            traj.poses + [Pose(R, rng.normal(size=3)) for R in turns])
+        for n in (0, 1, len(traj)):
+            part = Trajectory(traj.scan_indices[:n], traj.timestamps[:n],
+                              traj.poses[:n])
+            path = tmp_path / f"traj{n}.txt"
+            write_trajectory(str(path), part)
+            per_pose = "".join(
+                " ".join("%.9f" % v for v in [
+                    ts, *pose.translation,
+                    *Rotation.from_matrix(pose.rotation).as_quat()]) + "\n"
+                for ts, pose in zip(part.timestamps, part.poses))
+            assert path.read_bytes() == per_pose.encode()
 
     def test_unrecognized_column_count(self, tmp_path):
         path = tmp_path / "traj.txt"

@@ -1,8 +1,9 @@
 import math
 import multiprocessing
-import threading
+import os
+import subprocess
+import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -253,16 +254,14 @@ class TestDetectionBoxValidation:
 
 
 class _RecordingTree:
-    """A cKDTree that records the rows, ``workers`` and thread of each
-    query."""
+    """A cKDTree that records the rows and ``workers`` of each query."""
 
     def __init__(self, points):
         self.tree = cKDTree(points)
         self.calls = []
 
     def query(self, points, **kwargs):
-        self.calls.append((points.copy(), kwargs.get("workers", 1),
-                           threading.get_ident()))
+        self.calls.append((points.copy(), kwargs.get("workers", 1)))
         return self.tree.query(points, **kwargs)
 
 
@@ -279,10 +278,10 @@ def _assert_query_answers(tree, query, k, bound, expected):
 
 
 class TestQueryNeighbors:
-    """Below the size gate a query is one call on one thread. From the gate
-    the rows are cut into one contiguous slice per CPU, each queried on one
-    thread, one of them by the caller. Either way the results equal a
-    one-thread query's bit for bit."""
+    """A query is one ``tree.query`` call: below the size gate on one
+    thread, from the gate with one worker per CPU, each answering a
+    contiguous slice of the rows. Either way the results equal a one-thread
+    query's bit for bit."""
 
     GATE = geometry._PARALLEL_QUERY_POINTS
     SIZES = [1, GATE - 1, GATE, GATE + 1, 2 * GATE]
@@ -293,18 +292,14 @@ class TestQueryNeighbors:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_CPUS", cpus)
             mp.setattr(geometry, "_PARALLEL_QUERY_POINTS", gate)
-            mp.setattr(geometry, "_pool", ThreadPoolExecutor(max(1, cpus - 1)))
             dist, idx = geometry.query_neighbors(target, query, k, bound)
         ref_dist, ref_idx = target.tree.query(query, k=k,
                                               distance_upper_bound=bound)
         np.testing.assert_array_equal(dist, ref_dist)
         np.testing.assert_array_equal(idx, ref_idx)
-        slices = np.array_split(query, cpus if n_query >= gate else 1)
-        rows, workers, threads = zip(*target.calls)
-        assert (sorted(r.tobytes() for r in rows)
-                == sorted(s.tobytes() for s in slices))
-        assert workers == (1,) * len(slices)
-        assert threads.count(threading.get_ident()) == 1
+        [(rows, workers)] = target.calls
+        assert rows.tobytes() == query.tobytes()
+        assert workers == (cpus if n_query >= gate else 1)
 
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(SIZES),
            st.sampled_from([1, 2, 10]), st.floats(0.05, 2.0),
@@ -325,31 +320,17 @@ class TestQueryNeighbors:
         self._check(np.random.default_rng(seed), n_query, grid, 10, np.inf,
                     cpus)
 
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(SIZES),
-           st.sampled_from([1, 2, 10]), st.sampled_from([1, 2, 3]))
-    def test_indices_only(self, seed, grid, n_query, k, cpus):
-        rng = np.random.default_rng(seed)
-        target = _RecordingTree(_cloud(rng, 3000, grid))
-        query = _cloud(rng, n_query, grid)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "_CPUS", cpus)
-            mp.setattr(geometry, "_pool", ThreadPoolExecutor(max(1, cpus - 1)))
-            idx = geometry.query_indices(target, query, k)
-        np.testing.assert_array_equal(idx, target.tree.query(query, k=k)[1])
-        assert len(target.calls) == (cpus if n_query >= self.GATE else 1)
-
-    def test_indices_only_join_no_distances(self, monkeypatch, rng):
-        # a split k = 10 query joins n k 8 B of indices: under tracemalloc
-        # it peaks at 0.67x n k 24 B (the slices' own outputs, then the
-        # join), against 1.33x when it joins the distances as well
+    def test_split_query_indices_peak(self, monkeypatch, rng):
+        # the covariance stage keeps only the indices of a split k = 10
+        # query: under tracemalloc its distances and indices peak at 0.67x
+        # n k 24 B, the two n k 8 B outputs
         monkeypatch.setattr(geometry, "_CPUS", 2)
-        monkeypatch.setattr(geometry, "_pool", ThreadPoolExecutor(1))
         n, k = 17000, 10
         pts = rng.normal(size=(n, 3)) * [20.0, 20.0, 2.0]
         tree = cKDTree(pts)
         tracemalloc.start()
         try:
-            geometry.query_indices(tree, pts, k)
+            geometry.query_neighbors(tree, pts, k)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,14 +342,34 @@ class TestQueryNeighbors:
     def test_fewer_rows_than_cpus(self, rng, n_query, gate, k, bound):
         self._check(rng, n_query, True, k, bound, 3, gate)
 
+    def test_no_thread_outlives_a_split_query(self):
+        # a fresh interpreter, so that no earlier query has started a thread
+        code = """if True:
+            import threading
+            import numpy as np
+            from scipy.spatial import cKDTree
+            from dynlo import geometry
+            geometry._CPUS = 2
+            pts = np.random.default_rng(0).uniform(-10.0, 10.0, (4096, 3))
+            before = threading.active_count()
+            geometry.query_neighbors(cKDTree(pts), pts, 2, 1.0)
+            assert threading.active_count() == before, threading.enumerate()
+            """
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
-    def test_forked_child_makes_its_own_pool(self, monkeypatch, rng):
+    def test_split_query_in_a_forked_child(self, monkeypatch, rng):
         monkeypatch.setattr(geometry, "_CPUS", 2)
         tree = cKDTree(_cloud(rng, 3000, False))
         query = _cloud(rng, 2 * self.GATE, False)
         expected = tree.query(query, k=2, distance_upper_bound=1.0)
-        # the parent's pool threads run before the fork
+        # the parent splits a query before the fork
         _assert_query_answers(tree, query, 2, 1.0, expected)
         child = multiprocessing.get_context("fork").Process(
             target=_assert_query_answers, args=(tree, query, 2, 1.0, expected))

@@ -2,7 +2,6 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -448,14 +447,13 @@ class TestRunPipeline:
         assert ([(s.s2s_iterations, s.s2m_iterations) for s in parallel.stats]
                 == [(s.s2s_iterations, s.s2m_iterations) for s in serial.stats])
 
-    def test_concurrent_runs_share_the_query_pool(self, monkeypatch):
+    def test_concurrent_runs_with_split_queries(self, monkeypatch):
         res = simulate(small_scene(6), 0)
         monkeypatch.setattr(geometry, "_PARALLEL_QUERY_POINTS", np.inf)
         serial = run_pipeline(res.scans, res.detections, reference_config())
-        # every neighbour query split, two callers on one pool of two threads
+        # every neighbour query split over three workers, in two callers
         monkeypatch.setattr(geometry, "_PARALLEL_QUERY_POINTS", 0)
         monkeypatch.setattr(geometry, "_CPUS", 3)
-        monkeypatch.setattr(geometry, "_pool", ThreadPoolExecutor(2))
         runs = [None, None]
 
         def run(i):

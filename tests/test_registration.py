@@ -554,6 +554,17 @@ class TestCorrespondenceReuse:
         assert self.check(solves, source, target,
                           Pose.identity()).iterations > 1
 
+    def test_pairs_leaves_the_callers_rows_unchanged(self, rng):
+        # the first call's rows become the anchors, which later calls update
+        nearest_targets = registration._NearestTargets(
+            cKDTree(rng.uniform(-4.0, 4.0, (200, 3))), 1.0)
+        q = rng.uniform(-4.0, 4.0, (100, 3))
+        first = q.copy()
+        nearest_targets.pairs(q)
+        for shift in (0.3, 0.6):
+            nearest_targets.pairs(first + shift)
+        assert np.array_equal(q, first)
+
     def test_far_from_the_origin(self, solves, room):
         far = Pose.from_yaw(0.3, (1e5, -1e5, 1e5))
         target = room.transformed(far)
