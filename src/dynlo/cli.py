@@ -7,6 +7,8 @@ import os
 import sys
 from typing import Iterator, List
 
+import numpy as np
+
 from .config import PipelineConfig, load_config
 from .detections import DetectionFrame, load_detection_frame
 from .fileio import (PROVENANCE_FILENAME, list_scan_files, read_labels,
@@ -17,7 +19,6 @@ from .keyframes import dump_keyframes
 from .metrics import ape_rmse, map_pr_rr_f1, rpe_rmse
 from .pipeline import run_pipeline, stats_summary, write_stats_file
 from .simulate import load_scene, simulate, write_sim_dir
-from .tracking import format_track_rows
 
 
 def _scan_source(scan_files: List[str], labels_dir: str | None) -> Iterator[PointCloud]:
@@ -65,11 +66,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out_tracks:
         os.makedirs(args.out_tracks, exist_ok=True)
         for k, s in enumerate(result.stats):
-            rows = format_track_rows(s.tracks)
-            with open(os.path.join(args.out_tracks, "%06d.txt" % k), "w") as fh:
-                fh.write("\n".join(rows))
-                if rows:
-                    fh.write("\n")
+            np.savetxt(os.path.join(args.out_tracks, "%06d.txt" % k), s.tracks,
+                       fmt="%d %d " + " ".join(["%.6f"] * 8))
     if args.out_keyframes:
         dump_keyframes(result.db, args.out_keyframes)
     summary = stats_summary(result.stats)

@@ -4,16 +4,17 @@ The cost for a transform T = (R, t) over correspondences (s, t) is
 
     sum_i d_i^T W_i d_i,   W_i = (C_i^tgt + R C_i^src R^T)^-1,   d_i = p_i^tgt - T p_i^src
 
-with plane-regularized per-point covariances. Each Gauss-Newton iteration
+with plane-regularized per-point covariances. Each Gauss-Newton step
 minimizes this cost with W_i frozen at its current rotation
-(``_model_error``). Each iteration pairs every source point with its nearest
-target inside the gate, but a point keeps its last answer while it has moved
-less than half the gap between its nearest and second-nearest target (or the
-gate), since that answer cannot have changed; an exact tie has no gap and is
-searched every iteration. A point with no target in the gate stays unpaired
-while it has moved less than its clearance, the distance by which its
-nearest target lies outside the gate. The local step is a right-multiplied
-6-DoF increment.
+(``_model_error``, whose gradient is 2c), and every finite step is taken:
+the cost is not evaluated at the step's end. Each iteration pairs every
+source point with its nearest target inside the gate, but a point keeps its
+last answer while it has moved less than half the gap between its nearest
+and second-nearest target (or the gate), since that answer cannot have
+changed; an exact tie has no gap and is searched every iteration. A point
+with no target in the gate stays unpaired while it has moved less than its
+clearance, the distance by which its nearest target lies outside the gate.
+The local step is a right-multiplied 6-DoF increment.
 
 The per-pair arithmetic runs on contiguous columns, one row per entry:
 points and residuals are (3, n), and symmetric 3x3 matrices are packed into
@@ -109,7 +110,6 @@ class GicpParams:
 class GicpResult:
     pose: Pose
     converged: bool
-    error: float
     iterations: int
 
 
@@ -290,18 +290,19 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
                target_tree: Optional[cKDTree] = None) -> GicpResult:
     """Iteratively minimize the GICP cost of source against target from ``init``.
 
-    Gauss-Newton with per-iteration correspondences. The call ends
-    converged at the pose after a step under both epsilons, or on a
-    revisit: a step that lands within both epsilons (translation distance,
-    rotation angle) of a pose an earlier iteration linearized at. Nearest
-    pairing and the Mahalanobis solve do not lower one common cost, so they
-    can cycle; a revisit ends the call at the cycle's lowest-cost pose from
-    the revisited one on, each cost taken under that pose's own pairs. The
-    call ends unconverged, at the last pose that lowered the cost, when the
-    iterations run out, when fewer than ``_MIN_CORRESPONDENCES`` pairs are
-    left after the first iteration, or when a step does not lower the cost
-    with W frozen. Correspondences are searched in ``target_tree`` if
-    given, else in the tree the target carries, else in a tree built here.
+    Gauss-Newton with per-iteration correspondences; every finite step is
+    taken. The call ends converged at the pose after a step under both
+    epsilons, or on a revisit: a step that lands within both epsilons
+    (translation distance, rotation angle) of a pose an earlier iteration
+    linearized at. Nearest pairing and the Mahalanobis solve do not lower
+    one common cost, so they can cycle; a revisit ends the call at the
+    cycle's lowest-cost pose from the revisited one on, each cost taken
+    under that pose's own pairs. The call ends unconverged, at the pose of
+    its last step, when the iterations run out or when fewer than
+    ``_MIN_CORRESPONDENCES`` pairs are left after the first iteration. A
+    non-finite step raises. Correspondences are searched in ``target_tree``
+    if given, else in the tree the target carries, else in a tree built
+    here.
     A source point is searched again only where its nearest target could
     have changed (see :class:`_NearestTargets`), so the correspondences
     equal a k = 1 search of every point at every iteration. The sums run
@@ -338,10 +339,9 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
                 raise ValueError("insufficient overlap")
             break
         basis = src_basis.take(s_idx, axis=1)
-        ps = basis[1:4]
-        pt = target.points.take(t_idx, axis=0).T.copy()
-        A, c, err, W = _normal_equations(
-            T, basis, source.covariances.take(s_idx, axis=1), pt,
+        A, c, err, _ = _normal_equations(
+            T, basis, source.covariances.take(s_idx, axis=1),
+            target.points.take(t_idx, axis=0).T.copy(),
             target.covariances.take(t_idx, axis=1))
         i = iterations - 1
         seen_t[i], seen_R[i], seen_err[i] = T.translation, T.rotation, err
@@ -362,15 +362,7 @@ def gicp_align(source: PointCloud, target: PointCloud, init: Pose,
         if first >= 0:
             best = first + int(seen_err[first:i + 1].argmin())
             T = Pose(seen_R[best].copy(), seen_t[best].copy())
-            err = float(seen_err[best])
             converged = True
             break
-        cand_err = _model_error(cand, ps, pt, W)
-        if not np.isfinite(cand_err):
-            raise ValueError("solver diverged")
-        if cand_err > err * (1.0 + 1e-6):
-            break
         T = cand
-        err = cand_err
-    return GicpResult(pose=T, converged=converged, error=err,
-                      iterations=iterations)
+    return GicpResult(pose=T, converged=converged, iterations=iterations)

@@ -241,9 +241,3 @@ class Tracker:
         self.next_id += len(unmatched_d)
         return TrackerStep(dynamic_boxes=self.means[self.dynamic][:, _OBS_IDX],
                            matched_ids=matched_ids)
-
-
-def format_track_rows(table: np.ndarray) -> List[str]:
-    """Dump rows ``track_id dynamic x y z yaw v l w h`` of ``Tracker.tracks``."""
-    return ["%d %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f" % tuple(row)
-            for row in table]

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import time
@@ -6,6 +7,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynlo.cli import main as cli_main
 from dynlo import cli, geometry, pipeline
@@ -529,6 +532,106 @@ class TestRunPipeline:
         assert np.linalg.norm(world_init.translation
                               - s2m.pose.translation) < 0.05
         assert out.stats[4].s2m_iterations == s2m.iterations
+
+
+def perturbed(scans, frames, k, kind, value):
+    """Copies of ``scans`` and ``frames`` with scan or frame k perturbed by
+    ``kind``: truncated to ``value`` points, replaced by the floor plane,
+    turned by the yaw ``value``, shifted by ``value`` = (distance,
+    heading), given a box that covers the scene, or stripped of its boxes."""
+    scans, frames = list(scans), list(frames)
+    points, labels = scans[k].points, scans[k].labels
+    frame = frames[k]
+    if kind == "truncate":
+        points, labels = points[:value], labels[:value]
+    elif kind == "floor":
+        # the ground lies 1.6 m under the sensor
+        xy = np.random.default_rng(k).uniform(-20.0, 20.0, (len(points), 2))
+        points = np.column_stack([xy, np.full(len(points), -1.6)])
+        labels = np.zeros(len(points), dtype=bool)
+    elif kind == "yaw":
+        points = Pose.from_yaw(value).apply(points)
+    elif kind == "shift":
+        distance, heading = value
+        points = points + distance * np.array(
+            [np.cos(heading), np.sin(heading), 0.0])
+    elif kind == "cover":
+        cover = [0.0, 0.0, 0.0, 0.0, 200.0, 200.0, 50.0]
+        frame = DetectionFrame(k, np.vstack([frame.boxes, cover]),
+                               np.append(frame.classes, "car"),
+                               np.append(frame.scores, 1.0))
+    else:  # "no boxes"
+        frame = DetectionFrame(k, frame.boxes[:0], frame.classes[:0],
+                               frame.scores[:0])
+    scans[k] = PointCloud(points, labels=labels)
+    frames[k] = frame
+    return scans, frames
+
+
+PERTURBATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 40)),
+    st.tuples(st.just("floor"), st.none()),
+    st.tuples(st.just("yaw"), st.floats(-np.pi, np.pi)),
+    st.tuples(st.just("shift"), st.tuples(st.floats(0.0, 10.0),
+                                          st.floats(-np.pi, np.pi))),
+    st.tuples(st.just("cover"), st.none()),
+    st.tuples(st.just("no boxes"), st.none()))
+
+
+class TestPerturbedInput:
+    """One scan or frame of a short reference run is perturbed: every scan
+    still gets a finite pose, or the run fails naming a scan, and every GICP
+    call that raised leaves a fallback reason naming its stage."""
+
+    @pytest.fixture(scope="class")
+    def reference_run(self):
+        res = simulate(reference_dynamic_scene(n_scans=8, rays_per_scan=1200),
+                       0)
+        return res.scans, res.detections
+
+    @settings(max_examples=13, derandomize=True, deadline=None)
+    @given(k=st.integers(0, 7), perturbation=PERTURBATIONS)
+    @example(k=3, perturbation=("truncate", 0))
+    # both of scan 1's GICP calls raise "insufficient overlap"
+    @example(k=1, perturbation=("truncate", 11))
+    @example(k=2, perturbation=("floor", None))
+    @example(k=4, perturbation=("yaw", np.pi))
+    @example(k=5, perturbation=("shift", (10.0, 0.0)))
+    @example(k=3, perturbation=("cover", None))
+    @example(k=3, perturbation=("no boxes", None))
+    def test_finite_poses_or_an_error_naming_the_scan(self, reference_run, k,
+                                                      perturbation):
+        scans, frames = perturbed(*reference_run, k, *perturbation)
+        stepping = [0]  # the index of the scan being stepped
+        raised = []  # (scan, stage, message) of each GICP call that raised
+        original = pipeline.gicp_align
+
+        def source():
+            for index, scan in enumerate(scans):
+                stepping[0] = index
+                yield scan
+
+        def recording(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except ValueError as exc:
+                stage = "s2m" if "target_tree" in kwargs else "s2s"
+                raised.append((stepping[0], stage, str(exc)))
+                raise
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "gicp_align", recording)
+            try:
+                out = run_pipeline(source(), frames, reference_config())
+            except ValueError as exc:
+                assert re.match(r"scan \d+: ", str(exc))
+                return
+        assert len(out.stats) == len(scans)
+        for s in out.stats:
+            assert np.isfinite(s.pose.matrix()).all()
+        for scan, stage, message in raised:
+            reasons = out.stats[scan].fallback_reason.split(";")
+            assert f"{stage}:{message}" in reasons
 
 
 class TestCli:
